@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -57,9 +58,9 @@ _T_S_3D = {
     ObjectClass.CYCLIST: 0.5,
 }
 
-_CLASS_FIELD_NAMES = {f.name for f in dataclasses.fields(ClassConfig)}
-_INT_FIELDS = {"a_max", "min_hits", "gallery_budget"}
-_BOOL_FIELDS = {"mahalanobis_gating"}
+# Value type of every non-float config field; all other fields are floats.
+_FIELD_KINDS = {"a_max": int, "min_hits": int, "gallery_budget": int,
+                "mahalanobis_gating": bool}
 
 
 def default_class_configs(mode: Mode | str = Mode.D2) -> dict[ObjectClass, ClassConfig]:
@@ -88,29 +89,40 @@ def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def _coerce(key: str, value: Any, path: str) -> Any:
-    if key in _BOOL_FIELDS:
+def coerce_scalar(value: Any, path: str, kind: type = float) -> Any:
+    """Check one decoded JSON scalar against ``kind`` (float, int or bool).
+
+    Booleans never pass as numbers, and floats must be finite (JSON
+    decoders accept NaN and Infinity). Errors name ``path``.
+    """
+    if kind is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected a boolean, got {value!r}")
+            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
         return value
-    if key in _INT_FIELDS:
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _merge_dataclass(base: Any, overrides: Mapping[str, Any], path: str) -> Any:
+    """``base`` with the fields named in ``overrides`` replaced, each value
+    checked by :func:`coerce_scalar`."""
     names = {f.name for f in dataclasses.fields(base)}
     updates = {}
-    for key, value in overrides.items():
+    for key, value in _require_mapping(overrides, path).items():
         if key not in names:
             raise ConfigError(f"{path}: unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-        updates[key] = float(value)
+        updates[key] = coerce_scalar(value, f"{path}.{key}", _FIELD_KINDS.get(key, float))
     try:
         return dataclasses.replace(base, **updates)
     except ValueError as exc:
@@ -152,17 +164,9 @@ def parse_config(data: Mapping[str, Any], mode: Mode | str | None = None) -> Tra
             cls = ObjectClass(name)
         except ValueError:
             raise ConfigError(f"config.classes: unknown class {name!r}") from None
-        path = f"config.classes.{name}"
-        block = _require_mapping(block, path)
-        fields = dataclasses.asdict(class_configs[cls])
-        for key, value in block.items():
-            if key not in _CLASS_FIELD_NAMES:
-                raise ConfigError(f"{path}: unknown key {key!r}")
-            fields[key] = _coerce(key, value, path)
-        try:
-            class_configs[cls] = ClassConfig(**fields)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        class_configs[cls] = _merge_dataclass(
+            class_configs[cls], block, f"config.classes.{name}"
+        )
 
     noise_2d = Noise2D()
     noise_3d = Noise3D()
@@ -171,17 +175,9 @@ def parse_config(data: Mapping[str, Any], mode: Mode | str | None = None) -> Tra
         if key not in ("noise_2d", "noise_3d"):
             raise ConfigError(f"config.kalman: unknown key {key!r}")
     if "noise_2d" in kalman_block:
-        noise_2d = _merge_dataclass(
-            noise_2d,
-            _require_mapping(kalman_block["noise_2d"], "config.kalman.noise_2d"),
-            "config.kalman.noise_2d",
-        )
+        noise_2d = _merge_dataclass(noise_2d, kalman_block["noise_2d"], "config.kalman.noise_2d")
     if "noise_3d" in kalman_block:
-        noise_3d = _merge_dataclass(
-            noise_3d,
-            _require_mapping(kalman_block["noise_3d"], "config.kalman.noise_3d"),
-            "config.kalman.noise_3d",
-        )
+        noise_3d = _merge_dataclass(noise_3d, kalman_block["noise_3d"], "config.kalman.noise_3d")
 
     return TrackerConfig(resolved_mode, class_configs, noise_2d, noise_3d)
 

@@ -20,6 +20,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .config import coerce_scalar
 from .errors import ConfigError, ValidationError
 from .evaluation import FrameObject, GroundTruthFrame
 from .types import Box2D, Box3D, Camera, Detection, Mode, ObjectClass, normalize_heading
@@ -497,18 +498,6 @@ _RANGE_FIELDS = ("tp_score_range", "weak_score_range", "fp_score_range")
 _SPEC_KEYS = {f.name for f in dataclass_fields(ScenarioSpec)}
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
 def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
     """Decode a JSON scenario document, reporting errors with field paths."""
     if not isinstance(data, Mapping):
@@ -531,18 +520,16 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
             if not isinstance(data[name], str):
                 raise ConfigError(f"spec.{name}: expected a string")
             kwargs[name] = data[name]
-        elif kind is int:
-            kwargs[name] = _int(data[name], f"spec.{name}")
         else:
-            kwargs[name] = _number(data[name], f"spec.{name}")
+            kwargs[name] = coerce_scalar(data[name], f"spec.{name}", kind)
     for name in _RANGE_FIELDS:
         if name in data:
             pair = data[name]
             if not isinstance(pair, Sequence) or len(pair) != 2:
                 raise ConfigError(f"spec.{name}: expected [lo, hi]")
             kwargs[name] = (
-                _number(pair[0], f"spec.{name}[0]"),
-                _number(pair[1], f"spec.{name}[1]"),
+                coerce_scalar(pair[0], f"spec.{name}[0]"),
+                coerce_scalar(pair[1], f"spec.{name}[1]"),
             )
     if "camera" in data:
         if data["camera"] is None:
@@ -577,16 +564,17 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
         try:
             parsed_objects.append(
                 ObjectSpec(
-                    obj_id=_int(entry["obj_id"], f"{path}.obj_id"),
+                    obj_id=coerce_scalar(entry["obj_id"], f"{path}.obj_id", int),
                     class_label=label,
                     init=tuple(
-                        _number(v, f"{path}.init[{j}]") for j, v in enumerate(entry["init"])
+                        coerce_scalar(v, f"{path}.init[{j}]")
+                        for j, v in enumerate(entry["init"])
                     ),
                     velocity=tuple(
-                        _number(v, f"{path}.velocity[{j}]")
+                        coerce_scalar(v, f"{path}.velocity[{j}]")
                         for j, v in enumerate(entry["velocity"])
                     ),
-                    turn_rate=_number(entry.get("turn_rate", 0.0), f"{path}.turn_rate"),
+                    turn_rate=coerce_scalar(entry.get("turn_rate", 0.0), f"{path}.turn_rate"),
                 )
             )
         except ValueError as exc:
@@ -605,11 +593,7 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
             if not isinstance(entry, Sequence) or len(entry) != 3:
                 raise ConfigError(f"{path}: expected [obj_id, start, length]")
             windows.append(
-                Window(
-                    _int(entry[0], f"{path}[0]"),
-                    _int(entry[1], f"{path}[1]"),
-                    _int(entry[2], f"{path}[2]"),
-                )
+                Window(*(coerce_scalar(v, f"{path}[{j}]", int) for j, v in enumerate(entry)))
             )
         kwargs[name] = tuple(windows)
     if "reversals" in data:
@@ -621,7 +605,7 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
             path = f"spec.reversals[{i}]"
             if not isinstance(entry, Sequence) or len(entry) != 2:
                 raise ConfigError(f"{path}: expected [obj_id, frame]")
-            revs.append((_int(entry[0], f"{path}[0]"), _int(entry[1], f"{path}[1]")))
+            revs.append(tuple(coerce_scalar(v, f"{path}[{j}]", int) for j, v in enumerate(entry)))
         kwargs["reversals"] = tuple(revs)
 
     try:

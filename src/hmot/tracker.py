@@ -19,11 +19,9 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.stats
 
 from .assignment import INADMISSIBLE, AssociationResult, solve_gated_assignment
 from .config import default_class_configs
@@ -61,6 +59,10 @@ log = logging.getLogger(__name__)
 # independent of the configured maximum age.
 STAGE2_MAX_AGE = 3
 
+# 95% quantile of the chi-square distribution by degrees of freedom (the
+# 2D and 3D observation sizes), as scipy.stats.chi2.ppf(0.95, dof) gives it.
+CHI2_95 = {4: 9.487729036781154, 7: 14.067140449340169}
+
 
 @dataclass(frozen=True)
 class EmittedTrack:
@@ -85,63 +87,72 @@ class FrameResult:
 
 def split_detections(
     dets: Sequence[Detection], t_s: float
-) -> tuple[list[Detection], list[Detection], list[Detection]]:
-    """Partition detections by score.
+) -> tuple[list[Detection], list[Detection]]:
+    """Partition detections by score into (primary, secondary).
 
     Primary: score > t_s. Secondary: t_s/2 <= score <= t_s (the boundary
-    score t_s is kept rather than dropped between the sets). Discarded:
-    score < t_s/2.
+    score t_s is kept rather than dropped between the sets). Detections
+    scoring below t_s/2 are in neither set.
     """
-    primary: list[Detection] = []
-    secondary: list[Detection] = []
-    discarded: list[Detection] = []
-    for det in dets:
-        if det.score > t_s:
-            primary.append(det)
-        elif det.score >= t_s / 2.0:
-            secondary.append(det)
-        else:
-            discarded.append(det)
-    return primary, secondary, discarded
+    primary = [d for d in dets if d.score > t_s]
+    secondary = [d for d in dets if t_s / 2.0 <= d.score <= t_s]
+    return primary, secondary
 
 
-def _pred_boxes(tracks: Sequence[Track]):
-    return [box2d_from_state(t.state) for t in tracks]
-
-
-def _track_centers(tracks: Sequence[Track]) -> np.ndarray:
-    return np.array([t.state.mean[:3] for t in tracks]).reshape(len(tracks), 3)
-
-
-def _det_centers(dets: Sequence[Detection]) -> np.ndarray:
-    return np.array(
-        [[d.box.cx, d.box.cy, d.box.cz] for d in dets]
-    ).reshape(len(dets), 3)
-
-
-def _iou_gate(config: ClassConfig, camera: Camera | None) -> float:
-    if camera is None:
-        raise ConfigError("2D IoU gating requires a camera")
-    return config.max_iou_dist_for(camera)
-
-
-@lru_cache(maxsize=None)
-def _chi2_95(dof: int) -> float:
-    return float(scipy.stats.chi2.ppf(0.95, dof))
-
-
-def _apply_mahalanobis_gate(
-    costs: np.ndarray,
+def _gated_match(
     tracks: Sequence[Track],
     dets: Sequence[Detection],
-    model: MotionModel,
-) -> None:
-    """Mark pairs whose innovation is a statistical outlier as inadmissible."""
-    limit = _chi2_95(model.dim_obs)
-    for i, track in enumerate(tracks):
-        for j, det in enumerate(dets):
-            if np.isfinite(costs[i, j]) and mahalanobis_sq(track.state, det, model) > limit:
+    config: ClassConfig,
+    mode: Mode,
+    camera: Camera | None,
+    *,
+    use_reid: bool = False,
+    enlarge: float = 1.0,
+    model: MotionModel | None = None,
+) -> AssociationResult:
+    """One gated minimum-cost assignment of ``tracks`` to ``dets``.
+
+    In 3D the cost is kernelized center distance (gate max_center_dist). In
+    2D it is appearance distance against the track gallery (gate t_a) when
+    ``use_reid`` is set, otherwise IoU distance over boxes scaled by
+    ``enlarge`` with the camera's gate. With a ``model`` and
+    ``mahalanobis_gating`` on, pairs whose innovation lies beyond the 95%
+    chi-square quantile are inadmissible.
+    """
+    if mode is Mode.D3:
+        costs = gauss_center_dist_matrix(
+            np.array([t.state.mean[:3] for t in tracks]).reshape(-1, 3),
+            np.array([[d.box.cx, d.box.cy, d.box.cz] for d in dets]).reshape(-1, 3),
+            config.sigma,
+        )
+        gate = config.max_center_dist
+    elif use_reid:
+        costs = cosine_gallery_dist_matrix(
+            [t.gallery for t in tracks], [d.embedding for d in dets]
+        )
+        gate = config.t_a
+    else:
+        costs = iou_dist_matrix(
+            [box2d_from_state(t.state) for t in tracks], [d.box for d in dets],
+            factor=enlarge,
+        )
+        if camera is None:
+            raise ConfigError("2D IoU gating requires a camera")
+        gate = config.max_iou_dist_for(camera)
+    if config.mahalanobis_gating and model is not None:
+        limit = CHI2_95[model.dim_obs]
+        for i, j in zip(*np.nonzero(np.isfinite(costs))):
+            if mahalanobis_sq(tracks[i].state, dets[j], model) > limit:
                 costs[i, j] = INADMISSIBLE
+    return solve_gated_assignment(costs, gate)
+
+
+def _with_unmatched_tracks(
+    matches: list[tuple[int, int]], n_tracks: int, unmatched_dets: list[int]
+) -> AssociationResult:
+    matched = {i for i, _ in matches}
+    unmatched = [i for i in range(n_tracks) if i not in matched]
+    return AssociationResult(matches, unmatched, unmatched_dets)
 
 
 def stage1_cascade(
@@ -156,45 +167,28 @@ def stage1_cascade(
 ) -> AssociationResult:
     """Age-ordered association against the primary detection set.
 
-    Iterates age = 0 .. a_max, solving one gated assignment per age band
-    over the detections still unclaimed, so a recently seen track always
-    outranks a long-occluded one competing for the same detection. In 2D the
-    cost is appearance distance against the track gallery (gate t_a), unless
-    ``use_reid`` is false, in which case plain IoU distance with the camera
-    gate is used. In 3D the cost is kernelized center distance (gate
-    max_center_dist).
+    Visits the ages present among the tracks, youngest first and up to
+    a_max, solving one gated assignment per age band over the detections
+    still unclaimed, so a recently seen track always outranks a
+    long-occluded one competing for the same detection. The cost is the
+    appearance (or, without ``use_reid``, IoU) distance in 2D and the
+    kernelized center distance in 3D; see :func:`_gated_match`.
     """
     mode = Mode(mode)
     matches: list[tuple[int, int]] = []
     remaining = list(range(len(dets)))
-    for age in range(config.a_max + 1):
+    ages = {t.age_since_update for t in tracks if 0 <= t.age_since_update <= config.a_max}
+    for age in sorted(ages):
+        if not remaining:
+            break
         band = [i for i, t in enumerate(tracks) if t.age_since_update == age]
-        if not band or not remaining:
-            continue
-        band_tracks = [tracks[i] for i in band]
-        pool = [dets[j] for j in remaining]
-        if mode is Mode.D3:
-            costs = gauss_center_dist_matrix(
-                _track_centers(band_tracks), _det_centers(pool), config.sigma
-            )
-            gate = config.max_center_dist
-        elif use_reid:
-            costs = cosine_gallery_dist_matrix(
-                [t.gallery for t in band_tracks], [d.embedding for d in pool]
-            )
-            gate = config.t_a
-        else:
-            costs = iou_dist_matrix(_pred_boxes(band_tracks), [d.box for d in pool])
-            gate = _iou_gate(config, camera)
-        if config.mahalanobis_gating and model is not None:
-            _apply_mahalanobis_gate(costs, band_tracks, pool, model)
-        result = solve_gated_assignment(costs, gate)
-        for r, c in result.matches:
-            matches.append((band[r], remaining[c]))
+        result = _gated_match(
+            [tracks[i] for i in band], [dets[j] for j in remaining], config, mode,
+            camera, use_reid=use_reid, model=model,
+        )
+        matches += [(band[r], remaining[c]) for r, c in result.matches]
         remaining = [remaining[c] for c in result.unmatched_detections]
-    matched_tracks = {i for i, _ in matches}
-    unmatched = [i for i in range(len(tracks)) if i not in matched_tracks]
-    return AssociationResult(matches, unmatched, remaining)
+    return _with_unmatched_tracks(matches, len(tracks), remaining)
 
 
 def stage2_relaxed(
@@ -207,24 +201,13 @@ def stage2_relaxed(
 ) -> AssociationResult:
     """Second chance for recently lost tracks (age < 3) on leftover primary
     detections; 2D cost is IoU distance with boxes enlarged 2x."""
-    mode = Mode(mode)
     eligible = [i for i, t in enumerate(tracks) if t.age_since_update < STAGE2_MAX_AGE]
-    sub = [tracks[i] for i in eligible]
-    if mode is Mode.D3:
-        costs = gauss_center_dist_matrix(
-            _track_centers(sub), _det_centers(dets), config.sigma
-        )
-        gate = config.max_center_dist
-    else:
-        costs = iou_dist_matrix(
-            _pred_boxes(sub), [d.box for d in dets], factor=config.enlarge_stage2
-        )
-        gate = _iou_gate(config, camera)
-    result = solve_gated_assignment(costs, gate)
+    result = _gated_match(
+        [tracks[i] for i in eligible], dets, config, Mode(mode), camera,
+        enlarge=config.enlarge_stage2,
+    )
     matches = [(eligible[r], c) for r, c in result.matches]
-    matched_tracks = {i for i, _ in matches}
-    unmatched = [i for i in range(len(tracks)) if i not in matched_tracks]
-    return AssociationResult(matches, unmatched, list(result.unmatched_detections))
+    return _with_unmatched_tracks(matches, len(tracks), result.unmatched_detections)
 
 
 def stage3_secondary(
@@ -238,18 +221,24 @@ def stage3_secondary(
     """Match still-unmatched tracks against the weak (secondary) detections;
     2D cost is IoU distance with boxes enlarged 3x. Secondary detections
     that stay unmatched are dropped, never turned into tracks."""
-    mode = Mode(mode)
-    if mode is Mode.D3:
-        costs = gauss_center_dist_matrix(
-            _track_centers(tracks), _det_centers(dets), config.sigma
-        )
-        gate = config.max_center_dist
-    else:
-        costs = iou_dist_matrix(
-            _pred_boxes(tracks), [d.box for d in dets], factor=config.enlarge_stage3
-        )
-        gate = _iou_gate(config, camera)
-    return solve_gated_assignment(costs, gate)
+    return _gated_match(
+        tracks, dets, config, Mode(mode), camera, enlarge=config.enlarge_stage3
+    )
+
+
+def _apply(
+    result: AssociationResult,
+    tracks: list[Track],
+    dets: list[Detection],
+    pairs: list[tuple[Track, Detection]],
+) -> tuple[list[Track], list[Detection]]:
+    """Append the matched (track, detection) pairs of ``result`` to ``pairs``
+    and return the tracks and detections it left unmatched."""
+    pairs += [(tracks[i], dets[j]) for i, j in result.matches]
+    return (
+        [tracks[i] for i in result.unmatched_tracks],
+        [dets[j] for j in result.unmatched_detections],
+    )
 
 
 class TrackerInstance:
@@ -355,7 +344,7 @@ class TrackerInstance:
             if not cls_tracks and not cls_dets:
                 continue
             cfg = self._config_for(cls)
-            prim, sec, _ = split_detections(cls_dets, cfg.t_s)
+            prim, sec = split_detections(cls_dets, cfg.t_s)
 
             r1 = stage1_cascade(
                 cls_tracks, prim, cfg,
@@ -363,27 +352,17 @@ class TrackerInstance:
                 use_reid=use_reid_now, model=self.model,
             )
             s1 += len(r1.matches)
-            for ti, dj in r1.matches:
-                matched_pairs.append((cls_tracks[ti], prim[dj]))
-            rem_tracks = [cls_tracks[i] for i in r1.unmatched_tracks]
-            rem_prim = [prim[j] for j in r1.unmatched_detections]
+            rest, prim = _apply(r1, cls_tracks, prim, matched_pairs)
 
-            r2 = stage2_relaxed(
-                rem_tracks, rem_prim, cfg, mode=self.mode, camera=self.camera_id
-            )
+            r2 = stage2_relaxed(rest, prim, cfg, mode=self.mode, camera=self.camera_id)
             s2 += len(r2.matches)
-            for ti, dj in r2.matches:
-                matched_pairs.append((rem_tracks[ti], rem_prim[dj]))
-            rem_tracks2 = [rem_tracks[i] for i in r2.unmatched_tracks]
-            unmatched_primary.extend(rem_prim[j] for j in r2.unmatched_detections)
+            rest, prim = _apply(r2, rest, prim, matched_pairs)
+            unmatched_primary += prim
 
             if self.use_stage3:
-                r3 = stage3_secondary(
-                    rem_tracks2, sec, cfg, mode=self.mode, camera=self.camera_id
-                )
+                r3 = stage3_secondary(rest, sec, cfg, mode=self.mode, camera=self.camera_id)
                 s3 += len(r3.matches)
-                for ti, dj in r3.matches:
-                    matched_pairs.append((rem_tracks2[ti], sec[dj]))
+                _apply(r3, rest, sec, matched_pairs)
 
         emit_pairs: list[tuple[Track, Detection]] = []
         matched_ids: set[int] = set()
@@ -399,7 +378,6 @@ class TrackerInstance:
             track.age_since_update = 0
             track.hits += 1
             track.score = det.score
-            track.last_observation = det
             if self.use_reid and det.embedding is not None:
                 track.gallery.append(det.embedding)
                 while len(track.gallery) > cfg.gallery_budget:
@@ -430,7 +408,6 @@ class TrackerInstance:
                 age_since_update=0,
                 hits=1,
                 gallery=gallery,
-                last_observation=det,
             )
             self.tracks.append(track)
             result.created_ids.append(track.track_id)

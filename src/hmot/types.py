@@ -238,9 +238,6 @@ class State2D:
         if self.mean[3] <= 0:
             raise ValidationError(f"state height must be positive, got {self.mean[3]}")
 
-    def copy(self) -> "State2D":
-        return State2D(self.mean.copy(), self.cov.copy())
-
 
 @dataclass(eq=False)
 class State3D:
@@ -256,9 +253,6 @@ class State3D:
         _check_covariance(self.cov)
         if np.any(self.mean[3:6] <= 0):
             raise ValidationError(f"state extents must be positive, got {self.mean[3:6]}")
-
-    def copy(self) -> "State3D":
-        return State3D(self.mean.copy(), self.cov.copy())
 
 
 State = Union[State2D, State3D]
@@ -307,11 +301,6 @@ class Track:
     age_since_update: int = 0
     hits: int = 1
     gallery: deque = field(default_factory=deque)
-    last_observation: Detection | None = None
-
-    @property
-    def is_2d(self) -> bool:
-        return isinstance(self.state, State2D)
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,16 @@ def test_track_config_mode_conflict_exits_2(tmp_path, capsys):
     assert "contradicts" in capsys.readouterr().err
 
 
+def test_track_nan_config_exits_2(tmp_path, capsys):
+    _, dets = _simulate(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mode": "2d", "classes": {"pedestrian": {"sigma": NaN}}}')
+    code = main(["track", "--mode", "2d", "--dets", str(dets),
+                 "--out", str(tmp_path / "t.csv"), "--config", str(cfg)])
+    assert code == 2
+    assert "config.classes.pedestrian.sigma" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -143,6 +144,18 @@ def test_type_enforcement():
 def test_out_of_range_value_reported_with_path():
     with pytest.raises(ConfigError, match=r"config\.classes\.vehicle"):
         parse_config({"classes": {"vehicle": {"t_s": 2.0}}}, mode=Mode.D2)
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"classes": {"pedestrian": {"sigma": math.nan}}}, r"config\.classes\.pedestrian\.sigma"),
+    ({"classes": {"vehicle": {"t_a": -math.inf}}}, r"config\.classes\.vehicle\.t_a"),
+    ({"kalman": {"noise_3d": {"vel_proc_std": math.inf}}},
+     r"config\.kalman\.noise_3d\.vel_proc_std"),
+    ({"kalman": {"noise_2d": {"w_p": 10 ** 400}}}, r"config\.kalman\.noise_2d\.w_p"),
+])
+def test_non_finite_number_rejected_with_path(doc, path):
+    with pytest.raises(ConfigError, match=path + ": expected a finite number"):
+        parse_config(doc, mode=Mode.D3)
 
 
 def test_kalman_noise_override():

@@ -427,6 +427,15 @@ def test_parse_scenario_type_errors_carry_paths():
         parse_scenario(_doc(tp_score_range=[0.5]))
 
 
+def test_parse_scenario_rejects_non_finite_numbers():
+    with pytest.raises(ConfigError, match=r"spec\.center_noise_std: expected a finite"):
+        parse_scenario(_doc(center_noise_std=float("nan")))
+    doc = _doc()
+    doc["objects"][0]["init"][0] = float("inf")
+    with pytest.raises(ConfigError, match=r"spec\.objects\[0\]\.init\[0\]: expected a finite"):
+        parse_scenario(doc)
+
+
 def test_parse_scenario_object_errors_carry_paths():
     doc = _doc()
     doc["objects"][0].pop("velocity")

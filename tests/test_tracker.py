@@ -4,15 +4,22 @@ import dataclasses
 import itertools
 import logging
 import math
+import os
+import subprocess
+import sys
+import time
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmot
 from hmot.config import default_class_configs
 from hmot.errors import ConfigError
 from hmot.kalman import MotionModel2D, MotionModel3D, init_track_state
 from hmot.tracker import (
+    CHI2_95,
     STAGE2_MAX_AGE,
     TrackerInstance,
     split_detections,
@@ -57,7 +64,7 @@ def _track2(track_id, det, age=0, gallery=()):
     return Track(track_id=track_id, state=init_track_state(det, model),
                  class_label=det.class_label, camera_id=det.camera_id,
                  score=det.score, age_since_update=age,
-                 gallery=deque(gallery), last_observation=det)
+                 gallery=deque(gallery))
 
 
 def _track3(track_id, det, age=0):
@@ -65,7 +72,7 @@ def _track3(track_id, det, age=0):
     return Track(track_id=track_id, state=init_track_state(det, model),
                  class_label=det.class_label, camera_id=None,
                  score=det.score, age_since_update=age,
-                 gallery=deque(), last_observation=det)
+                 gallery=deque())
 
 
 PED_2D = default_class_configs(Mode.D2)[ObjectClass.PEDESTRIAN]
@@ -78,25 +85,24 @@ PED_3D = default_class_configs(Mode.D3)[ObjectClass.PEDESTRIAN]
 
 def test_split_boundaries():
     t_s = 0.5
-    prim, sec, disc = split_detections(
+    prim, sec = split_detections(
         [
             _det2(0, 0, score=0.51),
             _det2(0, 0, score=0.5),    # exactly t_s: secondary
             _det2(0, 0, score=0.25),   # exactly t_s/2: secondary
-            _det2(0, 0, score=0.249),
+            _det2(0, 0, score=0.249),  # below t_s/2: in neither set
         ],
         t_s,
     )
     assert [d.score for d in prim] == [0.51]
     assert [d.score for d in sec] == [0.5, 0.25]
-    assert [d.score for d in disc] == [0.249]
 
 
 def test_split_preserves_order():
     dets = [_det2(i, 0, score=0.9) for i in range(5)]
-    prim, sec, disc = split_detections(dets, 0.5)
+    prim, sec = split_detections(dets, 0.5)
     assert prim == dets
-    assert sec == [] and disc == []
+    assert sec == []
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +199,32 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     ungated = stage1_cascade([track], [det], PED_2D, mode=Mode.D2,
                              camera=Camera.FRONT, model=model)
     assert ungated.matches == [(0, 0)]
+
+
+def test_chi2_table_matches_scipy():
+    import scipy.stats
+
+    assert set(CHI2_95) == {MotionModel2D.dim_obs, MotionModel3D.dim_obs}
+    for dof, limit in CHI2_95.items():
+        assert limit == float(scipy.stats.chi2.ppf(0.95, dof))
+
+
+def test_import_hmot_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(hmot.__file__).resolve().parents[1]))
+    code = "import sys, hmot; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_stage1_work_does_not_grow_with_a_max():
+    cfg = dataclasses.replace(PED_3D, a_max=10 ** 7)
+    inst = TrackerInstance(Mode.D3, {cls: cfg for cls in ObjectClass})
+    inst.step([_det3(0, 0)])
+    start = time.perf_counter()
+    res = inst.step([_det3(0.1, 0)])
+    assert time.perf_counter() - start < 0.25
+    assert res.stage_matches == (1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
