@@ -61,6 +61,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, mode=args.mode)
     mode = cfg.mode
     det_frames = read_detections(args.dets)
+    # After this many empty steps no track is left, so the rest of a frame
+    # gap only advances the frame counter.
+    max_empty_steps = max(c.a_max for c in cfg.class_configs.values()) + 1
 
     instances: dict[tuple[str, object], TrackerInstance] = {}
     counters: dict[str, itertools.count] = {}
@@ -99,12 +102,15 @@ def _cmd_track(args: argparse.Namespace) -> int:
                 use_reid=not args.no_reid,
             )
         inst = instances[key]
+        st = stats.setdefault(fr.sequence_id, [0, 0, 0, 0, 0, 0])
         if key in last_frame:
-            for _ in range(last_frame[key] + 1, fr.frame):
-                inst.step([])
+            gap = fr.frame - last_frame[key] - 1
+            stepped = min(gap, max_empty_steps)
+            for _ in range(stepped):
+                st[5] += len(inst.step([]).deleted_ids)
+            inst.frame_index += gap - stepped
         last_frame[key] = fr.frame
         result = inst.step(fr.detections)
-        st = stats.setdefault(fr.sequence_id, [0, 0, 0, 0, 0, 0])
         st[0] += 1
         for i in range(3):
             st[1 + i] += result.stage_matches[i]

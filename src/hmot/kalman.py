@@ -9,13 +9,13 @@ mean only drives prediction and association.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NumericFailureError
+from .errors import NumericFailureError, ValidationError
 from .types import (
     DIM_OBS_2D,
     DIM_OBS_3D,
@@ -40,6 +40,15 @@ def wrap_innovation(delta: float) -> float:
     return wrapped
 
 
+def _require_non_negative(noise) -> None:
+    """Reject a negative noise parameter: the filters square stds, so a sign
+    error would otherwise pass unnoticed."""
+    for f in dataclasses.fields(noise):
+        value = getattr(noise, f.name)
+        if not value >= 0:
+            raise ValidationError(f"{f.name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Noise2D:
     """Height-proportional noise weights for the image-space filter."""
@@ -51,6 +60,9 @@ class Noise2D:
     aspect_meas_std: float = 1e-1
     init_pos_factor: float = 2.0
     init_vel_var_ratio: float = 10.0
+
+    def __post_init__(self):
+        _require_non_negative(self)
 
 
 @dataclass(frozen=True)
@@ -65,6 +77,9 @@ class Noise3D:
     size_meas_std: float = 0.1
     heading_meas_std: float = 0.1
     init_vel_var_ratio: float = 10.0
+
+    def __post_init__(self):
+        _require_non_negative(self)
 
 
 class MotionModel2D:
@@ -215,9 +230,9 @@ def update(state: State, det: Detection, model: MotionModel) -> State:
     y = _innovation(state, obs, model)
     S = _innovation_cov(state, model)
     try:
-        chol = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-        gain = scipy.linalg.cho_solve(chol, (state.cov @ model.H.T).T, check_finite=False).T
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(S)  # raises unless S is positive definite
+        gain = np.linalg.solve(S, model.H @ state.cov).T  # cov is symmetric
+    except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
     mean = state.mean + gain @ y
     cov = state.cov - gain @ S @ gain.T
@@ -237,5 +252,5 @@ def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
         chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
-    z = scipy.linalg.solve_triangular(chol, y, lower=True, check_finite=False)
+    z = np.linalg.solve(chol, y)
     return float(z @ z)

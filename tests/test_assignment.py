@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hmot.assignment import INADMISSIBLE, solve_gated_assignment
+from hmot.assignment import _SENTINEL, INADMISSIBLE, solve_gated_assignment
 
 
 def brute_force_min_cost(costs: np.ndarray, gate: float):
@@ -185,3 +187,60 @@ def test_matches_permutation_oracle_small(seed):
         oracle_cost, oracle_pairs = brute_force_min_cost(costs, gate)
         assert len(res.matches) == len(oracle_pairs)
         assert _total(costs, res.matches) == pytest.approx(oracle_cost, abs=1e-9)
+
+
+def test_component_larger_than_a_pair_beside_lone_pairs():
+    # Rows 0-1 and columns 0-2 form one five-node component; (2, 3) is a
+    # lone pair matched directly.
+    costs = np.array([
+        [0.1, 0.2, INADMISSIBLE, INADMISSIBLE],
+        [INADMISSIBLE, 0.3, 0.35, INADMISSIBLE],
+        [INADMISSIBLE, INADMISSIBLE, INADMISSIBLE, 0.4],
+    ])
+    res = solve_gated_assignment(costs, 0.5)
+    assert res.matches == [(0, 0), (1, 1), (2, 3)]
+    assert res.unmatched_tracks == []
+    assert res.unmatched_detections == [2]
+
+
+@st.composite
+def gated_matrices(draw):
+    """(costs, gate): random rectangular matrices up to 12x12, with sparse
+    or dense admissibility, dense blocks of 3-6 nodes and tied costs."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    costs = rng.uniform(0.0, 1.0, size=(n, m))
+    if draw(st.booleans()):
+        costs = np.round(costs, 1)
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    costs[rng.uniform(size=(n, m)) >= density] = INADMISSIBLE
+    for _ in range(draw(st.integers(0, 3))):
+        h, w = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        if n >= h and m >= w:
+            r0, c0 = int(rng.integers(0, n - h + 1)), int(rng.integers(0, m - w + 1))
+            costs[r0:r0 + h, c0:c0 + w] = np.round(rng.uniform(0.0, 1.0, (h, w)), 1)
+    gate = draw(st.sampled_from([0.3, 0.5, 0.8, 1.0]))
+    return costs, gate
+
+
+@settings(max_examples=400, deadline=None)
+@given(gated_matrices())
+def test_matches_scipy_on_sentinel_filled_matrix(case):
+    from scipy.optimize import linear_sum_assignment
+
+    costs, gate = case
+    n, m = costs.shape
+    res = solve_gated_assignment(costs, gate)
+    filled = np.where(costs <= gate, costs, _SENTINEL)
+    rows, cols = linear_sum_assignment(filled)
+    oracle = [(r, c) for r, c in zip(rows, cols) if filled[r, c] < _SENTINEL]
+    assert len(res.matches) == len(oracle)
+    assert _total(costs, res.matches) == pytest.approx(_total(costs, oracle), abs=1e-9)
+    assert all(costs[r, c] <= gate for r, c in res.matches)
+    assert res.matches == sorted(res.matches)
+    matched_rows = {r for r, _ in res.matches}
+    matched_cols = {c for _, c in res.matches}
+    assert len(matched_rows) == len(matched_cols) == len(res.matches)
+    assert res.unmatched_tracks == [r for r in range(n) if r not in matched_rows]
+    assert res.unmatched_detections == [c for c in range(m) if c not in matched_cols]

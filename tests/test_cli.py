@@ -3,16 +3,22 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
 from hmot.cli import main
+from hmot.config import load_config
 from hmot.io import (
     DetectionFrame,
+    TrackRow,
     read_detections,
     read_tracks,
     write_detections,
+    write_tracks,
 )
+from hmot.simulation import generate, preset
+from hmot.tracker import TrackerInstance
 from hmot.types import Box2D, Camera, Detection, ObjectClass
 
 
@@ -270,6 +276,63 @@ def test_track_nan_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv"), "--config", str(cfg)])
     assert code == 2
     assert "config.classes.pedestrian.sigma" in capsys.readouterr().err
+
+
+def test_track_negative_noise_config_exits_2(tmp_path, capsys):
+    _, dets = _simulate(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mode": "2d", "kalman": {"noise_2d": {"w_p": -0.5}}}')
+    code = main(["track", "--mode", "2d", "--dets", str(dets),
+                 "--out", str(tmp_path / "t.csv"), "--config", str(cfg)])
+    assert code == 2
+    assert "config.kalman.noise_2d: w_p" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("a_max", [3, 60])
+def test_track_frame_gap_matches_stepping_every_frame(tmp_path, capsys, a_max):
+    spec = preset("occlusion", 0)
+    _, det_frames = generate(spec)
+    kept = [t for t in range(spec.n_frames) if not 20 <= t < 70]
+    dets = tmp_path / "d.ndjson"
+    write_detections(dets, [DetectionFrame(spec.sequence_id, t, spec.camera, det_frames[t])
+                            for t in kept])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {"classes": {cls.value: {"a_max": a_max} for cls in ObjectClass}}))
+    out = tmp_path / "t.csv"
+    assert main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out),
+                 "--config", str(cfg_path)]) == 0
+    summary = capsys.readouterr().out
+
+    # Reference: one step per frame number, the gap's frames stepped empty.
+    by_frame = {fr.frame: fr.detections for fr in read_detections(dets)}
+    cfg = load_config(cfg_path, mode="2d")
+    inst = TrackerInstance(cfg.mode, cfg.class_configs, camera_id=spec.camera)
+    rows, deleted = [], 0
+    for t in range(kept[0], kept[-1] + 1):
+        res = inst.step(by_frame.get(t, []))
+        deleted += len(res.deleted_ids)
+        rows += [TrackRow(spec.sequence_id, t, em.track_id, em.class_label, em.box, em.score)
+                 for em in res.emitted]
+    ref = tmp_path / "ref.csv"
+    write_tracks(ref, rows, cfg.mode)
+    assert out.read_bytes() == ref.read_bytes()
+    assert f"tracks created, {deleted} deleted" in summary
+
+
+def test_track_long_frame_gap_is_bounded(tmp_path, capsys):
+    det = Detection(box=Box2D(500.0, 400.0, 60.0, 120.0), score=0.9,
+                    class_label=ObjectClass.PEDESTRIAN, camera_id=Camera.FRONT)
+    dets = tmp_path / "d.ndjson"
+    write_detections(dets, [DetectionFrame("s", 0, Camera.FRONT, [det]),
+                            DetectionFrame("s", 10 ** 7, Camera.FRONT, [det])])
+    out = tmp_path / "t.csv"
+    start = time.perf_counter()
+    assert main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 2.0
+    assert [(r.frame, r.track_id) for r in read_tracks(out)] == [(0, 1), (10 ** 7, 2)]
+    assert "2 tracks created, 1 deleted" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,16 @@ def test_non_finite_number_rejected_with_path(doc, path):
         parse_config(doc, mode=Mode.D3)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kalman": {"noise_2d": {"w_p": -0.5}}}, r"config\.kalman\.noise_2d: w_p must be >= 0"),
+    ({"kalman": {"noise_3d": {"pos_meas_std": -1}}},
+     r"config\.kalman\.noise_3d: pos_meas_std must be >= 0"),
+], ids=["noise_2d.w_p", "noise_3d.pos_meas_std"])
+def test_negative_noise_rejected_with_path(doc, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(doc, mode=Mode.D3)
+
+
 def test_kalman_noise_override():
     cfg = parse_config(
         {"kalman": {"noise_2d": {"w_p": 0.1}, "noise_3d": {"pos_proc_std": 2.0}}},

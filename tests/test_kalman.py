@@ -304,3 +304,66 @@ def test_mahalanobis_matches_direct_solve():
     expected = float(y @ np.linalg.solve(S, y))
     assert d2 == pytest.approx(expected, rel=1e-9)
     assert d2 > 0
+
+
+def _scipy_update(state, det, model):
+    """The measurement update through scipy's Cholesky factor and solve."""
+    import scipy.linalg
+
+    from hmot.kalman import _innovation, _innovation_cov
+    from hmot.types import normalize_heading
+
+    y = _innovation(state, model.observation(det), model)
+    S = _innovation_cov(state, model)
+    chol = scipy.linalg.cho_factor(S, lower=True)
+    gain = scipy.linalg.cho_solve(chol, (state.cov @ model.H.T).T).T
+    mean = state.mean + gain @ y
+    cov = state.cov - gain @ S @ gain.T
+    if model.heading_index is not None:
+        mean[model.heading_index] = normalize_heading(mean[model.heading_index])
+    return mean, 0.5 * (cov + cov.T)
+
+
+def _scipy_mahalanobis_sq(state, det, model):
+    import scipy.linalg
+
+    from hmot.kalman import _innovation, _innovation_cov
+
+    y = _innovation(state, model.observation(det), model)
+    chol = np.linalg.cholesky(_innovation_cov(state, model))
+    z = scipy.linalg.solve_triangular(chol, y, lower=True)
+    return float(z @ z)
+
+
+@pytest.mark.parametrize("model, random_det", [
+    (MotionModel2D(), _random_det2),
+    (MotionModel3D(), _random_det3),
+])
+def test_update_and_mahalanobis_match_scipy_reference(model, random_det):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        first = random_det(rng)
+        st = predict(init_track_state(first, model), model)
+        for _ in range(int(rng.integers(0, 4))):
+            st = predict(update(st, first, model), model)
+        det = random_det(rng)
+        mean, cov = _scipy_update(st, det, model)
+        out = update(st, det, model)
+        np.testing.assert_allclose(out.mean, mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.cov, cov, rtol=1e-12,
+                                   atol=1e-12 * np.abs(cov).max())
+        assert mahalanobis_sq(st, det, model) == pytest.approx(
+            _scipy_mahalanobis_sq(st, det, model), rel=1e-12)
+
+
+@pytest.mark.parametrize("model, det", [
+    (MotionModel2D(), _det2()),
+    (MotionModel3D(), _det3()),
+])
+def test_non_positive_definite_innovation_raises(model, det):
+    st = init_track_state(det, model)
+    st.cov[...] = -np.eye(model.dim_state) * 1e6
+    with pytest.raises(NumericFailureError, match="singular innovation covariance"):
+        update(st, det, model)
+    with pytest.raises(NumericFailureError, match="singular innovation covariance"):
+        mahalanobis_sq(st, det, model)

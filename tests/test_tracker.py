@@ -209,12 +209,14 @@ def test_chi2_table_matches_scipy():
         assert limit == float(scipy.stats.chi2.ppf(0.95, dof))
 
 
-def test_import_hmot_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["hmot", "hmot.cli"])
+def test_import_hmot_loads_no_scipy(module):
     env = dict(os.environ, PYTHONPATH=str(Path(hmot.__file__).resolve().parents[1]))
-    code = "import sys, hmot; print('scipy.stats' in sys.modules)"
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_stage1_work_does_not_grow_with_a_max():
