@@ -209,6 +209,14 @@ def test_chi2_table_matches_scipy():
         assert limit == float(scipy.stats.chi2.ppf(0.95, dof))
 
 
+def test_import_hmot_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(hmot.__file__).resolve().parents[1]))
+    code = "import sys, hmot; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 @pytest.mark.parametrize("module", ["hmot", "hmot.cli"])
 def test_import_hmot_loads_no_scipy(module):
     env = dict(os.environ, PYTHONPATH=str(Path(hmot.__file__).resolve().parents[1]))
