@@ -54,8 +54,7 @@ from .types import (
     Detection,
     Mode,
     ObjectClass,
-    State2D,
-    State3D,
+    State,
     Track,
     normalize_heading,
 )
@@ -89,8 +88,7 @@ __all__ = [
     "ObjectClass",
     "ObjectSpec",
     "ScenarioSpec",
-    "State2D",
-    "State3D",
+    "State",
     "Track",
     "TrackerConfig",
     "TrackerInstance",

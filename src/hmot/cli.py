@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .config import load_config
-from .errors import ConfigError, TrackingError
+from .errors import ConfigError, TrackingError, ValidationError
 from .evaluation import MotReport, evaluate, merge_reports
 from .io import (
     DetectionFrame,
@@ -72,46 +72,32 @@ def _cmd_track(args: argparse.Namespace) -> int:
     rows: list[TrackRow] = []
 
     for fr in det_frames:
-        if mode is Mode.D2 and fr.camera is None:
-            raise ConfigError(
-                f"sequence {fr.sequence_id!r} frame {fr.frame}: 2d tracking "
-                "needs a camera on every record"
-            )
-        if mode is Mode.D3 and fr.camera is not None:
-            raise ConfigError(
-                f"sequence {fr.sequence_id!r} frame {fr.frame}: 3d records "
-                "must not name a camera"
-            )
-        for det in fr.detections:
-            if isinstance(det.box, Box2D) != (mode is Mode.D2):
-                raise ConfigError(
-                    f"sequence {fr.sequence_id!r} frame {fr.frame}: detection "
-                    f"box kind does not match mode {mode.value!r}"
-                )
         key = (fr.sequence_id, fr.camera)
-        if key not in instances:
-            counter = counters.setdefault(fr.sequence_id, itertools.count(1))
-            instances[key] = TrackerInstance(
-                mode,
-                cfg.class_configs,
-                camera_id=fr.camera,
-                noise_2d=cfg.noise_2d,
-                noise_3d=cfg.noise_3d,
-                id_counter=counter,
-                use_stage3=not args.no_stage3,
-                use_reid=not args.no_reid,
-            )
-        inst = instances[key]
         st = stats.setdefault(fr.sequence_id, [0, 0, 0, 0, 0, 0])
-        if key in last_frame:
-            gap = fr.frame - last_frame[key] - 1
+        gap = fr.frame - last_frame[key] - 1 if key in last_frame else 0
+        last_frame[key] = fr.frame
+        try:
+            if key not in instances:
+                counter = counters.setdefault(fr.sequence_id, itertools.count(1))
+                instances[key] = TrackerInstance(
+                    mode,
+                    cfg.class_configs,
+                    camera_id=fr.camera,
+                    noise_2d=cfg.noise_2d,
+                    noise_3d=cfg.noise_3d,
+                    id_counter=counter,
+                    use_stage3=not args.no_stage3,
+                    use_reid=not args.no_reid,
+                )
+            inst = instances[key]
             stepped = min(gap, max_empty_steps)
             for _ in range(stepped):
                 st[5] += len(inst.step([]).deleted_ids)
             inst.frame_index += gap - stepped
-        last_frame[key] = fr.frame
-        result = inst.step(fr.detections)
-        st[0] += 1
+            result = inst.step(fr.detections)
+        except (ConfigError, ValidationError) as exc:
+            raise type(exc)(f"sequence {fr.sequence_id!r} frame {fr.frame}: {exc}") from None
+        st[0] += 1 + gap
         for i in range(3):
             st[1 + i] += result.stage_matches[i]
         st[4] += len(result.created_ids)

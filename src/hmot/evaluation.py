@@ -171,8 +171,10 @@ def evaluate(
             raise ValidationError(f"IoU threshold must be in (0, 1], got {match_threshold}")
         gate = 1.0 - match_threshold
     else:
-        if match_threshold <= 0.0:
-            raise ValidationError(f"distance threshold must be positive, got {match_threshold}")
+        if not 0.0 < match_threshold < math.inf:
+            raise ValidationError(
+                f"distance threshold must be positive and finite, got {match_threshold}"
+            )
         gate = match_threshold
 
     gt_frames = _index_frames(gt_sequence, "ground truth")

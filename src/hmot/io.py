@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -24,6 +25,13 @@ from .types import Box, Box2D, Box3D, Camera, Detection, Mode, ObjectClass
 def qfloat(x: float) -> float:
     """Quantize to 9 significant digits (the on-disk float precision)."""
     return float(format(float(x), ".9g"))
+
+
+# Each box kind is stored as its dataclass fields, in declaration order: under
+# this key in detection files, as these columns in track files.
+_BOX_KEYS = {Box2D: "box2d", Box3D: "box3d"}
+_BOX_FIELDS = {kind: [f.name for f in fields(kind)] for kind in _BOX_KEYS}
+_BOX_VALUES = {kind: attrgetter(*names) for kind, names in _BOX_FIELDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -40,27 +48,21 @@ class DetectionFrame:
     detections: list[Detection]
 
 
-_DET_KEYS = {"class", "box2d", "box3d", "score", "embedding", "src_gt"}
+_DET_KEYS = {"class", *_BOX_KEYS.values(), "score", "embedding", "src_gt"}
 _FRAME_KEYS = {"sequence_id", "frame", "camera", "detections"}
 
 
 def _det_to_json(det: Detection) -> dict[str, Any]:
-    out: dict[str, Any] = {"class": det.class_label.value}
-    if isinstance(det.box, Box2D):
-        b = det.box
-        out["box2d"] = [qfloat(b.cx), qfloat(b.cy), qfloat(b.w), qfloat(b.h)]
-    else:
-        b = det.box
-        out["box3d"] = [
-            qfloat(b.cx), qfloat(b.cy), qfloat(b.cz),
-            qfloat(b.h), qfloat(b.w), qfloat(b.l), qfloat(b.theta),
-        ]
-    out["score"] = qfloat(det.score)
-    out["embedding"] = (
-        None if det.embedding is None else [qfloat(v) for v in det.embedding]
-    )
-    out["src_gt"] = det.src_gt
-    return out
+    kind = type(det.box)
+    return {
+        "class": det.class_label.value,
+        _BOX_KEYS[kind]: [qfloat(v) for v in _BOX_VALUES[kind](det.box)],
+        "score": qfloat(det.score),
+        "embedding": (
+            None if det.embedding is None else [qfloat(v) for v in det.embedding]
+        ),
+        "src_gt": det.src_gt,
+    }
 
 
 def write_detections(path: str | Path, frames: Iterable[DetectionFrame]) -> None:
@@ -92,20 +94,18 @@ def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
             raise DataFormatError(f"unknown detection key {key!r}", line)
     if "class" not in entry or "score" not in entry:
         raise DataFormatError("detection needs 'class' and 'score'", line)
-    has2d, has3d = "box2d" in entry, "box3d" in entry
-    if has2d == has3d:
-        raise DataFormatError("detection needs exactly one of box2d/box3d", line)
+    boxes = [(kind, key) for kind, key in _BOX_KEYS.items() if key in entry]
+    if len(boxes) != 1:
+        raise DataFormatError(
+            f"detection needs exactly one of {'/'.join(_BOX_KEYS.values())}", line
+        )
+    [(kind, key)] = boxes
     try:
-        if has2d:
-            vals = entry["box2d"]
-            if not isinstance(vals, list) or len(vals) != 4:
-                raise DataFormatError("box2d must be [cx, cy, w, h]", line)
-            box: Box = Box2D(*[float(v) for v in vals])
-        else:
-            vals = entry["box3d"]
-            if not isinstance(vals, list) or len(vals) != 7:
-                raise DataFormatError("box3d must be [cx, cy, cz, h, w, l, theta]", line)
-            box = Box3D(*[float(v) for v in vals])
+        vals = entry[key]
+        names = _BOX_FIELDS[kind]
+        if not isinstance(vals, list) or len(vals) != len(names):
+            raise DataFormatError(f"{key} must be [{', '.join(names)}]", line)
+        box: Box = kind(*[float(v) for v in vals])
         embedding = entry.get("embedding")
         if embedding is not None:
             if not isinstance(embedding, list):
@@ -188,11 +188,10 @@ class TrackRow:
     score: float
 
 
-_HEADER_2D = ["sequence_id", "frame", "track_id", "class", "cx", "cy", "w", "h", "score"]
-_HEADER_3D = [
-    "sequence_id", "frame", "track_id", "class",
-    "cx", "cy", "cz", "h", "w", "l", "theta", "score",
-]
+_TRACK_HEADERS = {
+    kind: ["sequence_id", "frame", "track_id", "class", *names, "score"]
+    for kind, names in _BOX_FIELDS.items()
+}
 
 
 def _fmt(x: float) -> str:
@@ -201,12 +200,12 @@ def _fmt(x: float) -> str:
 
 def write_tracks(path: str | Path, rows: Iterable[TrackRow], mode: Mode | str) -> None:
     mode = Mode(mode)
-    header = _HEADER_2D if mode is Mode.D2 else _HEADER_3D
     want = Box2D if mode is Mode.D2 else Box3D
+    box_values = _BOX_VALUES[want]
     seen: set[tuple[str, int, int]] = set()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(_TRACK_HEADERS[want])
         for row in rows:
             if not isinstance(row.box, want):
                 raise ValidationError(
@@ -218,19 +217,16 @@ def write_tracks(path: str | Path, rows: Iterable[TrackRow], mode: Mode | str) -
                 raise ValidationError(
                     f"duplicate (sequence, frame, track_id) row: {key}"
                 )
+            if "\r" in row.sequence_id:
+                # the writer leaves a lone CR unquoted, and readers split on it
+                raise ValidationError(
+                    f"sequence id {row.sequence_id!r} contains a carriage return"
+                )
             seen.add(key)
-            if mode is Mode.D2:
-                b2 = row.box
-                box_fields = [_fmt(b2.cx), _fmt(b2.cy), _fmt(b2.w), _fmt(b2.h)]
-            else:
-                b3 = row.box
-                box_fields = [
-                    _fmt(b3.cx), _fmt(b3.cy), _fmt(b3.cz),
-                    _fmt(b3.h), _fmt(b3.w), _fmt(b3.l), _fmt(b3.theta),
-                ]
             writer.writerow(
                 [row.sequence_id, str(row.frame), str(row.track_id),
-                 row.class_label.value, *box_fields, _fmt(row.score)]
+                 row.class_label.value, *[_fmt(v) for v in box_values(row.box)],
+                 _fmt(row.score)]
             )
 
 
@@ -243,12 +239,10 @@ def read_tracks(path: str | Path) -> list[TrackRow]:
             header = next(reader)
         except StopIteration:
             return rows
-        if header == _HEADER_2D:
-            mode = Mode.D2
-        elif header == _HEADER_3D:
-            mode = Mode.D3
-        else:
+        kinds = [kind for kind, names in _TRACK_HEADERS.items() if names == header]
+        if not kinds:
             raise DataFormatError(f"unrecognized track file header: {header}", 1)
+        kind = kinds[0]
         n_cols = len(header)
         for record in reader:
             lineno = reader.line_num
@@ -265,9 +259,7 @@ def read_tracks(path: str | Path) -> list[TrackRow]:
                 label = ObjectClass(record[3])
                 values = [float(v) for v in record[4:-1]]
                 score = float(record[-1])
-                box: Box = (
-                    Box2D(*values) if mode is Mode.D2 else Box3D(*values)
-                )
+                box: Box = kind(*values)
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad track row: {exc}", lineno) from None
             key = (seq, frame, track_id)

@@ -21,11 +21,10 @@ from .types import (
     DIM_OBS_3D,
     DIM_STATE_2D,
     DIM_STATE_3D,
+    EXTENTS,
     IX_THETA_3D,
     Detection,
     State,
-    State2D,
-    State3D,
     normalize_heading,
     observation_2d,
     observation_3d,
@@ -88,7 +87,6 @@ class MotionModel2D:
     dim_state = DIM_STATE_2D
     dim_obs = DIM_OBS_2D
     heading_index: int | None = None
-    state_cls = State2D
 
     def __init__(self, noise: Noise2D | None = None):
         self.noise = noise or Noise2D()
@@ -113,7 +111,7 @@ class MotionModel2D:
         std = [n.w_p * h, n.w_p * h, n.aspect_meas_std, n.w_p * h]
         return np.diag(np.square(std))
 
-    def initial_state(self, obs: np.ndarray) -> State2D:
+    def initial_state(self, obs: np.ndarray) -> State:
         n = self.noise
         h = obs[3]
         mean = np.concatenate([obs, np.zeros(self.dim_obs)])
@@ -121,10 +119,7 @@ class MotionModel2D:
         aspect_var = n.aspect_proc_std ** 2
         variances = np.array([pos_var, pos_var, aspect_var, pos_var])
         cov = np.diag(np.concatenate([variances, n.init_vel_var_ratio * variances]))
-        return State2D(mean, cov)
-
-    def _check_extents(self, mean: np.ndarray) -> bool:
-        return mean[2] > 0 and mean[3] > 0
+        return State(mean, cov)
 
 
 class MotionModel3D:
@@ -133,7 +128,6 @@ class MotionModel3D:
     dim_state = DIM_STATE_3D
     dim_obs = DIM_OBS_3D
     heading_index = IX_THETA_3D
-    state_cls = State3D
 
     def __init__(self, noise: Noise3D | None = None):
         self.noise = noise or Noise3D()
@@ -163,7 +157,7 @@ class MotionModel3D:
     def measurement_noise(self, mean: np.ndarray) -> np.ndarray:
         return self._R
 
-    def initial_state(self, obs: np.ndarray) -> State3D:
+    def initial_state(self, obs: np.ndarray) -> State:
         n = self.noise
         mean = np.concatenate([obs, np.zeros(3)])
         pos_var = n.pos_meas_std ** 2
@@ -171,10 +165,7 @@ class MotionModel3D:
             np.diag(self._R),
             np.full(3, n.init_vel_var_ratio * pos_var),
         ])
-        return State3D(mean, np.diag(variances))
-
-    def _check_extents(self, mean: np.ndarray) -> bool:
-        return bool(np.all(mean[3:6] > 0))
+        return State(mean, np.diag(variances))
 
 
 MotionModel = MotionModel2D | MotionModel3D
@@ -185,22 +176,27 @@ def init_track_state(det: Detection, model: MotionModel) -> State:
     return model.initial_state(model.observation(det))
 
 
-def _ensure_valid(mean: np.ndarray, cov: np.ndarray, model, what: str) -> None:
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise NumericFailureError(f"{what} produced non-finite values")
-    if not model._check_extents(mean):
+def _filter_result(mean: np.ndarray, cov: np.ndarray, model: MotionModel, what: str) -> State:
+    """The state a filter step ends in: covariance symmetrised, heading
+    wrapped. A non-finite entry or a non-positive box extent is a numeric
+    failure."""
+    try:
+        state = State(mean, 0.5 * (cov + cov.T))
+    except ValidationError as exc:
+        raise NumericFailureError(f"{what} produced non-finite values") from exc
+    mean = state.mean
+    if model.heading_index is not None:
+        mean[model.heading_index] = normalize_heading(mean[model.heading_index])
+    if not (mean[EXTENTS[model.dim_state]] > 0).all():
         raise NumericFailureError(f"{what} produced non-positive box extents")
+    return state
 
 
 def predict(state: State, model: MotionModel) -> State:
     """One constant-velocity step: mean' = F mean, cov' = F cov F^T + Q."""
     mean = model.F @ state.mean
     cov = model.F @ state.cov @ model.F.T + model.process_noise(state.mean)
-    cov = 0.5 * (cov + cov.T)
-    if model.heading_index is not None:
-        mean[model.heading_index] = normalize_heading(mean[model.heading_index])
-    _ensure_valid(mean, cov, model, "predict")
-    return model.state_cls(mean, cov)
+    return _filter_result(mean, cov, model, "predict")
 
 
 def _innovation(state: State, obs: np.ndarray, model: MotionModel) -> np.ndarray:
@@ -236,11 +232,7 @@ def update(state: State, det: Detection, model: MotionModel) -> State:
         raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
     mean = state.mean + gain @ y
     cov = state.cov - gain @ S @ gain.T
-    cov = 0.5 * (cov + cov.T)
-    if model.heading_index is not None:
-        mean[model.heading_index] = normalize_heading(mean[model.heading_index])
-    _ensure_valid(mean, cov, model, "update")
-    return model.state_cls(mean, cov)
+    return _filter_result(mean, cov, model, "update")
 
 
 def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:

@@ -133,6 +133,8 @@ class ScenarioSpec:
             object.__setattr__(self, name, (float(lo), float(hi)))
         if self.embed_dim < 0:
             raise ValidationError("embed_dim must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _trajectories(spec: ScenarioSpec) -> dict[int, list]:
@@ -475,6 +477,8 @@ def preset(name: str, seed: int = 0) -> ScenarioSpec:
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known: {known})") from None
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return factory(seed)
 
 

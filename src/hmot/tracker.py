@@ -25,7 +25,7 @@ import numpy as np
 
 from .assignment import INADMISSIBLE, AssociationResult, solve_gated_assignment
 from .config import default_class_configs
-from .errors import ConfigError, NumericFailureError
+from .errors import ConfigError, NumericFailureError, ValidationError
 from .kalman import (
     MotionModel,
     MotionModel2D,
@@ -279,7 +279,9 @@ class TrackerInstance:
         self.use_stage3 = use_stage3
         self.use_reid = use_reid
         self._id_counter = id_counter if id_counter is not None else itertools.count(1)
-        self._embeddings_seen = False
+        # Size of the first embedding seen (2D with re-id only); until one
+        # arrives, stage 1 falls back to IoU.
+        self._embed_dim: int | None = None
         self._fallback_logged = False
 
     def _config_for(self, label: ObjectClass) -> ClassConfig:
@@ -289,6 +291,7 @@ class TrackerInstance:
             raise ConfigError(f"no configuration for class {label.value!r}") from None
 
     def _validate(self, dets: Sequence[Detection]) -> None:
+        embed_dim = self._embed_dim
         for det in dets:
             if det.is_2d != (self.mode is Mode.D2):
                 raise ConfigError(
@@ -300,19 +303,20 @@ class TrackerInstance:
                     f"instance (camera {self.camera_id})"
                 )
             self._config_for(det.class_label)
+            if self.mode is Mode.D2 and self.use_reid and det.embedding is not None:
+                if embed_dim is None:
+                    embed_dim = len(det.embedding)
+                elif len(det.embedding) != embed_dim:
+                    raise ValidationError(
+                        f"embedding size {len(det.embedding)} differs from the "
+                        f"first embedding's size {embed_dim}"
+                    )
+        self._embed_dim = embed_dim
 
     def step(self, detections: Iterable[Detection]) -> FrameResult:
         dets = list(detections)
         self._validate(dets)
         result = FrameResult(frame=self.frame_index)
-
-        if (
-            self.mode is Mode.D2
-            and self.use_reid
-            and not self._embeddings_seen
-            and any(d.embedding is not None for d in dets)
-        ):
-            self._embeddings_seen = True
 
         kept: list[Track] = []
         for track in self.tracks:
@@ -326,7 +330,7 @@ class TrackerInstance:
 
         use_reid_now = True
         if self.mode is Mode.D2:
-            use_reid_now = self.use_reid and self._embeddings_seen
+            use_reid_now = self._embed_dim is not None
             if not use_reid_now and not self._fallback_logged and self.tracks and dets:
                 log.log(
                     logging.INFO if not self.use_reid else logging.WARNING,

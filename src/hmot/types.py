@@ -202,60 +202,48 @@ DIM_STATE_3D, DIM_OBS_3D = 10, 7
 IX_THETA_3D = 6
 
 
-def _as_state_arrays(mean, cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    if mean.shape != (dim,):
-        raise ValidationError(f"state mean must have shape ({dim},), got {mean.shape}")
-    if cov.shape != (dim, dim):
-        raise ValidationError(f"state covariance must have shape ({dim}, {dim}), got {cov.shape}")
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-        raise ValidationError("state contains non-finite values")
-    return mean, cov
-
-
-def _check_covariance(cov: np.ndarray) -> None:
-    asym = float(np.max(np.abs(cov - cov.T)))
-    if asym > 1e-9:
-        raise ValidationError(f"covariance asymmetry {asym} exceeds 1e-9")
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))))
-    if min_eig < -1e-9:
-        raise ValidationError(f"covariance has eigenvalue {min_eig} < -1e-9")
+# Indices of the box extents in each state layout, keyed by state size.
+# Every filter step keeps these positive.
+EXTENTS = {DIM_STATE_2D: [2, 3], DIM_STATE_3D: [3, 4, 5]}
 
 
 @dataclass(eq=False)
-class State2D:
-    """Kalman state for a 2D track: mean (8,), covariance (8, 8)."""
+class State:
+    """Kalman state of a track: mean (8,) with covariance (8, 8) in 2D, mean
+    (10,) with covariance (10, 10) in 3D. Every entry is finite."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean, self.cov = _as_state_arrays(self.mean, self.cov, DIM_STATE_2D)
+        mean = self.mean = np.asarray(self.mean, dtype=np.float64)
+        cov = self.cov = np.asarray(self.cov, dtype=np.float64)
+        if mean.ndim != 1 or len(mean) not in EXTENTS:
+            raise ValidationError(
+                f"state mean must have shape ({DIM_STATE_2D},) or ({DIM_STATE_3D},), "
+                f"got {mean.shape}"
+            )
+        dim = len(mean)
+        if cov.shape != (dim, dim):
+            raise ValidationError(
+                f"state covariance must have shape ({dim}, {dim}), got {cov.shape}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValidationError("state contains non-finite values")
 
     def validate(self) -> None:
-        _check_covariance(self.cov)
-        if self.mean[3] <= 0:
-            raise ValidationError(f"state height must be positive, got {self.mean[3]}")
-
-
-@dataclass(eq=False)
-class State3D:
-    """Kalman state for a 3D track: mean (10,), covariance (10, 10)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean, self.cov = _as_state_arrays(self.mean, self.cov, DIM_STATE_3D)
-
-    def validate(self) -> None:
-        _check_covariance(self.cov)
-        if np.any(self.mean[3:6] <= 0):
-            raise ValidationError(f"state extents must be positive, got {self.mean[3:6]}")
-
-
-State = Union[State2D, State3D]
+        """Check that the covariance is symmetric and positive semi-definite
+        and that the box extents are positive."""
+        cov = self.cov
+        asym = float(np.max(np.abs(cov - cov.T)))
+        if asym > 1e-9:
+            raise ValidationError(f"covariance asymmetry {asym} exceeds 1e-9")
+        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))))
+        if min_eig < -1e-9:
+            raise ValidationError(f"covariance has eigenvalue {min_eig} < -1e-9")
+        extents = self.mean[EXTENTS[len(self.mean)]]
+        if np.any(extents <= 0):
+            raise ValidationError(f"state extents must be positive, got {extents}")
 
 
 def observation_2d(box: Box2D) -> np.ndarray:
@@ -268,7 +256,7 @@ def observation_3d(box: Box3D) -> np.ndarray:
     return np.array([box.cx, box.cy, box.cz, box.h, box.w, box.l, box.theta])
 
 
-def box2d_from_state(state: State2D) -> Box2D:
+def box2d_from_state(state: State) -> Box2D:
     """Reconstruct the box: w = gamma * h; cx, cy, h copied from the mean."""
     cx, cy, gamma, h = state.mean[:4]
     w = gamma * h
@@ -277,7 +265,7 @@ def box2d_from_state(state: State2D) -> Box2D:
     return Box2D(cx, cy, w, h)
 
 
-def box3d_from_state(state: State3D) -> Box3D:
+def box3d_from_state(state: State) -> Box3D:
     cx, cy, cz, h, w, l, theta = state.mean[:7]
     if h <= 0 or w <= 0 or l <= 0:
         raise DegenerateBoxError(f"state yields degenerate box (h={h}, w={w}, l={l})")

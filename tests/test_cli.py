@@ -5,6 +5,7 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 
 from hmot.cli import main
@@ -19,7 +20,7 @@ from hmot.io import (
 )
 from hmot.simulation import generate, preset
 from hmot.tracker import TrackerInstance
-from hmot.types import Box2D, Camera, Detection, ObjectClass
+from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass
 
 
 def _spec_doc(n_frames=12, seed=0, **extra):
@@ -159,6 +160,20 @@ def test_simulate_unknown_preset_exits_1():
         main(["simulate", "--preset", "clean-4d", "--out-gt", "g",
               "--out-dets", "d"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("source", ["preset", "spec"])
+def test_simulate_negative_seed_exits_2(tmp_path, capsys, source):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc()))
+    which = (["--preset", "occlusion"] if source == "preset"
+             else ["--spec", str(spec_path)])
+    gt, dets = tmp_path / "g.csv", tmp_path / "d.ndjson"
+    code = main(["simulate", *which, "--seed", "-1",
+                 "--out-gt", str(gt), "--out-dets", str(dets)])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not gt.exists() and not dets.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +347,26 @@ def test_track_long_frame_gap_is_bounded(tmp_path, capsys):
     assert main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out)]) == 0
     assert time.perf_counter() - start < 2.0
     assert [(r.frame, r.track_id) for r in read_tracks(out)] == [(0, 1), (10 ** 7, 2)]
-    assert "2 tracks created, 1 deleted" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "10000001 frames" in out_text
+    assert "2 tracks created, 1 deleted" in out_text
+
+
+def test_track_mixed_embedding_sizes_exits_2(tmp_path, capsys):
+    def det(dim):
+        return Detection(box=Box2D(500.0, 400.0, 60.0, 120.0), score=0.9,
+                         class_label=ObjectClass.PEDESTRIAN, camera_id=Camera.FRONT,
+                         embedding=np.full(dim, dim ** -0.5))
+    dets = tmp_path / "d.ndjson"
+    write_detections(dets, [DetectionFrame("s", 0, Camera.FRONT, [det(8)]),
+                            DetectionFrame("s", 1, Camera.FRONT, [det(4)])])
+    out = tmp_path / "t.csv"
+    code = main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sequence 's' frame 1: embedding size 4" in err
+    assert "size 8" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +384,19 @@ def test_eval_threshold_flag_mode_mismatch(tmp_path, capsys):
                  "--iou-thresh", "0.5"])
     assert code == 2
     assert "--iou-thresh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_non_finite_dist_thresh_exits_2(tmp_path, capsys, value):
+    gt = tmp_path / "gt.csv"
+    write_tracks(gt, [TrackRow("s", 0, 1, ObjectClass.VEHICLE,
+                               Box3D(1.0, 2.0, 0.5, 1.6, 1.9, 4.5, 0.1), 1.0)], "3d")
+    code = main(["eval", "--mode", "3d", "--gt", str(gt), "--hyp", str(gt),
+                 "--dist-thresh", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"distance threshold must be positive and finite, got {value}" in captured.err
+    assert captured.out == ""
 
 
 def test_eval_gt_as_hyp_is_perfect(tmp_path, capsys):

@@ -192,6 +192,14 @@ def test_threshold_validation():
                  match_threshold=0.0)
 
 
+@pytest.mark.parametrize("mode", [Mode.D2, Mode.D3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_threshold_rejects_non_finite(mode, value):
+    gt = _frames([[_obj2(1, 0.0) if mode is Mode.D2 else _obj3(1, 0.0)]])
+    with pytest.raises(ValidationError):
+        evaluate(gt, gt, mode=mode, match_threshold=value)
+
+
 def test_motp_is_mean_matched_distance_3d():
     gt = _frames([[_obj3(1, 0.0)], [_obj3(1, 0.0)]])
     hyp = _frames([[_obj3(5, 1.0)], [_obj3(5, 0.5)]])

@@ -1,7 +1,13 @@
 """Tests for the detection and track file formats."""
 
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from hmot.errors import DataFormatError, ValidationError
 from hmot.io import (
@@ -318,6 +324,14 @@ def test_write_tracks_rejects_duplicates(tmp_path):
         write_tracks(tmp_path / "t.csv", rows, Mode.D2)
 
 
+def test_write_tracks_rejects_carriage_return_in_sequence_id(tmp_path):
+    row = _rows2()[0]
+    for seq in ("a\rb", "\r", "a\r\nb"):
+        with pytest.raises(ValidationError, match="carriage return"):
+            write_tracks(tmp_path / "t.csv",
+                         [row, dataclasses.replace(row, sequence_id=seq)], Mode.D2)
+
+
 def test_read_tracks_rejects_duplicates(tmp_path):
     path = tmp_path / "t.csv"
     line = "seq,0,1,pedestrian,100,200,40,80,0.9\n"
@@ -362,3 +376,91 @@ def test_gt_to_rows_and_back():
     for orig, round_tripped in zip(gt, frames):
         assert orig.frame == round_tripped.frame
         assert len(orig.objects) == len(round_tripped.objects)
+
+
+# ---------------------------------------------------------------------------
+# Round trips over random content
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+extent = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+box2d = st.builds(Box2D, finite, finite, extent, extent)
+box3d = st.builds(Box3D, finite, finite, finite, extent, extent, extent, finite)
+score = st.floats(min_value=0.0, max_value=1.0)
+label = st.sampled_from(ObjectClass)
+text = st.text(max_size=6)
+csv_text = text.filter(lambda s: "\r" not in s)
+
+
+@st.composite
+def unit_vectors(draw):
+    v = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12)))
+    norm = float(np.linalg.norm(v))
+    assume(norm > 1e-3)
+    return v / norm
+
+
+def detections(box, camera):
+    return st.builds(
+        Detection, box=box, score=score, class_label=label, camera_id=st.just(camera),
+        embedding=st.none() | unit_vectors(), src_gt=st.none() | st.integers(-10**12, 10**12),
+    )
+
+
+@st.composite
+def detection_frames(draw):
+    camera = draw(st.none() | st.sampled_from(Camera))
+    box = box3d if camera is None else box2d
+    sequence_id = draw(text)
+    frames = sorted(draw(st.sets(st.integers(0, 10**9), max_size=4)))
+    return [
+        DetectionFrame(sequence_id, frame, camera,
+                       draw(st.lists(detections(box, camera), max_size=3)))
+        for frame in frames
+    ]
+
+
+@st.composite
+def track_tables(draw):
+    mode = draw(st.sampled_from(Mode))
+    box = box2d if mode is Mode.D2 else box3d
+    rows = draw(st.lists(
+        st.builds(TrackRow, csv_text, st.integers(0, 10**9), st.integers(1, 10**9), label,
+                  box, score),
+        max_size=6, unique_by=lambda r: (r.sequence_id, r.frame, r.track_id),
+    ))
+    return rows, mode
+
+
+def _fresh_pair(tmp_path, suffix):
+    """Two new file paths: rewriting one file per example is slow on some
+    file systems, which flush a truncated file when it is closed."""
+    where = Path(tempfile.mkdtemp(dir=tmp_path))
+    return where / f"a{suffix}", where / f"b{suffix}"
+
+
+_ROUND_TRIP = settings(max_examples=150, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_ROUND_TRIP
+@given(detection_frames())
+def test_detection_write_read_write_is_byte_identical(tmp_path, frames):
+    a, b = _fresh_pair(tmp_path, ".ndjson")
+    write_detections(a, frames)
+    back = read_detections(a)
+    write_detections(b, back)
+    assert a.read_bytes() == b.read_bytes()
+    assert [len(f.detections) for f in back] == [len(f.detections) for f in frames]
+
+
+@_ROUND_TRIP
+@given(track_tables())
+def test_track_write_read_write_is_byte_identical(tmp_path, table):
+    rows, mode = table
+    a, b = _fresh_pair(tmp_path, ".csv")
+    write_tracks(a, rows, mode)
+    back = read_tracks(a)
+    write_tracks(b, back, mode)
+    assert a.read_bytes() == b.read_bytes()
+    assert len(back) == len(rows)

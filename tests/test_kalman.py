@@ -165,6 +165,14 @@ def test_predict_rejects_non_finite():
             predict(st, model)
 
 
+def test_predict_rejects_non_finite_heading():
+    model = MotionModel3D()
+    st = init_track_state(_det3(), model)
+    st.mean[6] = np.nan
+    with pytest.raises(NumericFailureError, match="non-finite"):
+        predict(st, model)
+
+
 def test_predict_rejects_collapsed_height():
     model = MotionModel2D()
     st = init_track_state(_det2(h=5.0), model)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hmot.errors import ConfigError
+from hmot.errors import ConfigError, ValidationError
 from hmot.simulation import (
     PRESETS,
     ObjectSpec,
@@ -303,6 +303,14 @@ def test_preset_names():
 def test_preset_unknown_name():
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("clean-4d")
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        _spec2([_walker()], seed=-1)
+    for name in sorted(PRESETS):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+            preset(name, seed=-3)
 
 
 def test_preset_seed_feeds_layout_and_noise():

@@ -16,7 +16,7 @@ import pytest
 
 import hmot
 from hmot.config import default_class_configs
-from hmot.errors import ConfigError
+from hmot.errors import ConfigError, ValidationError
 from hmot.kalman import MotionModel2D, MotionModel3D, init_track_state
 from hmot.tracker import (
     CHI2_95,
@@ -510,6 +510,33 @@ def test_embeddings_latch_enables_reid_mid_stream(caplog):
     assert any("falls back" in r.getMessage() for r in caplog.records)
     inst.step([_det2(102, 100, embedding=E1)])  # embeddings appear
     res = inst.step([_det2(400, 400, embedding=E_CLOSE)])  # appearance match
+    assert res.stage_matches == (1, 0, 0)
+
+
+def test_mixed_embedding_sizes_rejected():
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    inst.step([_det2(100, 100, embedding=_unit(np.arange(1.0, 9.0)))])
+    with pytest.raises(ValidationError, match=r"size 4 .* size 8"):
+        inst.step([_det2(101, 100, embedding=E1)])
+    with pytest.raises(ValidationError, match=r"size 4 .* size 8"):
+        inst.step([_det2(300, 100), _det2(101, 100, embedding=E1)])
+    res = inst.step([_det2(101, 100, embedding=_unit(np.arange(2.0, 10.0)))])
+    assert res.stage_matches == (1, 0, 0)
+
+
+def test_mixed_embedding_sizes_in_one_frame_leave_no_size_behind():
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    with pytest.raises(ValidationError):
+        inst.step([_det2(100, 100, embedding=E1),
+                   _det2(300, 100, embedding=_unit(np.ones(8)))])
+    inst.step([_det2(100, 100, embedding=_unit(np.ones(8)))])
+    inst.step([_det2(101, 100, embedding=_unit(np.ones(8)))])
+
+
+def test_mixed_embedding_sizes_allowed_without_reid():
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, use_reid=False)
+    inst.step([_det2(100, 100, embedding=_unit(np.ones(8)))])
+    res = inst.step([_det2(101, 100, embedding=E1)])
     assert res.stage_matches == (1, 0, 0)
 
 

@@ -14,8 +14,7 @@ from hmot.types import (
     Detection,
     Mode,
     ObjectClass,
-    State2D,
-    State3D,
+    State,
     box2d_from_state,
     box3d_from_state,
     normalize_heading,
@@ -175,16 +174,62 @@ def test_detection_embedding_tolerates_tiny_norm_error():
 
 def test_state_shape_validation():
     with pytest.raises(ValidationError):
-        State2D(np.zeros(7), np.eye(8))
+        State(np.zeros(7), np.eye(8))
     with pytest.raises(ValidationError):
-        State3D(np.zeros(10), np.eye(9))
+        State(np.zeros(10), np.eye(9))
+
+
+@pytest.mark.parametrize("mean_shape, cov_shape", [
+    ((7,), (7, 7)), ((9,), (9, 9)), ((11,), (11, 11)), ((0,), (0, 0)),
+    ((8,), (10, 10)), ((10,), (8, 8)), ((8,), (8, 9)), ((10,), (10,)),
+    ((8, 1), (8, 8)), ((1, 10), (10, 10)), ((), (8, 8)), ((8,), (8, 8, 1)),
+])
+def test_state_rejects_other_shapes(mean_shape, cov_shape):
+    with pytest.raises(ValidationError):
+        State(np.ones(mean_shape), np.ones(cov_shape))
+
+
+@pytest.mark.parametrize("dim", [8, 10])
+def test_state_accepts_2d_and_3d_layouts(dim):
+    st = State(list(range(1, dim + 1)), np.eye(dim))
+    assert st.mean.dtype == np.float64 and st.mean.shape == (dim,)
+    assert st.cov.shape == (dim, dim)
+    st.validate()
+
+
+@pytest.mark.parametrize("dim", [8, 10])
+@pytest.mark.parametrize("part", ["mean", "cov"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_entries(dim, part, bad):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        mean, cov = np.ones(dim), np.eye(dim)
+        target = mean if part == "mean" else cov
+        target.flat[rng.integers(target.size)] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            State(mean, cov)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5])
+def test_state_validate_rejects_non_positive_aspect_2d(gamma):
+    mean = np.array([0, 0, gamma, 10.0, 0, 0, 0, 0], dtype=float)
+    with pytest.raises(ValidationError, match="extents"):
+        State(mean, np.eye(8)).validate()
+
+
+@pytest.mark.parametrize("dim, index", [(8, 3), (10, 3), (10, 4), (10, 5)])
+def test_state_validate_rejects_each_non_positive_extent(dim, index):
+    mean = np.ones(dim)
+    mean[index] = 0.0
+    with pytest.raises(ValidationError, match="extents"):
+        State(mean, np.eye(dim)).validate()
 
 
 def test_state_validate_flags_asymmetry():
     mean = np.array([0, 0, 0.5, 10.0, 0, 0, 0, 0], dtype=float)
     cov = np.eye(8)
     cov[0, 1] = 1e-6
-    st = State2D(mean, cov)
+    st = State(mean, cov)
     with pytest.raises(ValidationError):
         st.validate()
 
@@ -193,7 +238,7 @@ def test_state_validate_flags_negative_eigenvalue():
     mean = np.array([0, 0, 0, 1.8, 0.6, 0.6, 0, 0, 0, 0], dtype=float)
     cov = np.eye(10)
     cov[0, 0] = -1.0
-    st = State3D(mean, cov)
+    st = State(mean, cov)
     with pytest.raises(ValidationError):
         st.validate()
 
@@ -204,7 +249,7 @@ def test_observation_and_box_round_trip_2d():
     assert obs == pytest.approx([100.0, 50.0, 0.5, 60.0])
     mean = np.zeros(8)
     mean[:4] = obs
-    back = box2d_from_state(State2D(mean, np.eye(8)))
+    back = box2d_from_state(State(mean, np.eye(8)))
     assert back.w == pytest.approx(box.w)
     assert (back.cx, back.cy, back.h) == (box.cx, box.cy, box.h)
 
@@ -214,7 +259,7 @@ def test_observation_and_box_round_trip_3d():
     obs = observation_3d(box)
     mean = np.zeros(10)
     mean[:7] = obs
-    back = box3d_from_state(State3D(mean, np.eye(10)))
+    back = box3d_from_state(State(mean, np.eye(10)))
     assert (back.cx, back.cy, back.cz) == (1, 2, 3)
     assert (back.h, back.w, back.l) == (1.5, 2.0, 4.5)
     assert back.theta == pytest.approx(0.3)
@@ -225,7 +270,7 @@ def test_box_from_degenerate_state_raises():
     mean[2] = -0.5
     mean[3] = 10.0
     with pytest.raises(DegenerateBoxError):
-        box2d_from_state(State2D(mean, np.eye(8)))
+        box2d_from_state(State(mean, np.eye(8)))
 
 
 def _config(**kw):
