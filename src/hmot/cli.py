@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections import defaultdict
 from typing import Sequence
 
 from .config import load_config
@@ -57,6 +58,14 @@ def _setup_logging() -> None:
 # track
 
 
+@dataclasses.dataclass
+class _Totals:  # one sequence's counts for the summary line
+    frames: int = 0
+    stage_matches: tuple[int, int, int] = (0, 0, 0)
+    created: int = 0
+    deleted: int = 0
+
+
 def _cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, mode=args.mode)
     mode = cfg.mode
@@ -68,12 +77,12 @@ def _cmd_track(args: argparse.Namespace) -> int:
     instances: dict[tuple[str, object], TrackerInstance] = {}
     counters: dict[str, itertools.count] = {}
     last_frame: dict[tuple[str, object], int] = {}
-    stats: dict[str, list[int]] = {}
+    totals: defaultdict[str, _Totals] = defaultdict(_Totals)
     rows: list[TrackRow] = []
 
     for fr in det_frames:
         key = (fr.sequence_id, fr.camera)
-        st = stats.setdefault(fr.sequence_id, [0, 0, 0, 0, 0, 0])
+        st = totals[fr.sequence_id]
         gap = fr.frame - last_frame[key] - 1 if key in last_frame else 0
         last_frame[key] = fr.frame
         try:
@@ -92,16 +101,15 @@ def _cmd_track(args: argparse.Namespace) -> int:
             inst = instances[key]
             stepped = min(gap, max_empty_steps)
             for _ in range(stepped):
-                st[5] += len(inst.step([]).deleted_ids)
+                st.deleted += len(inst.step([]).deleted_ids)
             inst.frame_index += gap - stepped
             result = inst.step(fr.detections)
         except (ConfigError, ValidationError) as exc:
             raise type(exc)(f"sequence {fr.sequence_id!r} frame {fr.frame}: {exc}") from None
-        st[0] += 1 + gap
-        for i in range(3):
-            st[1 + i] += result.stage_matches[i]
-        st[4] += len(result.created_ids)
-        st[5] += len(result.deleted_ids)
+        st.frames += 1 + gap
+        st.stage_matches = tuple(map(sum, zip(st.stage_matches, result.stage_matches)))
+        st.created += len(result.created_ids)
+        st.deleted += len(result.deleted_ids)
         for em in result.emitted:
             rows.append(
                 TrackRow(fr.sequence_id, fr.frame, em.track_id, em.class_label,
@@ -109,11 +117,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
             )
 
     write_tracks(args.out, rows, mode)
-    for seq in stats:
-        st = stats[seq]
+    for seq, st in totals.items():
+        s1, s2, s3 = st.stage_matches
         print(
-            f"sequence {seq}: {st[0]} frames, stage matches {st[1]}/{st[2]}/{st[3]}, "
-            f"{st[4]} tracks created, {st[5]} deleted"
+            f"sequence {seq}: {st.frames} frames, stage matches {s1}/{s2}/{s3}, "
+            f"{st.created} tracks created, {st.deleted} deleted"
         )
     print(f"wrote {len(rows)} track rows to {args.out}")
     return 0
@@ -196,11 +204,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             spec = dataclasses.replace(spec, seed=args.seed)
     gt_frames, det_frames = generate(spec)
     write_tracks(args.out_gt, gt_to_rows(spec.sequence_id, gt_frames), spec.mode)
-    camera = spec.camera if spec.mode is Mode.D2 else None
     write_detections(
         args.out_dets,
         [
-            DetectionFrame(spec.sequence_id, t, camera, det_frames[t])
+            DetectionFrame(spec.sequence_id, t, spec.camera, det_frames[t])
             for t in range(spec.n_frames)
         ],
     )

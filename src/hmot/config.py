@@ -90,14 +90,15 @@ def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
 
 
 def coerce_scalar(value: Any, path: str, kind: type = float) -> Any:
-    """Check one decoded JSON scalar against ``kind`` (float, int or bool).
+    """Check one decoded JSON scalar against ``kind`` (float, int, bool or str).
 
     Booleans never pass as numbers, and floats must be finite (JSON
     decoders accept NaN and Infinity). Errors name ``path``.
     """
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
+    if kind is bool or kind is str:
+        if not isinstance(value, kind):
+            name = "a boolean" if kind is bool else "a string"
+            raise ConfigError(f"{path}: expected {name}, got {value!r}")
         return value
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -32,6 +34,33 @@ def qfloat(x: float) -> float:
 _BOX_KEYS = {Box2D: "box2d", Box3D: "box3d"}
 _BOX_FIELDS = {kind: [f.name for f in fields(kind)] for kind in _BOX_KEYS}
 _BOX_VALUES = {kind: attrgetter(*names) for kind, names in _BOX_FIELDS.items()}
+
+
+@contextmanager
+def _output(path: str | Path, newline: str) -> Iterator[TextIO]:
+    """Open ``path`` for writing so that a failed write leaves it as it was.
+
+    The text goes to a temporary file beside the target, which replaces the
+    target once the write is complete. A target that exists and is not a
+    regular file (a device or a pipe) is written in place.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +96,7 @@ def _det_to_json(det: Detection) -> dict[str, Any]:
 
 def write_detections(path: str | Path, frames: Iterable[DetectionFrame]) -> None:
     last_frame: dict[tuple[str, Camera | None], int] = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path, "\n") as fh:
         for fr in frames:
             key = (fr.sequence_id, fr.camera)
             if key in last_frame and fr.frame <= last_frame[key]:
@@ -203,7 +232,7 @@ def write_tracks(path: str | Path, rows: Iterable[TrackRow], mode: Mode | str) -
     want = Box2D if mode is Mode.D2 else Box3D
     box_values = _BOX_VALUES[want]
     seen: set[tuple[str, int, int]] = set()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TRACK_HEADERS[want])
         for row in rows:

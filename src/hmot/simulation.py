@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,15 +29,38 @@ from .types import Box2D, Box3D, Camera, Detection, Mode, ObjectClass, normalize
 IMAGE_W = 1920.0
 IMAGE_H = 1280.0
 
+# The box kind of each mode and one row per box field, in field order: the
+# spec attribute holding the field's detection noise std, the floor a noisy
+# value is clipped to (sizes only; -inf elsewhere) and the uniform range
+# clutter boxes draw it from. Position fields come first and are the ones
+# that move.
+_LAYOUTS = {
+    Mode.D2: (Box2D, (
+        ("center_noise_std", -math.inf, (120.0, IMAGE_W - 120.0)),
+        ("center_noise_std", -math.inf, (140.0, IMAGE_H - 140.0)),
+        ("size_noise_std", 2.0, (40.0, 200.0)),
+        ("size_noise_std", 2.0, (60.0, 260.0)),
+    )),
+    Mode.D3: (Box3D, (
+        ("center_noise_std", -math.inf, (-80.0, 80.0)),
+        ("center_noise_std", -math.inf, (-80.0, 80.0)),
+        ("center_noise_std", -math.inf, (0.5, 2.0)),
+        ("size_noise_std", 0.1, (1.2, 2.0)),
+        ("size_noise_std", 0.1, (0.5, 2.2)),
+        ("size_noise_std", 0.1, (0.8, 5.0)),
+        ("heading_noise_std", -math.inf, (-math.pi, math.pi)),
+    )),
+}
+
 
 @dataclass(frozen=True)
 class ObjectSpec:
     """One scripted object.
 
-    ``init`` is the full starting box: (cx, cy, w, h) in 2D or
-    (cx, cy, cz, h, w, l, theta) in 3D. ``velocity`` covers the position
-    components only (2 values in 2D, 3 in 3D); sizes stay constant.
-    ``turn_rate`` (3D) rotates both the heading and the ground-plane
+    ``init`` is the full starting box in box-field order: (cx, cy, w, h) in
+    2D or (cx, cy, cz, h, w, l, theta) in 3D. ``velocity`` covers the
+    position components only (2 values in 2D, 3 in 3D); sizes stay constant.
+    ``turn_rate`` (3D only) rotates both the heading and the ground-plane
     velocity by the given angle per frame.
     """
 
@@ -67,7 +91,7 @@ class Window:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Complete recipe for one synthetic sequence."""
+    """Complete recipe for one synthetic sequence; 3D scenes keep no camera."""
 
     mode: Mode
     n_frames: int
@@ -97,27 +121,38 @@ class ScenarioSpec:
         object.__setattr__(
             self, "reversals", tuple((int(i), int(f)) for i, f in self.reversals)
         )
-        if self.camera is not None and not isinstance(self.camera, Camera):
-            object.__setattr__(self, "camera", Camera(self.camera))
+        camera = None if self.camera is None else Camera(self.camera)
+        object.__setattr__(self, "camera", camera if self.mode is Mode.D2 else None)
         if self.mode is Mode.D2 and self.camera is None:
             raise ValidationError("2D scenarios need a camera")
         if self.n_frames < 1:
             raise ValidationError(f"n_frames must be >= 1, got {self.n_frames}")
-        ids = [o.obj_id for o in self.objects]
-        if len(ids) != len(set(ids)):
+        ids = {o.obj_id for o in self.objects}
+        if len(ids) != len(self.objects):
             raise ValidationError("object ids must be unique")
-        pos_dims = 2 if self.mode is Mode.D2 else 3
-        box_dims = 4 if self.mode is Mode.D2 else 7
+        layout = _LAYOUTS[self.mode][1]
+        box_dims = len(layout)
+        pos_dims = sum(std == "center_noise_std" for std, _, _ in layout)
         for obj in self.objects:
-            if len(obj.init) != box_dims:
+            for name, dims in (("init", box_dims), ("velocity", pos_dims)):
+                if len(getattr(obj, name)) != dims:
+                    raise ValidationError(f"object {obj.obj_id}: {name} needs {dims} values, "
+                                          f"got {len(getattr(obj, name))}")
+            if obj.turn_rate and self.mode is Mode.D2:
                 raise ValidationError(
-                    f"object {obj.obj_id}: init needs {box_dims} values, got {len(obj.init)}"
+                    f"object {obj.obj_id}: turn_rate applies to 3D scenarios only, "
+                    f"got {obj.turn_rate}"
                 )
-            if len(obj.velocity) != pos_dims:
-                raise ValidationError(
-                    f"object {obj.obj_id}: velocity needs {pos_dims} values, "
-                    f"got {len(obj.velocity)}"
-                )
+        events = [(f"{name}[{i}]", w.obj_id, w.start, w.length)
+                  for name in ("occlusions", "weak_windows") for i, w in enumerate(getattr(self, name))]
+        events += [(f"reversals[{i}]", obj_id, frame, 0)
+                   for i, (obj_id, frame) in enumerate(self.reversals)]
+        for where, obj_id, start, length in events:
+            if obj_id not in ids:
+                raise ValidationError(f"{where}: obj_id {obj_id} is not a scenario object")
+            if not isinstance(start, int) or not isinstance(length, int) or length < 0:
+                raise ValidationError(f"{where}: needs an integer start and an integer "
+                                      f"length >= 0, got start {start!r}, length {length!r}")
         for name in ("dropout_prob", "fp_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -139,37 +174,39 @@ class ScenarioSpec:
 
 def _trajectories(spec: ScenarioSpec) -> dict[int, list]:
     """Exact per-frame boxes for every object (no noise)."""
+    kind = _LAYOUTS[spec.mode][0]
     reversal_set = set(spec.reversals)
     out: dict[int, list] = {}
     for obj in spec.objects:
+        # the velocity has one entry per position field, which come first
+        n = len(obj.velocity)
+        pos, rest = list(obj.init[:n]), list(obj.init[n:])
+        velocity = list(obj.velocity)
         boxes = []
-        if spec.mode is Mode.D2:
-            cx, cy, w, h = obj.init
-            vx, vy = obj.velocity
-            for t in range(spec.n_frames):
-                if t > 0:
-                    if (obj.obj_id, t) in reversal_set:
-                        vx, vy = -vx, -vy
-                    cx += vx
-                    cy += vy
-                boxes.append(Box2D(cx, cy, w, h))
-        else:
-            cx, cy, cz, h, w, l, theta = obj.init
-            vx, vy, vz = obj.velocity
-            for t in range(spec.n_frames):
-                if t > 0:
-                    if (obj.obj_id, t) in reversal_set:
-                        vx, vy, vz = -vx, -vy, -vz
-                    if obj.turn_rate:
-                        c, s = math.cos(obj.turn_rate), math.sin(obj.turn_rate)
-                        vx, vy = c * vx - s * vy, s * vx + c * vy
-                        theta = normalize_heading(theta + obj.turn_rate)
-                    cx += vx
-                    cy += vy
-                    cz += vz
-                boxes.append(Box3D(cx, cy, cz, h, w, l, theta))
+        for t in range(spec.n_frames):
+            if t > 0:
+                if (obj.obj_id, t) in reversal_set:
+                    velocity = [-v for v in velocity]
+                if obj.turn_rate:
+                    # 3D only: rotate the ground-plane velocity and the
+                    # heading, which is the last box field
+                    c, s = math.cos(obj.turn_rate), math.sin(obj.turn_rate)
+                    vx, vy = velocity[:2]
+                    velocity[:2] = c * vx - s * vy, s * vx + c * vy
+                    rest[-1] = normalize_heading(rest[-1] + obj.turn_rate)
+                pos = [p + v for p, v in zip(pos, velocity)]
+            boxes.append(kind(*pos, *rest))
         out[obj.obj_id] = boxes
     return out
+
+
+def _frame_set(windows: Iterable[Window], n_frames: int) -> set[tuple[int, int]]:
+    """The (obj_id, frame) pairs the windows cover within [0, n_frames)."""
+    return {
+        (w.obj_id, t)
+        for w in windows
+        for t in range(max(w.start, 0), min(w.start + w.length, n_frames))
+    }
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -181,99 +218,52 @@ def generate(
 ) -> tuple[list[GroundTruthFrame], list[list[Detection]]]:
     """Produce the exact ground truth and the corrupted detection stream."""
     rng = np.random.default_rng(spec.seed)
+    kind, layout = _LAYOUTS[spec.mode]
+    box_values = attrgetter(*(f.name for f in dataclass_fields(kind)))
+    noise = [(getattr(spec, std), floor) for std, floor, _ in layout]
+    occluded = _frame_set(spec.occlusions, spec.n_frames)
+    weak = _frame_set(spec.weak_windows, spec.n_frames)
     trajectories = _trajectories(spec)
-    anchors: dict[int, np.ndarray] = {}
-    if spec.embed_dim > 0:
-        for obj in spec.objects:
-            anchors[obj.obj_id] = _unit(rng.normal(size=spec.embed_dim))
+    anchors = {
+        obj.obj_id: _unit(rng.normal(size=spec.embed_dim))
+        for obj in spec.objects
+    } if spec.embed_dim > 0 else {}
     class_pool = sorted({o.class_label for o in spec.objects}, key=lambda c: c.value)
 
     gt_frames: list[GroundTruthFrame] = []
     det_frames: list[list[Detection]] = []
     for t in range(spec.n_frames):
-        gt_objects = tuple(
+        gt_frames.append(GroundTruthFrame(t, tuple(
             FrameObject(obj.obj_id, trajectories[obj.obj_id][t], obj.class_label)
             for obj in spec.objects
-        )
-        gt_frames.append(GroundTruthFrame(t, gt_objects))
+        )))
 
         dets: list[Detection] = []
         for obj in spec.objects:
-            if any(w.covers(obj.obj_id, t) for w in spec.occlusions):
+            if (obj.obj_id, t) in occluded:
                 continue
             if spec.dropout_prob > 0 and rng.random() < spec.dropout_prob:
                 continue
-            box = trajectories[obj.obj_id][t]
-            if spec.mode is Mode.D2:
-                noisy = Box2D(
-                    box.cx + rng.normal(0.0, spec.center_noise_std),
-                    box.cy + rng.normal(0.0, spec.center_noise_std),
-                    max(2.0, box.w + rng.normal(0.0, spec.size_noise_std)),
-                    max(2.0, box.h + rng.normal(0.0, spec.size_noise_std)),
-                )
-            else:
-                noisy = Box3D(
-                    box.cx + rng.normal(0.0, spec.center_noise_std),
-                    box.cy + rng.normal(0.0, spec.center_noise_std),
-                    box.cz + rng.normal(0.0, spec.center_noise_std),
-                    max(0.1, box.h + rng.normal(0.0, spec.size_noise_std)),
-                    max(0.1, box.w + rng.normal(0.0, spec.size_noise_std)),
-                    max(0.1, box.l + rng.normal(0.0, spec.size_noise_std)),
-                    normalize_heading(box.theta + rng.normal(0.0, spec.heading_noise_std)),
-                )
-            weak = any(w.covers(obj.obj_id, t) for w in spec.weak_windows)
-            lo, hi = spec.weak_score_range if weak else spec.tp_score_range
+            # one scalar draw per field, in field order
+            box = kind(*[
+                max(floor, v + rng.normal(0.0, std))
+                for v, (std, floor) in zip(box_values(trajectories[obj.obj_id][t]), noise)
+            ])
+            lo, hi = spec.weak_score_range if (obj.obj_id, t) in weak else spec.tp_score_range
             score = float(rng.uniform(lo, hi))
-            embedding = None
-            if spec.embed_dim > 0:
-                embedding = _unit(
-                    anchors[obj.obj_id]
-                    + rng.normal(0.0, spec.embed_noise_std, spec.embed_dim)
-                )
-            dets.append(
-                Detection(
-                    box=noisy,
-                    score=score,
-                    class_label=obj.class_label,
-                    camera_id=spec.camera if spec.mode is Mode.D2 else None,
-                    embedding=embedding,
-                    src_gt=obj.obj_id,
-                )
-            )
+            embedding = _unit(
+                anchors[obj.obj_id] + rng.normal(0.0, spec.embed_noise_std, spec.embed_dim)
+            ) if spec.embed_dim > 0 else None
+            dets.append(Detection(box=box, score=score, class_label=obj.class_label,
+                                  camera_id=spec.camera, embedding=embedding, src_gt=obj.obj_id))
 
         if spec.fp_rate > 0 and rng.random() < spec.fp_rate and class_pool:
             cls = class_pool[int(rng.integers(len(class_pool)))]
-            if spec.mode is Mode.D2:
-                fp_box: Box2D | Box3D = Box2D(
-                    float(rng.uniform(120.0, IMAGE_W - 120.0)),
-                    float(rng.uniform(140.0, IMAGE_H - 140.0)),
-                    float(rng.uniform(40.0, 200.0)),
-                    float(rng.uniform(60.0, 260.0)),
-                )
-            else:
-                fp_box = Box3D(
-                    float(rng.uniform(-80.0, 80.0)),
-                    float(rng.uniform(-80.0, 80.0)),
-                    float(rng.uniform(0.5, 2.0)),
-                    float(rng.uniform(1.2, 2.0)),
-                    float(rng.uniform(0.5, 2.2)),
-                    float(rng.uniform(0.8, 5.0)),
-                    float(rng.uniform(-math.pi, math.pi)),
-                )
-            lo, hi = spec.fp_score_range
-            embedding = None
-            if spec.embed_dim > 0:
-                embedding = _unit(rng.normal(size=spec.embed_dim))
-            dets.append(
-                Detection(
-                    box=fp_box,
-                    score=float(rng.uniform(lo, hi)),
-                    class_label=cls,
-                    camera_id=spec.camera if spec.mode is Mode.D2 else None,
-                    embedding=embedding,
-                    src_gt=None,
-                )
-            )
+            box = kind(*[rng.uniform(lo, hi) for _, _, (lo, hi) in layout])
+            embedding = _unit(rng.normal(size=spec.embed_dim)) if spec.embed_dim > 0 else None
+            score = float(rng.uniform(*spec.fp_score_range))
+            dets.append(Detection(box=box, score=score, class_label=cls,
+                                  camera_id=spec.camera, embedding=embedding, src_gt=None))
         det_frames.append(dets)
     return gt_frames, det_frames
 
@@ -486,20 +476,33 @@ def preset(name: str, seed: int = 0) -> ScenarioSpec:
 # JSON scenario schema
 
 
+# Spec fields annotated as one JSON scalar type (the annotations are strings
+# under ``from __future__ import annotations``).
+_SCALAR_TYPES = {"str": str, "int": int, "float": float}
 _SCALAR_FIELDS = {
-    "sequence_id": str,
-    "n_frames": int,
-    "center_noise_std": float,
-    "size_noise_std": float,
-    "heading_noise_std": float,
-    "dropout_prob": float,
-    "fp_rate": float,
-    "embed_dim": int,
-    "embed_noise_std": float,
-    "seed": int,
+    f.name: _SCALAR_TYPES[f.type]
+    for f in dataclass_fields(ScenarioSpec) if f.type in _SCALAR_TYPES
 }
 _RANGE_FIELDS = ("tp_score_range", "weak_score_range", "fp_score_range")
+_EVENT_FIELDS = {
+    "occlusions": ("obj_id", "start", "length"),
+    "weak_windows": ("obj_id", "start", "length"),
+    "reversals": ("obj_id", "frame"),
+}
 _SPEC_KEYS = {f.name for f in dataclass_fields(ScenarioSpec)}
+
+
+def _is_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
+
+
+def _numbers(value: Any, path: str, kind: type = float,
+             names: tuple[str, ...] | None = None) -> tuple:
+    """Decode a JSON list of numbers; ``names`` fixes its length and shape."""
+    if not _is_list(value) or (names is not None and len(value) != len(names)):
+        shape = "a list of numbers" if names is None else f"[{', '.join(names)}]"
+        raise ConfigError(f"{path}: expected {shape}")
+    return tuple(coerce_scalar(v, f"{path}[{j}]", kind) for j, v in enumerate(value))
 
 
 def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
@@ -509,8 +512,9 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
     for key in data:
         if key not in _SPEC_KEYS:
             raise ConfigError(f"spec: unknown key {key!r}")
-    if "mode" not in data:
-        raise ConfigError("spec.mode: required")
+    for required in ("mode", "n_frames"):
+        if required not in data:
+            raise ConfigError(f"spec.{required}: required")
     try:
         mode = Mode(data["mode"])
     except ValueError:
@@ -518,34 +522,19 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
 
     kwargs: dict[str, Any] = {"mode": mode}
     for name, kind in _SCALAR_FIELDS.items():
-        if name not in data:
-            continue
-        if kind is str:
-            if not isinstance(data[name], str):
-                raise ConfigError(f"spec.{name}: expected a string")
-            kwargs[name] = data[name]
-        else:
+        if name in data:
             kwargs[name] = coerce_scalar(data[name], f"spec.{name}", kind)
     for name in _RANGE_FIELDS:
         if name in data:
-            pair = data[name]
-            if not isinstance(pair, Sequence) or len(pair) != 2:
-                raise ConfigError(f"spec.{name}: expected [lo, hi]")
-            kwargs[name] = (
-                coerce_scalar(pair[0], f"spec.{name}[0]"),
-                coerce_scalar(pair[1], f"spec.{name}[1]"),
-            )
+            kwargs[name] = _numbers(data[name], f"spec.{name}", float, ("lo", "hi"))
     if "camera" in data:
-        if data["camera"] is None:
-            kwargs["camera"] = None
-        else:
-            try:
-                kwargs["camera"] = Camera(data["camera"])
-            except ValueError:
-                raise ConfigError(f"spec.camera: unknown camera {data['camera']!r}") from None
+        try:
+            kwargs["camera"] = None if data["camera"] is None else Camera(data["camera"])
+        except ValueError:
+            raise ConfigError(f"spec.camera: unknown camera {data['camera']!r}") from None
 
     objects = data.get("objects", [])
-    if not isinstance(objects, Sequence) or isinstance(objects, str):
+    if not _is_list(objects):
         raise ConfigError("spec.objects: expected a list")
     parsed_objects = []
     for i, entry in enumerate(objects):
@@ -562,55 +551,27 @@ def parse_scenario(data: Mapping[str, Any]) -> ScenarioSpec:
             label = ObjectClass(entry["class"])
         except ValueError:
             raise ConfigError(f"{path}.class: unknown class {entry['class']!r}") from None
-        for seq_key in ("init", "velocity"):
-            if not isinstance(entry[seq_key], Sequence) or isinstance(entry[seq_key], str):
-                raise ConfigError(f"{path}.{seq_key}: expected a list of numbers")
-        try:
-            parsed_objects.append(
-                ObjectSpec(
-                    obj_id=coerce_scalar(entry["obj_id"], f"{path}.obj_id", int),
-                    class_label=label,
-                    init=tuple(
-                        coerce_scalar(v, f"{path}.init[{j}]")
-                        for j, v in enumerate(entry["init"])
-                    ),
-                    velocity=tuple(
-                        coerce_scalar(v, f"{path}.velocity[{j}]")
-                        for j, v in enumerate(entry["velocity"])
-                    ),
-                    turn_rate=coerce_scalar(entry.get("turn_rate", 0.0), f"{path}.turn_rate"),
-                )
+        parsed_objects.append(
+            ObjectSpec(
+                obj_id=coerce_scalar(entry["obj_id"], f"{path}.obj_id", int),
+                class_label=label,
+                init=_numbers(entry["init"], f"{path}.init"),
+                velocity=_numbers(entry["velocity"], f"{path}.velocity"),
+                turn_rate=coerce_scalar(entry.get("turn_rate", 0.0), f"{path}.turn_rate"),
             )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+        )
     kwargs["objects"] = tuple(parsed_objects)
 
-    for name in ("occlusions", "weak_windows"):
+    for name, names in _EVENT_FIELDS.items():
         if name not in data:
             continue
-        entries = data[name]
-        if not isinstance(entries, Sequence) or isinstance(entries, str):
-            raise ConfigError(f"spec.{name}: expected a list of [obj_id, start, length]")
-        windows = []
-        for i, entry in enumerate(entries):
-            path = f"spec.{name}[{i}]"
-            if not isinstance(entry, Sequence) or len(entry) != 3:
-                raise ConfigError(f"{path}: expected [obj_id, start, length]")
-            windows.append(
-                Window(*(coerce_scalar(v, f"{path}[{j}]", int) for j, v in enumerate(entry)))
-            )
-        kwargs[name] = tuple(windows)
-    if "reversals" in data:
-        entries = data["reversals"]
-        if not isinstance(entries, Sequence) or isinstance(entries, str):
-            raise ConfigError("spec.reversals: expected a list of [obj_id, frame]")
-        revs = []
-        for i, entry in enumerate(entries):
-            path = f"spec.reversals[{i}]"
-            if not isinstance(entry, Sequence) or len(entry) != 2:
-                raise ConfigError(f"{path}: expected [obj_id, frame]")
-            revs.append(tuple(coerce_scalar(v, f"{path}[{j}]", int) for j, v in enumerate(entry)))
-        kwargs["reversals"] = tuple(revs)
+        if not _is_list(data[name]):
+            raise ConfigError(f"spec.{name}: expected a list of [{', '.join(names)}]")
+        events = [
+            _numbers(entry, f"spec.{name}[{i}]", int, names)
+            for i, entry in enumerate(data[name])
+        ]
+        kwargs[name] = tuple(events if name == "reversals" else (Window(*e) for e in events))
 
     try:
         return ScenarioSpec(**kwargs)

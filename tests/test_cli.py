@@ -1,9 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
+import os
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,3 +515,76 @@ def test_nms_merge_missing_input_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "m.ndjson")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# simulate: pinned outputs, failed writes, the README example
+
+
+# sha256 of (gt.csv, dets.ndjson) written by `hmot simulate --preset NAME --seed 0`
+_PRESET_SHA256 = {
+    "clean-2d": ("e9f6dc46393513d2e685e004744eca8a4925f80417a03e69fb1bd84d30007e94",
+                 "ef92949c43fc2d7d4754a5adf339c5c96478526390bdefe62e2fba581711865b"),
+    "clean-3d": ("7a840416033ad4ef88cf0de167abe6f04bec1954dbf189efdf66ce97c04ac7f9",
+                 "8a0675386d1c7131a1c7efd3ad0d8f7bc67eb440acd55c8515c23ecb3097637e"),
+    "occlusion": ("500b6f8b5b71df952399bd1c672c13f64b0e29f420c7ef88a4494880e8d295bf",
+                  "35b384f22446530a3a2d3b1302a343221f661b4d25a90143017ddc932ec47b74"),
+    "crossing": ("cf6d877261ae1ccf6768d1e5b3eb4dc0000f9ce885daab4a73b7a28b04780966",
+                 "1b964a074e6739fc97485b44000d829fb3b1631fe799af074a2a0e30d4359a43"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_SHA256))
+def test_simulate_preset_output_is_pinned(tmp_path, name):
+    gt, dets = tmp_path / "gt.csv", tmp_path / "dets.ndjson"
+    assert main(["simulate", "--preset", name, "--seed", "0",
+                 "--out-gt", str(gt), "--out-dets", str(dets)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (gt, dets))
+    assert digests == _PRESET_SHA256[name]
+
+
+def test_simulate_failed_write_leaves_no_partial_output(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc(sequence_id="a\rb")))
+    gt, dets = tmp_path / "gt.csv", tmp_path / "dets.ndjson"
+    args = ["simulate", "--spec", str(spec_path), "--out-gt", str(gt), "--out-dets", str(dets)]
+    assert main(args) == 2
+    assert "carriage return" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    gt.write_text("earlier\n")
+    assert main(args) == 2
+    assert gt.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.csv", "spec.json"]
+
+
+def test_simulate_writes_into_a_device_in_place(tmp_path):
+    dets = tmp_path / "dets.ndjson"
+    assert main(["simulate", "--preset", "crossing", "--out-gt", os.devnull,
+                 "--out-dets", str(dets)]) == 0
+    assert not os.path.isfile(os.devnull)
+    assert len(read_detections(dets)) == 60
+
+
+def test_simulate_rejects_events_of_unknown_objects(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec_doc(occlusions=[[99, 0, 5], [1, 0, -4]])))
+    code = main(["simulate", "--spec", str(spec_path),
+                 "--out-gt", str(tmp_path / "g.csv"), "--out-dets", str(tmp_path / "d.ndjson")])
+    assert code == 2
+    assert "occlusions[0]: obj_id 99 is not a scenario object" in capsys.readouterr().err
+
+
+def test_readme_scenario_example_simulates(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(re.search(r"### Scenario files.*?```json\n(.*?)```", readme, re.S).group(1))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    gt, dets = tmp_path / "gt.csv", tmp_path / "dets.ndjson"
+    assert main(["simulate", "--spec", str(spec_path),
+                 "--out-gt", str(gt), "--out-dets", str(dets)]) == 0
+    assert len(read_tracks(gt)) == 2 * doc["n_frames"]
+    frames = read_detections(dets)
+    assert [fr.frame for fr in frames] == list(range(doc["n_frames"]))
+    hidden = [fr.frame for fr in frames if 1 not in {d.src_gt for d in fr.detections}]
+    assert hidden == [18, 19, 20]

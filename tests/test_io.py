@@ -464,3 +464,31 @@ def test_track_write_read_write_is_byte_identical(tmp_path, table):
     write_tracks(b, back, mode)
     assert a.read_bytes() == b.read_bytes()
     assert len(back) == len(rows)
+
+
+# ---------------------------------------------------------------------------
+# Failed writes
+
+
+def test_failed_writes_keep_the_earlier_file(tmp_path):
+    dets, tracks = tmp_path / "d.ndjson", tmp_path / "t.csv"
+    dets.write_text("earlier dets\n")
+    tracks.write_text("earlier tracks\n")
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        write_detections(dets, [DetectionFrame("s", 5, Camera.FRONT, [_det2()]),
+                                DetectionFrame("s", 5, Camera.FRONT, [])])
+    row = _rows2()[0]
+    with pytest.raises(ValidationError, match="duplicate"):
+        write_tracks(tracks, [row, row], Mode.D2)
+    assert dets.read_text() == "earlier dets\n"
+    assert tracks.read_text() == "earlier tracks\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.ndjson", "t.csv"]
+
+
+def test_write_through_symlink_keeps_the_link(tmp_path):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    write_tracks(link, _rows2(), Mode.D2)
+    assert link.is_symlink()
+    assert read_tracks(real) == _rows2()

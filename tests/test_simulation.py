@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmot.errors import ConfigError, ValidationError
 from hmot.simulation import (
@@ -11,6 +13,7 @@ from hmot.simulation import (
     ObjectSpec,
     ScenarioSpec,
     Window,
+    _frame_set,
     generate,
     parse_scenario,
     preset,
@@ -478,3 +481,93 @@ def test_parse_scenario_semantic_errors_become_config_errors():
     doc = _doc(camera=None)
     with pytest.raises(ConfigError, match="camera"):
         parse_scenario(doc)
+
+
+def test_parse_scenario_requires_n_frames():
+    doc = _doc()
+    del doc["n_frames"]
+    with pytest.raises(ConfigError, match=r"spec\.n_frames: required"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"tp_score_range": "ab"}, r"spec\.tp_score_range: expected \[lo, hi\]"),
+    ({"fp_score_range": [0.1, 0.2, 0.3]}, r"spec\.fp_score_range: expected \[lo, hi\]"),
+    ({"weak_score_range": [0.1, True]}, r"spec\.weak_score_range\[1\]: expected a number"),
+    ({"occlusions": 5}, r"spec\.occlusions: expected a list of \[obj_id, start, length\]"),
+    ({"weak_windows": [[1, 2.5, 3]]}, r"spec\.weak_windows\[0\]\[1\]: expected an integer"),
+    ({"reversals": "1,4"}, r"spec\.reversals: expected a list of \[obj_id, frame\]"),
+    ({"reversals": [[1]]}, r"spec\.reversals\[0\]: expected \[obj_id, frame\]"),
+])
+def test_parse_scenario_list_errors_carry_paths(extra, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_scenario(_doc(**extra))
+
+
+@pytest.mark.parametrize("key", ["init", "velocity"])
+def test_parse_scenario_object_lists_must_be_lists(key):
+    doc = _doc()
+    doc["objects"][0][key] = "1234"
+    with pytest.raises(ConfigError, match=rf"spec\.objects\[0\]\.{key}: expected a list of numbers"):
+        parse_scenario(doc)
+
+
+# ---------------------------------------------------------------------------
+# Scenario checks
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("occlusions", (Window(99, 0, 5),), r"occlusions\[0\]: obj_id 99 is not a scenario object"),
+    ("weak_windows", (Window(1, 0, 2), Window(7, 3, 2)),
+     r"weak_windows\[1\]: obj_id 7 is not a scenario object"),
+    ("reversals", ((1, 3), (4, 5)), r"reversals\[1\]: obj_id 4 is not a scenario object"),
+    ("occlusions", (Window(1, 0, -4),), r"occlusions\[0\]: needs .* length >= 0, got start 0, length -4"),
+    ("weak_windows", (Window(1, 6, -1),), r"weak_windows\[0\]: needs .* length >= 0"),
+    ("occlusions", (Window(1, 2.5, 3),), r"occlusions\[0\]: needs an integer start .* got start 2.5"),
+    ("weak_windows", (Window(1, 2, 3.0),), r"weak_windows\[0\]: needs .* got start 2, length 3.0"),
+])
+def test_spec_rejects_bad_events(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        _spec2([_walker()], **{field: value})
+
+
+def test_spec_accepts_empty_window():
+    spec = _spec2([_walker()], occlusions=(Window(1, 3, 0),), n_frames=6)
+    _, dets = generate(spec)
+    assert [len(frame) for frame in dets] == [1] * 6
+
+
+def test_spec_rejects_turn_rate_in_2d():
+    obj = ObjectSpec(obj_id=3, class_label=ObjectClass.PEDESTRIAN,
+                     init=(100.0, 200.0, 50.0, 160.0), velocity=(1.0, 0.0), turn_rate=0.3)
+    with pytest.raises(ValidationError, match="object 3: turn_rate applies to 3D"):
+        _spec2([obj])
+    doc = _doc()
+    doc["objects"][0]["turn_rate"] = 0.3
+    with pytest.raises(ConfigError, match="turn_rate applies to 3D"):
+        parse_scenario(doc)
+
+
+def test_parse_scenario_rejects_events_of_unknown_objects():
+    with pytest.raises(ConfigError, match=r"occlusions\[0\]: obj_id 99"):
+        parse_scenario(_doc(occlusions=[[99, 0, 5], [1, 0, -4]]))
+    with pytest.raises(ConfigError, match=r"occlusions\[1\]: needs .* length >= 0, got start 0, length -4"):
+        parse_scenario(_doc(occlusions=[[1, 0, 5], [1, 0, -4]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_frames=st.integers(1, 30),
+    windows=st.lists(
+        st.builds(Window, st.integers(1, 4), st.integers(-40, 40), st.integers(0, 40)),
+        max_size=8,
+    ),
+)
+def test_frame_set_matches_window_covers(n_frames, windows):
+    expected = {
+        (obj_id, t)
+        for obj_id in range(1, 5)
+        for t in range(n_frames)
+        if any(w.covers(obj_id, t) for w in windows)
+    }
+    assert _frame_set(windows, n_frames) == expected
