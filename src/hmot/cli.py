@@ -92,8 +92,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
                     mode,
                     cfg.class_configs,
                     camera_id=fr.camera,
-                    noise_2d=cfg.noise_2d,
-                    noise_3d=cfg.noise_3d,
+                    noise=cfg.noise_2d if mode is Mode.D2 else cfg.noise_3d,
                     id_counter=counter,
                     use_stage3=not args.no_stage3,
                     use_reid=not args.no_reid,

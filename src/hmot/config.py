@@ -58,11 +58,6 @@ _T_S_3D = {
     ObjectClass.CYCLIST: 0.5,
 }
 
-# Value type of every non-float config field; all other fields are floats.
-_FIELD_KINDS = {"a_max": int, "min_hits": int, "gallery_budget": int,
-                "mahalanobis_gating": bool}
-
-
 def default_class_configs(mode: Mode | str = Mode.D2) -> dict[ObjectClass, ClassConfig]:
     """Fully populated per-class defaults for the given mode."""
     mode = Mode(mode)
@@ -115,15 +110,26 @@ def coerce_scalar(value: Any, path: str, kind: type = float) -> Any:
     return number
 
 
+# Annotations are strings under ``from __future__ import annotations``.
+_SCALAR_KINDS = {"int": int, "bool": bool, "float": float, "str": str}
+
+
+def scalar_fields(cls: type) -> dict[str, type]:
+    """Kind (int, bool, float or str) of each field of the dataclass ``cls``
+    annotated as one of those types, by field name, for :func:`coerce_scalar`."""
+    return {f.name: _SCALAR_KINDS[f.type]
+            for f in dataclasses.fields(cls) if f.type in _SCALAR_KINDS}
+
+
 def _merge_dataclass(base: Any, overrides: Mapping[str, Any], path: str) -> Any:
     """``base`` with the fields named in ``overrides`` replaced, each value
     checked by :func:`coerce_scalar`."""
-    names = {f.name for f in dataclasses.fields(base)}
+    kinds = scalar_fields(type(base))
     updates = {}
     for key, value in _require_mapping(overrides, path).items():
-        if key not in names:
+        if key not in kinds:
             raise ConfigError(f"{path}: unknown key {key!r}")
-        updates[key] = coerce_scalar(value, f"{path}.{key}", _FIELD_KINDS.get(key, float))
+        updates[key] = coerce_scalar(value, f"{path}.{key}", kinds[key])
     try:
         return dataclasses.replace(base, **updates)
     except ValueError as exc:

@@ -202,15 +202,12 @@ def evaluate(
 
             matched: dict[int, int] = {}
             used: set[int] = set()
+            hyp_index = {hobj.obj_id: hj for hj, hobj in enumerate(hyps)}
             for gi, gobj in enumerate(gts):
-                want = last_hyp.get((cls, gobj.obj_id))
-                if want is None:
-                    continue
-                for hj, hobj in enumerate(hyps):
-                    if hobj.obj_id == want and hj not in used and dists[gi, hj] <= gate:
-                        matched[gi] = hj
-                        used.add(hj)
-                        break
+                hj = hyp_index.get(last_hyp.get((cls, gobj.obj_id)))
+                if hj is not None and hj not in used and dists[gi, hj] <= gate:
+                    matched[gi] = hj
+                    used.add(hj)
             free_g = [i for i in range(len(gts)) if i not in matched]
             free_h = [j for j in range(len(hyps)) if j not in used]
             if free_g and free_h:

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import coerce_scalar
+from .config import coerce_scalar, scalar_fields
 from .errors import ConfigError, ValidationError
 from .evaluation import FrameObject, GroundTruthFrame
 from .types import Box2D, Box3D, Camera, Detection, Mode, ObjectClass, normalize_heading
@@ -118,9 +118,7 @@ class ScenarioSpec:
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "occlusions", tuple(self.occlusions))
         object.__setattr__(self, "weak_windows", tuple(self.weak_windows))
-        object.__setattr__(
-            self, "reversals", tuple((int(i), int(f)) for i, f in self.reversals)
-        )
+        object.__setattr__(self, "reversals", tuple((i, f) for i, f in self.reversals))
         camera = None if self.camera is None else Camera(self.camera)
         object.__setattr__(self, "camera", camera if self.mode is Mode.D2 else None)
         if self.mode is Mode.D2 and self.camera is None:
@@ -476,13 +474,7 @@ def preset(name: str, seed: int = 0) -> ScenarioSpec:
 # JSON scenario schema
 
 
-# Spec fields annotated as one JSON scalar type (the annotations are strings
-# under ``from __future__ import annotations``).
-_SCALAR_TYPES = {"str": str, "int": int, "float": float}
-_SCALAR_FIELDS = {
-    f.name: _SCALAR_TYPES[f.type]
-    for f in dataclass_fields(ScenarioSpec) if f.type in _SCALAR_TYPES
-}
+_SCALAR_FIELDS = scalar_fields(ScenarioSpec)
 _RANGE_FIELDS = ("tp_score_range", "weak_score_range", "fp_score_range")
 _EVENT_FIELDS = {
     "occlusions": ("obj_id", "start", "length"),

@@ -1,16 +1,15 @@
 """Online tracking engine.
 
-Per frame: predict all tracks, split detections by score into a primary and
-a secondary set, run a three-stage gated association, update matched tracks,
-age out stale ones, and seed new tracks from leftover primary detections.
-
-Stage 1 matches in order of increasing track age (most recently seen tracks
-get first pick) using appearance distance in 2D and kernelized center
-distance in 3D. Stage 2 retries recently lost tracks against the remaining
-primary detections with enlarged-IoU distance (2D). Stage 3 gives all still
-unmatched tracks a chance against the low-score secondary set, which keeps
-weakly detected but already-tracked objects alive without ever seeding new
-tracks from weak detections.
+Per frame, one pass per class: predict its tracks, split its detections by
+score into a primary and a secondary set, run a three-stage gated cascade,
+update matched tracks, age out stale ones, and seed new tracks from leftover
+primary detections. Each stage solves one gated assignment per band of
+tracks over the detections earlier bands left unclaimed. Stage 1 bands
+tracks by age, youngest first, using appearance distance in 2D and
+kernelized center distance in 3D. Stage 2 is one band of recently lost
+tracks on the remaining primary detections with enlarged-IoU distance (2D).
+Stage 3 is one band of all still unmatched tracks on the low-score secondary
+set, which keeps weakly detected objects alive but never seeds a track.
 """
 
 from __future__ import annotations
@@ -147,12 +146,32 @@ def _gated_match(
     return solve_gated_assignment(costs, gate)
 
 
-def _with_unmatched_tracks(
-    matches: list[tuple[int, int]], n_tracks: int, unmatched_dets: list[int]
+def _cascade(
+    tracks: Sequence[Track],
+    dets: Sequence[Detection],
+    bands: Iterable[list[int]],
+    config: ClassConfig,
+    mode: Mode | str,
+    camera: Camera | None,
+    **match_kwargs,
 ) -> AssociationResult:
+    """One :func:`_gated_match` (given ``match_kwargs``) per band of track
+    indices, in order, over the detections earlier bands left unclaimed."""
+    mode = Mode(mode)
+    matches: list[tuple[int, int]] = []
+    remaining = list(range(len(dets)))
+    for band in bands:
+        if not band or not remaining:
+            continue
+        result = _gated_match(
+            [tracks[i] for i in band], [dets[j] for j in remaining], config, mode,
+            camera, **match_kwargs,
+        )
+        matches += [(band[r], remaining[c]) for r, c in result.matches]
+        remaining = [remaining[c] for c in result.unmatched_detections]
     matched = {i for i, _ in matches}
-    unmatched = [i for i in range(n_tracks) if i not in matched]
-    return AssociationResult(matches, unmatched, unmatched_dets)
+    return AssociationResult(matches, [i for i in range(len(tracks)) if i not in matched],
+                             remaining)
 
 
 def stage1_cascade(
@@ -174,21 +193,14 @@ def stage1_cascade(
     appearance (or, without ``use_reid``, IoU) distance in 2D and the
     kernelized center distance in 3D; see :func:`_gated_match`.
     """
-    mode = Mode(mode)
-    matches: list[tuple[int, int]] = []
-    remaining = list(range(len(dets)))
-    ages = {t.age_since_update for t in tracks if 0 <= t.age_since_update <= config.a_max}
-    for age in sorted(ages):
-        if not remaining:
-            break
-        band = [i for i, t in enumerate(tracks) if t.age_since_update == age]
-        result = _gated_match(
-            [tracks[i] for i in band], [dets[j] for j in remaining], config, mode,
-            camera, use_reid=use_reid, model=model,
-        )
-        matches += [(band[r], remaining[c]) for r, c in result.matches]
-        remaining = [remaining[c] for c in result.unmatched_detections]
-    return _with_unmatched_tracks(matches, len(tracks), remaining)
+    by_age: dict[int, list[int]] = {}
+    for i, t in enumerate(tracks):
+        if 0 <= t.age_since_update <= config.a_max:
+            by_age.setdefault(t.age_since_update, []).append(i)
+    return _cascade(
+        tracks, dets, [by_age[age] for age in sorted(by_age)], config, mode, camera,
+        use_reid=use_reid, model=model,
+    )
 
 
 def stage2_relaxed(
@@ -202,12 +214,9 @@ def stage2_relaxed(
     """Second chance for recently lost tracks (age < 3) on leftover primary
     detections; 2D cost is IoU distance with boxes enlarged 2x."""
     eligible = [i for i, t in enumerate(tracks) if t.age_since_update < STAGE2_MAX_AGE]
-    result = _gated_match(
-        [tracks[i] for i in eligible], dets, config, Mode(mode), camera,
-        enlarge=config.enlarge_stage2,
+    return _cascade(
+        tracks, dets, [eligible], config, mode, camera, enlarge=config.enlarge_stage2
     )
-    matches = [(eligible[r], c) for r, c in result.matches]
-    return _with_unmatched_tracks(matches, len(tracks), result.unmatched_detections)
 
 
 def stage3_secondary(
@@ -221,8 +230,9 @@ def stage3_secondary(
     """Match still-unmatched tracks against the weak (secondary) detections;
     2D cost is IoU distance with boxes enlarged 3x. Secondary detections
     that stay unmatched are dropped, never turned into tracks."""
-    return _gated_match(
-        tracks, dets, config, Mode(mode), camera, enlarge=config.enlarge_stage3
+    return _cascade(
+        tracks, dets, [list(range(len(tracks)))], config, mode, camera,
+        enlarge=config.enlarge_stage3,
     )
 
 
@@ -248,6 +258,7 @@ class TrackerInstance:
     in frame order; nothing is buffered, so outputs are causal. Distinct
     instances are fully independent. Pass a shared ``id_counter`` to keep
     track ids unique across the per-camera instances of one sequence.
+    ``noise`` is the filter noise of the mode (``Noise2D`` or ``Noise3D``).
     """
 
     def __init__(
@@ -256,8 +267,7 @@ class TrackerInstance:
         configs: Mapping[ObjectClass, ClassConfig] | None = None,
         camera_id: Camera | str | None = None,
         *,
-        noise_2d: Noise2D | None = None,
-        noise_3d: Noise3D | None = None,
+        noise: Noise2D | Noise3D | None = None,
         id_counter: Iterator[int] | None = None,
         use_stage3: bool = True,
         use_reid: bool = True,
@@ -267,14 +277,18 @@ class TrackerInstance:
             if camera_id is None:
                 raise ConfigError("2D tracking requires a camera_id")
             self.camera_id: Camera | None = Camera(camera_id)
-            self.model: MotionModel = MotionModel2D(noise_2d)
+            model_cls, noise_cls = MotionModel2D, Noise2D
         else:
             if camera_id is not None:
                 raise ConfigError("3D tracking does not take a camera_id")
             self.camera_id = None
-            self.model = MotionModel3D(noise_3d)
+            model_cls, noise_cls = MotionModel3D, Noise3D
+        if noise is not None and not isinstance(noise, noise_cls):
+            raise ConfigError(f"{self.mode.value} tracking needs {noise_cls.__name__} noise, "
+                              f"got {type(noise).__name__}")
+        self.model: MotionModel = model_cls(noise)
         self.configs = dict(configs) if configs is not None else default_class_configs(self.mode)
-        self.tracks: list[Track] = []
+        self._tracks: dict[ObjectClass, list[Track]] = {cls: [] for cls in ObjectClass}
         self.frame_index = 0
         self.use_stage3 = use_stage3
         self.use_reid = use_reid
@@ -283,6 +297,11 @@ class TrackerInstance:
         # arrives, stage 1 falls back to IoU.
         self._embed_dim: int | None = None
         self._fallback_logged = False
+
+    @property
+    def tracks(self) -> list[Track]:
+        """The live tracks, grouped by class in ``ObjectClass`` order."""
+        return [t for cls_tracks in self._tracks.values() for t in cls_tracks]
 
     def _config_for(self, label: ObjectClass) -> ClassConfig:
         try:
@@ -313,25 +332,36 @@ class TrackerInstance:
                     )
         self._embed_dim = embed_dim
 
+    def _advance(self, track: Track, result: FrameResult, fn, *args) -> bool:
+        """Set ``track.state`` to ``fn(track.state, *args, self.model)``; on a
+        numeric failure, list the track as deleted and return False."""
+        try:
+            track.state = fn(track.state, *args, self.model)
+        except NumericFailureError as exc:
+            log.warning("deleting track %d: %s", track.track_id, exc)
+            result.deleted_ids.append(track.track_id)
+            return False
+        return True
+
     def step(self, detections: Iterable[Detection]) -> FrameResult:
         dets = list(detections)
         self._validate(dets)
         result = FrameResult(frame=self.frame_index)
+        # Until the first embedding arrives, 2D stage 1 gates by IoU.
+        use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
+        dets_by_class: dict[ObjectClass, list[Detection]] = {}
+        for det in dets:
+            dets_by_class.setdefault(det.class_label, []).append(det)
 
-        kept: list[Track] = []
-        for track in self.tracks:
-            try:
-                track.state = predict(track.state, self.model)
-                kept.append(track)
-            except NumericFailureError as exc:
-                log.warning("deleting track %d: %s", track.track_id, exc)
-                result.deleted_ids.append(track.track_id)
-        self.tracks = kept
-
-        use_reid_now = True
-        if self.mode is Mode.D2:
-            use_reid_now = self._embed_dim is not None
-            if not use_reid_now and not self._fallback_logged and self.tracks and dets:
+        emit_pairs: list[tuple[Track, Detection]] = []
+        s1 = s2 = s3 = 0
+        for cls, cls_tracks in self._tracks.items():
+            cls_dets = dets_by_class.get(cls, [])
+            if not cls_tracks and not cls_dets:
+                continue
+            cfg = self._config_for(cls)
+            live = [t for t in cls_tracks if self._advance(t, result, predict)]
+            if not use_reid_now and not self._fallback_logged and live and dets:
                 log.log(
                     logging.INFO if not self.use_reid else logging.WARNING,
                     "no appearance embeddings available; stage-1 association "
@@ -339,90 +369,55 @@ class TrackerInstance:
                 )
                 self._fallback_logged = True
 
-        matched_pairs: list[tuple[Track, Detection]] = []
-        unmatched_primary: list[Detection] = []
-        s1 = s2 = s3 = 0
-        for cls in ObjectClass:
-            cls_tracks = [t for t in self.tracks if t.class_label is cls]
-            cls_dets = [d for d in dets if d.class_label is cls]
-            if not cls_tracks and not cls_dets:
-                continue
-            cfg = self._config_for(cls)
+            pairs: list[tuple[Track, Detection]] = []
             prim, sec = split_detections(cls_dets, cfg.t_s)
-
-            r1 = stage1_cascade(
-                cls_tracks, prim, cfg,
-                mode=self.mode, camera=self.camera_id,
-                use_reid=use_reid_now, model=self.model,
-            )
+            r1 = stage1_cascade(live, prim, cfg, mode=self.mode, camera=self.camera_id,
+                                use_reid=use_reid_now, model=self.model)
             s1 += len(r1.matches)
-            rest, prim = _apply(r1, cls_tracks, prim, matched_pairs)
+            rest, prim = _apply(r1, live, prim, pairs)
 
             r2 = stage2_relaxed(rest, prim, cfg, mode=self.mode, camera=self.camera_id)
             s2 += len(r2.matches)
-            rest, prim = _apply(r2, rest, prim, matched_pairs)
-            unmatched_primary += prim
+            rest, prim = _apply(r2, rest, prim, pairs)
 
             if self.use_stage3:
                 r3 = stage3_secondary(rest, sec, cfg, mode=self.mode, camera=self.camera_id)
                 s3 += len(r3.matches)
-                _apply(r3, rest, sec, matched_pairs)
+                rest, _ = _apply(r3, rest, sec, pairs)
 
-        emit_pairs: list[tuple[Track, Detection]] = []
-        matched_ids: set[int] = set()
-        for track, det in matched_pairs:
-            try:
-                track.state = update(track.state, det, self.model)
-            except NumericFailureError as exc:
-                log.warning("deleting track %d: %s", track.track_id, exc)
-                result.deleted_ids.append(track.track_id)
-                self.tracks = [t for t in self.tracks if t is not track]
-                continue
-            cfg = self._config_for(track.class_label)
-            track.age_since_update = 0
-            track.hits += 1
-            track.score = det.score
-            if self.use_reid and det.embedding is not None:
-                track.gallery.append(det.embedding)
-                while len(track.gallery) > cfg.gallery_budget:
-                    track.gallery.popleft()
-            matched_ids.add(track.track_id)
-            emit_pairs.append((track, det))
-
-        kept = []
-        for track in self.tracks:
-            if track.track_id not in matched_ids:
+            failed = {t for t, det in pairs if not self._advance(t, result, update, det)}
+            for track, det in pairs:
+                if track in failed:
+                    continue
+                track.age_since_update = 0
+                track.hits += 1
+                track.score = det.score
+                if self.use_reid and det.embedding is not None:
+                    track.gallery.append(det.embedding)
+                    while len(track.gallery) > cfg.gallery_budget:
+                        track.gallery.popleft()
+                if track.hits >= cfg.min_hits:
+                    emit_pairs.append((track, det))
+            for track in rest:
                 track.age_since_update += 1
-            if track.age_since_update > self._config_for(track.class_label).a_max:
-                result.deleted_ids.append(track.track_id)
-            else:
+                if track.age_since_update > cfg.a_max:
+                    result.deleted_ids.append(track.track_id)
+            kept = [t for t in live if t not in failed and t.age_since_update <= cfg.a_max]
+
+            for det in prim:
+                embeddings = [det.embedding] if self.use_reid and det.embedding is not None else []
+                track = Track(next(self._id_counter), init_track_state(det, self.model), cls,
+                              det.score, gallery=deque(embeddings))
                 kept.append(track)
-        self.tracks = kept
+                result.created_ids.append(track.track_id)
+                if track.hits >= cfg.min_hits:
+                    emit_pairs.append((track, det))
+            self._tracks[cls] = kept
 
-        for det in unmatched_primary:
-            gallery: deque = deque()
-            if self.use_reid and det.embedding is not None:
-                gallery.append(det.embedding)
-            track = Track(
-                track_id=next(self._id_counter),
-                state=init_track_state(det, self.model),
-                class_label=det.class_label,
-                camera_id=self.camera_id,
-                score=det.score,
-                age_since_update=0,
-                hits=1,
-                gallery=gallery,
-            )
-            self.tracks.append(track)
-            result.created_ids.append(track.track_id)
-            emit_pairs.append((track, det))
-
-        for track, det in sorted(emit_pairs, key=lambda pair: pair[0].track_id):
-            if track.hits >= self._config_for(track.class_label).min_hits:
-                result.emitted.append(
-                    EmittedTrack(track.track_id, det.box, track.score, track.class_label)
-                )
-
+        result.emitted = [
+            EmittedTrack(track.track_id, det.box, track.score, track.class_label)
+            for track, det in sorted(emit_pairs, key=lambda pair: pair[0].track_id)
+        ]
         result.stage_matches = (s1, s2, s3)
         self.frame_index += 1
         return result

@@ -284,7 +284,6 @@ class Track:
     track_id: int
     state: State
     class_label: ObjectClass
-    camera_id: Camera | None
     score: float
     age_since_update: int = 0
     hits: int = 1

@@ -543,6 +543,63 @@ def test_simulate_preset_output_is_pinned(tmp_path, name):
     assert digests == _PRESET_SHA256[name]
 
 
+# sha256 of (track CSV, stdout with the output path read as OUT) written by
+# `hmot track` on the output of `hmot simulate --preset NAME --seed 0`, under
+# each flag set. mahalanobis turns on mahalanobis_gating for every class.
+_TRACK_SHA256 = {
+    ("clean-2d", "default"): ("164ee9f6ec4f5f87b20f061eced5058c57764f9618fd94e6bed2cd82da6f1ffc",
+                              "ee14cc87e11d860a2650b0d44678a7867cfd3edcb0aa44208eb65bf22388dfc6"),
+    ("clean-2d", "no-stage3"): ("164ee9f6ec4f5f87b20f061eced5058c57764f9618fd94e6bed2cd82da6f1ffc",
+                                "ee14cc87e11d860a2650b0d44678a7867cfd3edcb0aa44208eb65bf22388dfc6"),
+    ("clean-2d", "no-reid"): ("164ee9f6ec4f5f87b20f061eced5058c57764f9618fd94e6bed2cd82da6f1ffc",
+                              "ee14cc87e11d860a2650b0d44678a7867cfd3edcb0aa44208eb65bf22388dfc6"),
+    ("clean-2d", "mahalanobis"): ("164ee9f6ec4f5f87b20f061eced5058c57764f9618fd94e6bed2cd82da6f1ffc",
+                                  "ee14cc87e11d860a2650b0d44678a7867cfd3edcb0aa44208eb65bf22388dfc6"),
+    ("clean-3d", "default"): ("a0191f941ad3bbec743f9ad686d5f9a863403a6e2a6dcedfe4acef6d9b14dd6a",
+                              "40b203646f9d983b7e3c3d80896838c24c8cf1116008a18c7f545f93a7a86235"),
+    ("clean-3d", "no-stage3"): ("a0191f941ad3bbec743f9ad686d5f9a863403a6e2a6dcedfe4acef6d9b14dd6a",
+                                "40b203646f9d983b7e3c3d80896838c24c8cf1116008a18c7f545f93a7a86235"),
+    ("clean-3d", "no-reid"): ("a0191f941ad3bbec743f9ad686d5f9a863403a6e2a6dcedfe4acef6d9b14dd6a",
+                              "40b203646f9d983b7e3c3d80896838c24c8cf1116008a18c7f545f93a7a86235"),
+    ("clean-3d", "mahalanobis"): ("a0191f941ad3bbec743f9ad686d5f9a863403a6e2a6dcedfe4acef6d9b14dd6a",
+                                  "40b203646f9d983b7e3c3d80896838c24c8cf1116008a18c7f545f93a7a86235"),
+    ("crossing", "default"): ("f571f047af3dacc79950eb82154a6115ab098225863bb66c86c6630b52f1e207",
+                              "ccd027d908f9e96447df57384be44736529772249bfa250c026565bef25e284c"),
+    ("crossing", "no-stage3"): ("f571f047af3dacc79950eb82154a6115ab098225863bb66c86c6630b52f1e207",
+                                "ccd027d908f9e96447df57384be44736529772249bfa250c026565bef25e284c"),
+    ("crossing", "no-reid"): ("90b1acfc426eef3d1890b1dc03b36fbbaf5b849b65faa1fb97ad675882a4bf36",
+                              "ccd027d908f9e96447df57384be44736529772249bfa250c026565bef25e284c"),
+    ("crossing", "mahalanobis"): ("f571f047af3dacc79950eb82154a6115ab098225863bb66c86c6630b52f1e207",
+                                  "ccd027d908f9e96447df57384be44736529772249bfa250c026565bef25e284c"),
+    ("occlusion", "default"): ("24a35ac20ed52703a6fa78d7acad641a3269c8c5ecc8e5755ec9b2cee2b7774d",
+                               "463d29ef2758bc0a47b8d6dd22d714b0e43e564f1a638632569c06f3360bd32d"),
+    ("occlusion", "no-stage3"): ("98ba9a7b1769dc1c67bc8f0fcc6a91c723a1c01c292641c6af522e675406672d",
+                                 "a87295d1232f507d1e3fe91d67f17ebc02e374203814a7507257dc96e60b933a"),
+    ("occlusion", "no-reid"): ("01b7d54e00c9db6b81f96a0eace5bd098a6936d3296e493bed44addb447b6ddc",
+                               "d569ed5418a5a3045b9d43e0d9decdf0f1e495609851cb178bfbff8f252a9f49"),
+    ("occlusion", "mahalanobis"): ("1fdde1cae1f4e8449fddacf95263a9bf053ea9a0a962457ea5612bbc1b2b9412",
+                                   "aa2f8e85cc6fd2247eb8990e1a4153a46a20669e065c1f20c07170acdcb511c8"),
+}
+
+
+@pytest.mark.parametrize("name, flags", sorted(_TRACK_SHA256))
+def test_track_preset_output_is_pinned(tmp_path, capsys, name, flags):
+    dets, out, maha = tmp_path / "dets.ndjson", tmp_path / "tracks.csv", tmp_path / "maha.json"
+    maha.write_text(json.dumps({"classes": {c.value: {"mahalanobis_gating": True}
+                                            for c in ObjectClass}}))
+    assert main(["simulate", "--preset", name, "--seed", "0",
+                 "--out-gt", str(tmp_path / "gt.csv"), "--out-dets", str(dets)]) == 0
+    capsys.readouterr()
+    extra = {"default": [], "no-stage3": ["--no-stage3"], "no-reid": ["--no-reid"],
+             "mahalanobis": ["--config", str(maha)]}[flags]
+    assert main(["track", "--dets", str(dets), "--mode", preset(name).mode.value,
+                 "--out", str(out)] + extra) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "OUT")
+    digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
+               hashlib.sha256(stdout.encode()).hexdigest())
+    assert digests == _TRACK_SHA256[name, flags]
+
+
 def test_simulate_failed_write_leaves_no_partial_output(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(_spec_doc(sequence_id="a\rb")))

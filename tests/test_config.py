@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -10,10 +11,11 @@ from hmot.config import (
     default_class_configs,
     load_config,
     parse_config,
+    scalar_fields,
 )
 from hmot.errors import ConfigError
 from hmot.kalman import Noise2D, Noise3D
-from hmot.types import Mode, ObjectClass
+from hmot.types import ClassConfig, Mode, ObjectClass
 
 PED = ObjectClass.PEDESTRIAN
 VEH = ObjectClass.VEHICLE
@@ -139,6 +141,21 @@ def test_type_enforcement():
         parse_config({"classes": {"vehicle": {"t_s": "high"}}}, mode=Mode.D2)
     with pytest.raises(ConfigError, match="expected an integer"):
         parse_config({"classes": {"vehicle": {"a_max": True}}}, mode=Mode.D2)
+
+
+def test_field_kinds_follow_annotations():
+    @dataclasses.dataclass
+    class Probe:
+        n: int
+        on: bool
+        x: float
+        name: str
+        pair: tuple[int, int]
+
+    assert scalar_fields(Probe) == {"n": int, "on": bool, "x": float, "name": str}
+    for cls in (ClassConfig, Noise2D, Noise3D):
+        kinds = {name: kind.__name__ for name, kind in scalar_fields(cls).items()}
+        assert kinds == {f.name: f.type for f in dataclasses.fields(cls)}
 
 
 def test_out_of_range_value_reported_with_path():

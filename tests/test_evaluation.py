@@ -130,6 +130,20 @@ def test_persistence_beats_nearer_newcomer():
     assert c.matches == 2
 
 
+def test_shared_previous_hypothesis_goes_to_first_gt_object():
+    """Two objects last matched the same hypothesis id; the first in
+    ground-truth order keeps it, even though the second is nearer."""
+    gt = _frames([
+        [_obj3(1, 0.0)],
+        [_obj3(2, 10.0)],
+        [_obj3(2, 9.0), _obj3(1, 10.2)],
+    ])
+    hyp = _frames([[_obj3(7, 0.0)], [_obj3(7, 10.0)], [_obj3(7, 10.0)]])
+    c = evaluate(gt, hyp, mode=Mode.D3).per_class[PED]
+    assert (c.matches, c.miss, c.mismatch) == (3, 1, 0)
+    assert c.dist_sum == pytest.approx(1.0)
+
+
 def test_mota_half_fixture():
     gt, hyp = mota_05_fixture()
     report = evaluate(gt, hyp, mode=Mode.D2)

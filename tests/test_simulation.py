@@ -525,6 +525,7 @@ def test_parse_scenario_object_lists_must_be_lists(key):
     ("weak_windows", (Window(1, 6, -1),), r"weak_windows\[0\]: needs .* length >= 0"),
     ("occlusions", (Window(1, 2.5, 3),), r"occlusions\[0\]: needs an integer start .* got start 2.5"),
     ("weak_windows", (Window(1, 2, 3.0),), r"weak_windows\[0\]: needs .* got start 2, length 3.0"),
+    ("reversals", ((1, 2.7),), r"reversals\[0\]: needs an integer start .* got start 2.7"),
 ])
 def test_spec_rejects_bad_events(field, value, message):
     with pytest.raises(ValidationError, match=message):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import logging
 import math
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmot
 from hmot.config import default_class_configs
 from hmot.errors import ConfigError, ValidationError
-from hmot.kalman import MotionModel2D, MotionModel3D, init_track_state
+from hmot.kalman import MotionModel2D, MotionModel3D, Noise2D, Noise3D, init_track_state
 from hmot.tracker import (
     CHI2_95,
     STAGE2_MAX_AGE,
@@ -62,7 +65,7 @@ def _det3(cx, cy, cz=0.0, h=1.8, w=0.7, l=0.9, theta=0.0, score=0.9,
 def _track2(track_id, det, age=0, gallery=()):
     model = MotionModel2D()
     return Track(track_id=track_id, state=init_track_state(det, model),
-                 class_label=det.class_label, camera_id=det.camera_id,
+                 class_label=det.class_label,
                  score=det.score, age_since_update=age,
                  gallery=deque(gallery))
 
@@ -70,7 +73,7 @@ def _track2(track_id, det, age=0, gallery=()):
 def _track3(track_id, det, age=0):
     model = MotionModel3D()
     return Track(track_id=track_id, state=init_track_state(det, model),
-                 class_label=det.class_label, camera_id=None,
+                 class_label=det.class_label,
                  score=det.score, age_since_update=age,
                  gallery=deque())
 
@@ -303,6 +306,15 @@ def test_instance_forbids_camera_in_3d():
     with pytest.raises(ConfigError):
         TrackerInstance(Mode.D3, camera_id=Camera.FRONT)
     TrackerInstance(Mode.D3)
+
+
+def test_instance_noise_must_match_mode():
+    with pytest.raises(ConfigError, match="2d tracking needs Noise2D noise, got Noise3D"):
+        TrackerInstance(Mode.D2, camera_id=Camera.FRONT, noise=Noise3D())
+    with pytest.raises(ConfigError, match="3d tracking needs Noise3D noise, got Noise2D"):
+        TrackerInstance(Mode.D3, noise=Noise2D())
+    noise = Noise3D(pos_proc_std=2.0)
+    assert TrackerInstance(Mode.D3, noise=noise).model.noise is noise
 
 
 def test_step_rejects_wrong_box_kind():
@@ -579,3 +591,84 @@ def test_frame_index_advances():
     assert inst.step([]).frame == 0
     assert inst.step([]).frame == 1
     assert inst.step([]).frame == 2
+
+
+# ---------------------------------------------------------------------------
+# lifecycle invariants on random frames
+
+
+def _frame_dets(scores):
+    """Detections as (class, grid x, grid y, score, embedding index or None)
+    on a coarse grid, so neighbouring boxes overlap and tracks get matched."""
+    return st.lists(
+        st.tuples(st.sampled_from(list(ObjectClass)), st.integers(0, 8), st.integers(0, 3),
+                  scores, st.sampled_from([None, 0, 1, 2])),
+        max_size=6,
+    )
+
+
+def _grid_det(mode, cls, gx, gy, score, emb):
+    if mode is Mode.D2:
+        return _det2(100 + 12.0 * gx, 100 + 20.0 * gy, score=score, cls=cls,
+                     embedding=None if emb is None else (E1, E2, E_CLOSE)[emb])
+    return _det3(0.4 * gx, 0.4 * gy, score=score, cls=cls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(list(Mode)), a_max=st.integers(1, 3),
+       frames=st.lists(_frame_dets(st.floats(0.2, 1.0)), min_size=1, max_size=8),
+       weak_frame=_frame_dets(st.floats(0.5, 1.0)))
+def test_lifecycle_invariants_on_random_frames(mode, a_max, frames, weak_frame):
+    configs = {cls: dataclasses.replace(cfg, a_max=a_max)
+               for cls, cfg in default_class_configs(mode).items()}
+    inst = TrackerInstance(mode, configs, Camera.FRONT if mode is Mode.D2 else None)
+    for frame in frames:
+        res = inst.step([_grid_det(mode, *d) for d in frame])
+        ids = [t.track_id for t in inst.tracks]
+        assert len(ids) == len(set(ids))
+        assert all(t.age_since_update <= a_max for t in inst.tracks)
+        fresh = {t.track_id for t in inst.tracks if t.age_since_update == 0}
+        assert {em.track_id for em in res.emitted} <= fresh
+
+    # Scores in [t_s/2, t_s] form the secondary set, which never seeds tracks.
+    before = {t.track_id for t in inst.tracks}
+    res = inst.step([_grid_det(mode, cls, gx, gy, configs[cls].t_s * u, emb)
+                     for cls, gx, gy, u, emb in weak_frame])
+    assert res.created_ids == []
+    assert {t.track_id for t in inst.tracks} <= before
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracing layers
+
+
+def _load_instrument():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_instrument", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_sees_every_tracker_layer():
+    """The tracer patches module names that ``step`` must look up at call
+    time; each layer it lists has to be found and called."""
+    instrument = _load_instrument()
+    tracer = instrument.Tracer()
+    tracer.state_every = 1
+    tracer.install(instrument.TRACKER_LAYERS)
+    try:
+        inst2 = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+        inst2.step([_det2(100, 100, embedding=E1), _det2(300, 100, embedding=E1)])
+        # An appearance change leaves the first track to stage 2, a weak
+        # score the second to stage 3.
+        res2 = inst2.step([_det2(102, 101, embedding=E2), _det2(301, 100, score=0.4)])
+        inst3 = TrackerInstance(Mode.D3)
+        inst3.step([_det3(0, 0)])
+        res3 = inst3.step([_det3(0.1, 0)])
+    finally:
+        tracer.uninstall()
+    assert res2.stage_matches == (0, 1, 1)
+    assert res3.stage_matches == (1, 0, 0)
+    assert tracer.missing == []
+    assert {name for _, _, name, _ in instrument.TRACKER_LAYERS} <= set(tracer.names)
