@@ -3,13 +3,15 @@
 Per frame, one pass per class: predict its tracks, split its detections by
 score into a primary and a secondary set, run a three-stage gated cascade,
 update matched tracks, age out stale ones, and seed new tracks from leftover
-primary detections. Each stage solves one gated assignment per band of
-tracks over the detections earlier bands left unclaimed. Stage 1 bands
-tracks by age, youngest first, using appearance distance in 2D and
-kernelized center distance in 3D. Stage 2 is one band of recently lost
-tracks on the remaining primary detections with enlarged-IoU distance (2D).
-Stage 3 is one band of all still unmatched tracks on the low-score secondary
-set, which keeps weakly detected objects alive but never seeds a track.
+primary detections. Predict and update are one batched filter call each,
+over the class's tracks and over its matched pairs. Each stage solves one
+gated assignment per band of tracks over the detections earlier bands left
+unclaimed. Stage 1 bands tracks by age, youngest first, using appearance
+distance in 2D and kernelized center distance in 3D. Stage 2 is one band of
+recently lost tracks on the remaining primary detections with enlarged-IoU
+distance (2D). Stage 3 is one band of all still unmatched tracks on the
+low-score secondary set, which keeps weakly detected objects alive but never
+seeds a track.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from .kalman import (
     Noise2D,
     Noise3D,
     init_track_state,
-    mahalanobis_sq,
-    predict,
-    update,
+    mahalanobis_sq_pairs,
 )
+# One call per class and frame; the names are the ones the tracing layer of
+# the benchmark wraps.
+from .kalman import predict_batch as predict
+from .kalman import update_batch as update
 from .metrics import (
     cosine_gallery_dist_matrix,
     gauss_center_dist_matrix,
@@ -48,6 +52,7 @@ from .types import (
     Detection,
     Mode,
     ObjectClass,
+    State,
     Track,
     box2d_from_state,
 )
@@ -139,10 +144,12 @@ def _gated_match(
             raise ConfigError("2D IoU gating requires a camera")
         gate = config.max_iou_dist_for(camera)
     if config.mahalanobis_gating and model is not None:
-        limit = CHI2_95[model.dim_obs]
-        for i, j in zip(*np.nonzero(np.isfinite(costs))):
-            if mahalanobis_sq(tracks[i].state, dets[j], model) > limit:
-                costs[i, j] = INADMISSIBLE
+        # Only pairs within the cost gate can be matched, so only they are
+        # tested. A track without a positive definite S gates out all pairs.
+        rows, cols = np.nonzero(costs <= gate)
+        d2 = mahalanobis_sq_pairs([t.state for t in tracks], dets, rows, cols, model)
+        far = d2 > CHI2_95[model.dim_obs]
+        costs[rows[far], cols[far]] = INADMISSIBLE
     return solve_gated_assignment(costs, gate)
 
 
@@ -332,16 +339,21 @@ class TrackerInstance:
                     )
         self._embed_dim = embed_dim
 
-    def _advance(self, track: Track, result: FrameResult, fn, *args) -> bool:
-        """Set ``track.state`` to ``fn(track.state, *args, self.model)``; on a
-        numeric failure, list the track as deleted and return False."""
-        try:
-            track.state = fn(track.state, *args, self.model)
-        except NumericFailureError as exc:
-            log.warning("deleting track %d: %s", track.track_id, exc)
-            result.deleted_ids.append(track.track_id)
-            return False
-        return True
+    def _advance(self, tracks: Sequence[Track],
+                 states: Sequence[State | NumericFailureError], result: FrameResult
+                 ) -> set[Track]:
+        """Give each track its entry of ``states``, one batched ``predict`` or
+        ``update``. A track whose entry is a numeric failure is listed as
+        deleted, in order, instead; return those tracks."""
+        failed = set()
+        for track, state in zip(tracks, states):
+            if isinstance(state, NumericFailureError):
+                log.warning("deleting track %d: %s", track.track_id, state)
+                result.deleted_ids.append(track.track_id)
+                failed.add(track)
+            else:
+                track.state = state
+        return failed
 
     def step(self, detections: Iterable[Detection]) -> FrameResult:
         dets = list(detections)
@@ -360,7 +372,9 @@ class TrackerInstance:
             if not cls_tracks and not cls_dets:
                 continue
             cfg = self._config_for(cls)
-            live = [t for t in cls_tracks if self._advance(t, result, predict)]
+            failed = self._advance(cls_tracks, predict([t.state for t in cls_tracks], self.model),
+                                   result)
+            live = [t for t in cls_tracks if t not in failed]
             if not use_reid_now and not self._fallback_logged and live and dets:
                 log.log(
                     logging.INFO if not self.use_reid else logging.WARNING,
@@ -385,7 +399,11 @@ class TrackerInstance:
                 s3 += len(r3.matches)
                 rest, _ = _apply(r3, rest, sec, pairs)
 
-            failed = {t for t, det in pairs if not self._advance(t, result, update, det)}
+            failed = self._advance(
+                [t for t, _ in pairs],
+                update([t.state for t, _ in pairs], [det for _, det in pairs], self.model),
+                result,
+            )
             for track, det in pairs:
                 if track in failed:
                     continue

@@ -231,6 +231,14 @@ class State:
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValidationError("state contains non-finite values")
 
+    @classmethod
+    def trusted(cls, mean: np.ndarray, cov: np.ndarray) -> "State":
+        """A state from float64 arrays the caller has already checked as the
+        constructor would; the checks are not run again."""
+        state = object.__new__(cls)
+        state.mean, state.cov = mean, cov
+        return state
+
     def validate(self) -> None:
         """Check that the covariance is symmetric and positive semi-definite
         and that the box extents are positive."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmot.errors import NumericFailureError
 from hmot.kalman import (
@@ -13,11 +15,14 @@ from hmot.kalman import (
     Noise3D,
     init_track_state,
     mahalanobis_sq,
+    mahalanobis_sq_pairs,
     predict,
+    predict_batch,
     update,
+    update_batch,
     wrap_innovation,
 )
-from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass
+from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass, State
 
 
 def _det2(cx=100.0, cy=200.0, w=30.0, h=60.0, score=0.9):
@@ -375,3 +380,98 @@ def test_non_positive_definite_innovation_raises(model, det):
         update(st, det, model)
     with pytest.raises(NumericFailureError, match="singular innovation covariance"):
         mahalanobis_sq(st, det, model)
+
+
+# ---------------------------------------------------------------------------
+# batched forms against the scalar oracles
+
+
+def _random_state(rng, model):
+    """A finite state with a random positive definite covariance; 3D
+    headings run past [-pi, pi) so the wrap paths are taken."""
+    d = model.dim_state
+    if model.dim_state == 8:
+        mean = np.concatenate([rng.uniform(0, 1900, 2), [rng.uniform(0.2, 3.0)],
+                               [rng.uniform(10, 300)], rng.normal(0, 3, 4)])
+    else:
+        mean = np.concatenate([rng.uniform(-80, 80, 3), rng.uniform(0.5, 5, 3),
+                               [rng.uniform(-4, 4)], rng.normal(0, 1, 3)])
+    a = rng.normal(0, 1, (d, d))
+    return State(mean, a @ a.T / d + 1e-3 * np.eye(d))
+
+
+def _break(rng, state, model):
+    """The same state made to fail: a box extent that predict drives
+    non-positive, a mean that predict overflows, or a covariance that leaves
+    the innovation covariance without a Cholesky factor."""
+    mean, cov = state.mean.copy(), state.cov.copy()
+    kind = rng.integers(3)
+    if kind == 0:
+        if model.dim_state == 8:
+            mean[7] = -2.0 * mean[3]  # h + vh < 0 after predict
+        else:
+            mean[4] = -mean[4]
+    elif kind == 1:
+        mean[0] = mean[model.dim_obs if model.dim_state == 8 else 7] = 1.5e308
+    else:
+        cov = -1e6 * np.eye(model.dim_state)
+    return State(mean, cov)
+
+
+def _assert_same(batched, scalar, *args):
+    """``batched`` is the state ``scalar(*args)`` returns, bit for bit, or
+    the NumericFailureError it raises, with the same message."""
+    try:
+        expected = scalar(*args)
+    except NumericFailureError as exc:
+        assert isinstance(batched, NumericFailureError)
+        assert str(batched) == str(exc)
+        return
+    assert isinstance(batched, State)
+    assert np.array_equal(batched.mean, expected.mean)
+    assert np.array_equal(batched.cov, expected.cov)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       zero_noise=st.booleans())
+def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
+    rng = np.random.default_rng(seed)
+    noise_cls = Noise2D if dim == 2 else Noise3D
+    noise = noise_cls(**{f: 0.0 for f in noise_cls.__dataclass_fields__}) if zero_noise else None
+    model = MotionModel2D(noise) if dim == 2 else MotionModel3D(noise)
+    random_det = _random_det2 if dim == 2 else _random_det3
+    states = [_random_state(rng, model) for _ in range(n)]
+    for i in rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False):
+        states[i] = _break(rng, states[i], model)
+    if zero_noise and n > 1:
+        states[0] = State(states[0].mean, np.zeros_like(states[0].cov))  # S = 0
+
+    predicted = predict_batch(states, model)
+    assert len(predicted) == n
+    for state, out in zip(states, predicted):
+        _assert_same(out, predict, state, model)
+
+    live = [s for s in predicted if isinstance(s, State)] + states
+    dets = [random_det(rng) for _ in live]
+    updated = update_batch(live, dets, model)
+    assert len(updated) == len(live)
+    for state, det, out in zip(live, dets, updated):
+        _assert_same(out, update, state, det, model)
+
+    rows, cols = np.nonzero(rng.random((len(live), len(dets))) < 0.2)
+    for r, c, d2 in zip(rows, cols, mahalanobis_sq_pairs(live, dets, rows, cols, model)):
+        try:
+            expected = mahalanobis_sq(live[r], dets[c], model)
+        except NumericFailureError:
+            expected = math.inf
+        assert np.array_equal(d2, expected, equal_nan=True)
+
+
+def test_batched_filter_of_no_states():
+    model = MotionModel3D()
+    assert predict_batch([], model) == []
+    assert update_batch([], [], model) == []
+    assert mahalanobis_sq_pairs([], [], np.empty(0, int), np.empty(0, int), model).size == 0

@@ -34,9 +34,11 @@ from hmot.types import (
     Box2D,
     Box3D,
     Camera,
+    EXTENTS,
     Detection,
     Mode,
     ObjectClass,
+    State,
     Track,
 )
 
@@ -594,6 +596,49 @@ def test_frame_index_advances():
 
 
 # ---------------------------------------------------------------------------
+# numeric failures inside the batched filter
+
+
+def test_filter_failures_keep_deletion_order(caplog):
+    """Per class, predict failures come first in track order, then update
+    failures in pair order, then age-outs; the batched filter must keep the
+    scalar filter's order and messages."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, use_reid=False)
+    xs = (100, 300, 500, 700)
+    inst.step([_det2(x, 100) for x in xs])
+    aged, collapsing, singular, healthy = inst.tracks
+    aged.age_since_update = inst.configs[ObjectClass.PEDESTRIAN].a_max
+    collapsing.state.mean[7] = -2.0 * collapsing.state.mean[3]  # h <= 0 after predict
+    singular.state.cov[...] = -1e6 * np.eye(8)  # no Cholesky factor of S
+    with caplog.at_level(logging.WARNING, logger="hmot.tracker"):
+        res = inst.step([_det2(x, 100) for x in xs[1:]])
+    assert res.deleted_ids == [2, 3, 1]
+    assert [r.getMessage() for r in caplog.records] == [
+        "deleting track 2: predict produced non-positive box extents",
+        "deleting track 3: singular innovation covariance: Matrix is not positive definite",
+    ]
+    assert [t.track_id for t in inst.tracks] == [4, 5]  # 5 is born at x = 300
+    assert healthy.age_since_update == 0
+
+
+def test_mahalanobis_gate_skips_track_without_positive_definite_s(caplog):
+    """With zero noise, a new track's innovation covariance is zero. The
+    gate makes its pairs inadmissible instead of raising; stage 2 then
+    matches it, and the update deletes it as it does without the gate."""
+    configs = {cls: dataclasses.replace(cfg, mahalanobis_gating=True)
+               for cls, cfg in default_class_configs(Mode.D3).items()}
+    zero = Noise3D(**{f: 0.0 for f in Noise3D.__dataclass_fields__})
+    inst = TrackerInstance(Mode.D3, configs, noise=zero)
+    inst.step([_det3(0, 0)])
+    with caplog.at_level(logging.WARNING, logger="hmot.tracker"):
+        res = inst.step([_det3(0.1, 0)])
+    assert res.stage_matches == (0, 1, 0)
+    assert res.deleted_ids == [1]
+    assert "singular innovation covariance" in caplog.text
+    assert inst.tracks == []
+
+
+# ---------------------------------------------------------------------------
 # lifecycle invariants on random frames
 
 
@@ -629,6 +674,13 @@ def test_lifecycle_invariants_on_random_frames(mode, a_max, frames, weak_frame):
         assert all(t.age_since_update <= a_max for t in inst.tracks)
         fresh = {t.track_id for t in inst.tracks if t.age_since_update == 0}
         assert {em.track_id for em in res.emitted} <= fresh
+        for t in inst.tracks:
+            # The batched filter builds states without the constructor's
+            # checks; they must still hold, with the filter's own.
+            State(t.state.mean, t.state.cov)
+            assert t.state.mean.dtype == t.state.cov.dtype == np.float64
+            assert np.array_equal(t.state.cov, t.state.cov.T)
+            assert (t.state.mean[EXTENTS[len(t.state.mean)]] > 0).all()
 
     # Scores in [t_s/2, t_s] form the secondary set, which never seeds tracks.
     before = {t.track_id for t in inst.tracks}
