@@ -6,12 +6,12 @@ across near and far objects. 3D noise is a fixed diagonal in metric units.
 The emitted box of an updated track is the raw observation; the filtered
 mean only drives prediction and association.
 
-``predict``, ``update`` and ``mahalanobis_sq`` are the scalar API: one
-state at a time. The tracker filters all tracks of a class in one call of
-``predict_batch`` and one of ``update_batch`` per frame, and gates pairs
-with ``mahalanobis_sq_pairs``. Each batched function returns, bit for bit,
-what its scalar counterpart returns for every row, and a row the scalar
-function fails on fails with the same ``NumericFailureError``.
+The filter is ``predict_batch``, ``update_batch`` and
+``mahalanobis_sq_pairs``: each runs one stacked computation over many
+states, and gives each row its own result or its own
+``NumericFailureError``. The tracker makes one call of each per class per
+frame. ``predict``, ``update`` and ``mahalanobis_sq`` are the scalar API:
+one row of the batched functions, raising that row's failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,27 +33,44 @@ from .types import (
     IX_THETA_3D,
     Detection,
     State,
-    normalize_heading,
     observation_2d,
     observation_3d,
 )
 
 
-def wrap_innovation(delta: float) -> float:
-    """Wrap an angle difference into (-pi, pi]."""
-    wrapped = normalize_heading(delta)
-    if wrapped == -math.pi:
-        wrapped = math.pi
+def wrap_headings(theta: np.ndarray) -> np.ndarray:
+    """:func:`~hmot.types.normalize_heading` of each entry, bit for bit: a
+    new array with every angle wrapped into [-pi, pi). Entries already in
+    range are kept as they are."""
+    if not np.isfinite(theta).all():
+        raise ValidationError(
+            f"heading must be finite, got {float(theta[~np.isfinite(theta)][0])!r}")
+    wrapped = np.remainder(theta + math.pi, 2.0 * math.pi) - math.pi
+    # The remainder lies in [0, 2*pi], so only pi itself is out of range.
+    wrapped = np.where(wrapped >= math.pi, wrapped - 2.0 * math.pi, wrapped)
+    return np.where((theta >= -math.pi) & (theta < math.pi), theta, wrapped)
+
+
+def wrap_innovations(delta: np.ndarray) -> np.ndarray:
+    """Each angle difference wrapped into (-pi, pi]."""
+    wrapped = wrap_headings(delta)
+    wrapped[wrapped == -math.pi] = math.pi
     return wrapped
 
 
+def wrap_innovation(delta: float) -> float:
+    """Wrap an angle difference into (-pi, pi]."""
+    return float(wrap_innovations(np.array([delta], dtype=np.float64))[0])
+
+
 def _require_non_negative(noise) -> None:
-    """Reject a negative noise parameter: the filters square stds, so a sign
-    error would otherwise pass unnoticed."""
+    """Reject a negative or non-finite noise parameter: the filters square
+    stds, so a sign error would otherwise pass unnoticed, and an infinite one
+    fails every track's filter step."""
     for f in dataclasses.fields(noise):
         value = getattr(noise, f.name)
-        if not value >= 0:
-            raise ValidationError(f"{f.name} must be >= 0, got {value}")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"{f.name} must be >= 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -204,84 +221,6 @@ def init_track_state(det: Detection, model: MotionModel) -> State:
     return model.initial_state(model.observation(det))
 
 
-def _filter_result(mean: np.ndarray, cov: np.ndarray, model: MotionModel, what: str) -> State:
-    """The state a filter step ends in: covariance symmetrised, heading
-    wrapped. A non-finite entry or a non-positive box extent is a numeric
-    failure."""
-    try:
-        state = State(mean, 0.5 * (cov + cov.T))
-    except ValidationError as exc:
-        raise NumericFailureError(f"{what} produced non-finite values") from exc
-    mean = state.mean
-    if model.heading_index is not None:
-        mean[model.heading_index] = normalize_heading(mean[model.heading_index])
-    if not (mean[EXTENTS[model.dim_state]] > 0).all():
-        raise NumericFailureError(f"{what} produced non-positive box extents")
-    return state
-
-
-def predict(state: State, model: MotionModel) -> State:
-    """One constant-velocity step: mean' = F mean, cov' = F cov F^T + Q."""
-    mean = model.F @ state.mean
-    cov = model.F @ state.cov @ model.F.T + model.process_noise(state.mean)
-    return _filter_result(mean, cov, model, "predict")
-
-
-def _resolve_heading(delta: float) -> float:
-    """A heading innovation wrapped into (-pi, pi]. If it still exceeds pi/2
-    in magnitude the detector likely reported the box flipped by pi, so the
-    innovation is shifted by pi (and re-wrapped) before use."""
-    delta = wrap_innovation(delta)
-    if abs(delta) > math.pi / 2.0:
-        delta = wrap_innovation(delta + math.pi)
-    return delta
-
-
-def _innovation(state: State, obs: np.ndarray, model: MotionModel) -> np.ndarray:
-    """Observation-space innovation, heading ambiguity resolved."""
-    y = obs - model.H @ state.mean
-    hi = model.heading_index
-    if hi is not None:
-        y[hi] = _resolve_heading(y[hi])
-    return y
-
-
-def _innovation_cov(state: State, model: MotionModel) -> np.ndarray:
-    return model.H @ state.cov @ model.H.T + model.measurement_noise(state.mean)
-
-
-def update(state: State, det: Detection, model: MotionModel) -> State:
-    """Standard Kalman measurement update with the detection's observation."""
-    obs = model.observation(det)
-    y = _innovation(state, obs, model)
-    S = _innovation_cov(state, model)
-    try:
-        np.linalg.cholesky(S)  # raises unless S is positive definite
-        gain = np.linalg.solve(S, model.H @ state.cov).T  # cov is symmetric
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
-    mean = state.mean + gain @ y
-    cov = state.cov - gain @ S @ gain.T
-    return _filter_result(mean, cov, model, "update")
-
-
-def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
-    """Squared Mahalanobis distance of the observation under the innovation
-    covariance: y^T S^-1 y over the observed components."""
-    y = _innovation(state, model.observation(det), model)
-    S = _innovation_cov(state, model)
-    try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
-    z = np.linalg.solve(chol, y)
-    return float(z @ z)
-
-
-# ---------------------------------------------------------------------------
-# Batched forms: one stacked computation over many states
-
-
 def _stack(states: Sequence[State]) -> tuple[np.ndarray, np.ndarray]:
     """Means (N, d) and covariances (N, d, d) of ``states``."""
     return np.array([s.mean for s in states]), np.array([s.cov for s in states])
@@ -294,68 +233,91 @@ def _add_diagonal(mats: np.ndarray, var: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _or_failure(fn: Callable, *args) -> State | NumericFailureError:
-    try:
-        return fn(*args)
-    except NumericFailureError as exc:
-        return exc
-
-
 def _filter_results(
-    means: np.ndarray, covs: np.ndarray, model: MotionModel, scalar: Callable[[int], State]
+    means: np.ndarray, covs: np.ndarray, model: MotionModel, what: str,
+    singular: dict[int, NumericFailureError],
 ) -> list[State | NumericFailureError]:
-    """:func:`_filter_result` for each row of stacked means and covariances.
-
-    The checks run on the whole stack. A row that fails one is re-run through
-    ``scalar(row)``, so it fails with the scalar function's own error. The
-    other rows become states without a second check.
-    """
+    """The states a filter step ends in, one per row of stacked means and
+    covariances: covariance symmetrised, heading wrapped. A row in
+    ``singular``, with a non-finite entry or with a non-positive box extent
+    is that numeric failure instead, checked in this order."""
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    ok = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     hi = model.heading_index
     if hi is not None:
         theta = means[:, hi]
-        for i in np.flatnonzero(ok & ~((theta >= -math.pi) & (theta < math.pi))):
-            theta[i] = normalize_heading(theta[i])
-    ok &= (means[:, EXTENTS[model.dim_state]] > 0).all(axis=1)
-    return [State.trusted(mean, cov) if good else _or_failure(scalar, i)
-            for i, (mean, cov, good) in enumerate(zip(means, covs, ok.tolist()))]
+        outside = finite & ~((theta >= -math.pi) & (theta < math.pi))
+        if outside.any():
+            theta[outside] = wrap_headings(theta[outside])
+    ok = finite & (means[:, EXTENTS[model.dim_state]] > 0).all(axis=1)
+    if not singular and ok.all():
+        return [State.trusted(mean, cov) for mean, cov in zip(means, covs)]
+    return [
+        singular[i] if i in singular
+        else State.trusted(mean, cov) if good
+        else NumericFailureError(f"{what} produced non-positive box extents") if fin
+        else NumericFailureError(f"{what} produced non-finite values")
+        for i, (mean, cov, good, fin) in enumerate(zip(means, covs, ok.tolist(), finite.tolist()))
+    ]
 
 
 def _innovations(means: np.ndarray, obs: np.ndarray, model: MotionModel) -> np.ndarray:
-    """:func:`_innovation` for each row of stacked means (N, d) and
-    observations (N, k). Only headings beyond pi/2 in magnitude, where
-    :func:`_resolve_heading` can change them, take the scalar path."""
+    """Innovations of stacked means (N, d) and observations (N, k). A heading
+    innovation beyond pi/2 is wrapped into (-pi, pi]; if it still exceeds
+    pi/2 in magnitude the detector likely reported the box flipped by pi, so
+    it is shifted by pi and wrapped again."""
     y = obs - means @ model.H.T
     hi = model.heading_index
     if hi is not None:
         delta = y[:, hi]
-        for i in np.flatnonzero(~(np.abs(delta) <= math.pi / 2.0)):
-            delta[i] = _resolve_heading(delta[i])
+        far = ~(np.abs(delta) <= math.pi / 2.0)
+        if far.any():
+            wrapped = wrap_innovations(delta[far])
+            flipped = np.abs(wrapped) > math.pi / 2.0
+            if flipped.any():
+                wrapped[flipped] = wrap_innovations(wrapped[flipped] + math.pi)
+            delta[far] = wrapped
     return y
+
+
+def _singular_rows(S: np.ndarray, B: np.ndarray | None = None) -> dict[int, NumericFailureError]:
+    """Each row whose S has no Cholesky factor (or cannot solve its B), with
+    its failure. Its S becomes the identity and its B zero, so the batch
+    can finish; the caller discards those rows."""
+    singular = {}
+    for i in range(len(S)):
+        try:
+            np.linalg.cholesky(S[i])
+            if B is not None:
+                np.linalg.solve(S[i], B[i])
+        except np.linalg.LinAlgError as exc:
+            singular[i] = NumericFailureError(f"singular innovation covariance: {exc}")
+            S[i] = np.eye(S.shape[-1])
+            if B is not None:
+                B[i] = 0.0
+    return singular
 
 
 def predict_batch(
     states: Sequence[State], model: MotionModel
 ) -> list[State | NumericFailureError]:
-    """:func:`predict` of every state in one stacked computation. Each entry
-    equals what ``predict`` returns for its state, bit for bit, or is the
-    ``NumericFailureError`` it raises."""
+    """One constant-velocity step of every state, mean' = F mean and
+    cov' = F cov F^T + Q. Each entry is the predicted state or the
+    ``NumericFailureError`` of its row."""
     if not states:
         return []
     means, covs = _stack(states)
     F = model.F
     covs = _add_diagonal(F @ covs @ F.T, model.process_var(means))
-    return _filter_results(means @ F.T, covs, model, lambda i: predict(states[i], model))
+    return _filter_results(means @ F.T, covs, model, "predict", {})
 
 
 def update_batch(
     states: Sequence[State], dets: Sequence[Detection], model: MotionModel
 ) -> list[State | NumericFailureError]:
-    """:func:`update` of each state with its detection in one stacked
-    computation, with the same result per pair as ``update``. If any
-    innovation covariance is not positive definite, every pair goes through
-    ``update`` on its own."""
+    """The standard Kalman measurement update of each state with the
+    observation of its detection. Each entry is the updated state or the
+    ``NumericFailureError`` of its pair."""
     if not states:
         return []
     means, covs = _stack(states)
@@ -363,43 +325,79 @@ def update_batch(
     H = model.H
     HP = H @ covs
     S = _add_diagonal(HP @ H.T, model.measurement_var(means))
+    singular = {}
     try:
         np.linalg.cholesky(S)  # raises unless every S is positive definite
-        gain = np.swapaxes(np.linalg.solve(S, HP), 1, 2)  # each cov is symmetric
+        gain = np.linalg.solve(S, HP)
     except np.linalg.LinAlgError:
-        return [_or_failure(update, s, d, model) for s, d in zip(states, dets)]
+        singular = _singular_rows(S, HP)
+        gain = np.linalg.solve(S, HP)
+    gain = np.swapaxes(gain, 1, 2)  # each cov is symmetric
     means = means + (gain @ y[..., None])[..., 0]
     covs = covs - gain @ S @ np.swapaxes(gain, 1, 2)
-    return _filter_results(means, covs, model, lambda i: update(states[i], dets[i], model))
+    return _filter_results(means, covs, model, "update", singular)
 
 
-def _mahalanobis_or_inf(state: State, det: Detection, model: MotionModel) -> float:
+def _mahalanobis_pairs(
+    states: Sequence[State], dets: Sequence[Detection],
+    rows: np.ndarray, cols: np.ndarray, model: MotionModel,
+) -> tuple[np.ndarray, dict[int, NumericFailureError]]:
+    """:func:`mahalanobis_sq_pairs` and the failure of each state, by its
+    place among the distinct ``rows``, whose S has no Cholesky factor."""
+    used, row_of_pair = np.unique(rows, return_inverse=True)
+    means, covs = _stack([states[i] for i in used])
+    H = model.H
+    S = _add_diagonal(H @ covs @ H.T, model.measurement_var(means))
+    singular = {}
     try:
-        return mahalanobis_sq(state, det, model)
-    except NumericFailureError:
-        return math.inf
+        chol = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        singular = _singular_rows(S)
+        chol = np.linalg.cholesky(S)
+    obs = np.array([model.observation(d) for d in dets])
+    y = _innovations(means[row_of_pair], obs[cols], model)
+    z = np.linalg.solve(chol[row_of_pair], y[..., None])
+    d2 = (np.swapaxes(z, 1, 2) @ z)[:, 0, 0]
+    if singular:
+        d2[np.isin(row_of_pair, list(singular))] = math.inf
+    return d2, singular
 
 
 def mahalanobis_sq_pairs(
     states: Sequence[State], dets: Sequence[Detection],
     rows: np.ndarray, cols: np.ndarray, model: MotionModel,
 ) -> np.ndarray:
-    """``mahalanobis_sq(states[r], dets[c], model)`` for each pair of
-    ``rows`` and ``cols``, with the innovation covariance S of each state
-    factored once. Where ``mahalanobis_sq`` raises because S is not positive
-    definite, the pair gets inf."""
+    """Squared Mahalanobis distance y^T S^-1 y of ``dets[c]`` from
+    ``states[r]`` for each pair of ``rows`` and ``cols``, with the innovation
+    covariance S of each state factored once. A pair whose S is not positive
+    definite gets inf."""
     if not len(rows):
         return np.empty(0)
-    used, row_of_pair = np.unique(rows, return_inverse=True)
-    means, covs = _stack([states[i] for i in used])
-    H = model.H
-    S = _add_diagonal(H @ covs @ H.T, model.measurement_var(means))
-    try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return np.array([_mahalanobis_or_inf(states[r], dets[c], model)
-                         for r, c in zip(rows.tolist(), cols.tolist())])
-    obs = np.array([model.observation(d) for d in dets])
-    y = _innovations(means[row_of_pair], obs[cols], model)
-    z = np.linalg.solve(chol[row_of_pair], y[..., None])
-    return (np.swapaxes(z, 1, 2) @ z)[:, 0, 0]
+    return _mahalanobis_pairs(states, dets, rows, cols, model)[0]
+
+
+def _one(results: list[State | NumericFailureError]) -> State:
+    (result,) = results
+    if isinstance(result, NumericFailureError):
+        raise result
+    return result
+
+
+def predict(state: State, model: MotionModel) -> State:
+    """:func:`predict_batch` of one state; raises its failure."""
+    return _one(predict_batch([state], model))
+
+
+def update(state: State, det: Detection, model: MotionModel) -> State:
+    """:func:`update_batch` of one pair; raises its failure."""
+    return _one(update_batch([state], [det], model))
+
+
+def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
+    """:func:`mahalanobis_sq_pairs` of one pair; raises the failure of an S
+    that is not positive definite, where the pairs function gives inf."""
+    zero = np.zeros(1, dtype=np.intp)
+    d2, singular = _mahalanobis_pairs([state], [det], zero, zero, model)
+    if singular:
+        raise singular[0]
+    return float(d2[0])

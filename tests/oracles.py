@@ -2,14 +2,21 @@
 
 Each routine here recomputes a quantity by a method unrelated to the
 library's own algorithm (rasterization, Monte-Carlo sampling, exhaustive
-permutation search) so agreement is meaningful.
+permutation search) so agreement is meaningful. The Kalman step at the end
+is the filter written one state at a time with scalar heading wraps; the
+library's stacked filter must equal it bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from hmot.errors import NumericFailureError, ValidationError
+from hmot.kalman import MotionModel
+from hmot.types import EXTENTS, State, normalize_heading
 
 
 def raster_iou_2d(a, b) -> float:
@@ -87,3 +94,89 @@ def min_cost_matching_exhaustive(costs: np.ndarray, gate: float):
     best_cardinality = int(adm_counts.max())
     candidates = totals[adm_counts == best_cardinality]
     return float(candidates.min()), best_cardinality
+
+
+# ---------------------------------------------------------------------------
+# The Kalman filter step, one state at a time
+
+
+def wrap_innovation(delta: float) -> float:
+    """Wrap an angle difference into (-pi, pi]."""
+    wrapped = normalize_heading(delta)
+    if wrapped == -math.pi:
+        wrapped = math.pi
+    return wrapped
+
+
+def _filter_result(mean: np.ndarray, cov: np.ndarray, model: MotionModel, what: str) -> State:
+    """The state a filter step ends in: covariance symmetrised, heading
+    wrapped. A non-finite entry or a non-positive box extent is a numeric
+    failure."""
+    try:
+        state = State(mean, 0.5 * (cov + cov.T))
+    except ValidationError as exc:
+        raise NumericFailureError(f"{what} produced non-finite values") from exc
+    mean = state.mean
+    if model.heading_index is not None:
+        mean[model.heading_index] = normalize_heading(mean[model.heading_index])
+    if not (mean[EXTENTS[model.dim_state]] > 0).all():
+        raise NumericFailureError(f"{what} produced non-positive box extents")
+    return state
+
+
+def predict(state: State, model: MotionModel) -> State:
+    """One constant-velocity step: mean' = F mean, cov' = F cov F^T + Q."""
+    mean = model.F @ state.mean
+    cov = model.F @ state.cov @ model.F.T + model.process_noise(state.mean)
+    return _filter_result(mean, cov, model, "predict")
+
+
+def _resolve_heading(delta: float) -> float:
+    """A heading innovation wrapped into (-pi, pi]. If it still exceeds pi/2
+    in magnitude the detector likely reported the box flipped by pi, so the
+    innovation is shifted by pi (and re-wrapped) before use."""
+    delta = wrap_innovation(delta)
+    if abs(delta) > math.pi / 2.0:
+        delta = wrap_innovation(delta + math.pi)
+    return delta
+
+
+def _innovation(state: State, obs: np.ndarray, model: MotionModel) -> np.ndarray:
+    """Observation-space innovation, heading ambiguity resolved."""
+    y = obs - model.H @ state.mean
+    hi = model.heading_index
+    if hi is not None:
+        y[hi] = _resolve_heading(y[hi])
+    return y
+
+
+def _innovation_cov(state: State, model: MotionModel) -> np.ndarray:
+    return model.H @ state.cov @ model.H.T + model.measurement_noise(state.mean)
+
+
+def update(state: State, det: Detection, model: MotionModel) -> State:
+    """Standard Kalman measurement update with the detection's observation."""
+    obs = model.observation(det)
+    y = _innovation(state, obs, model)
+    S = _innovation_cov(state, model)
+    try:
+        np.linalg.cholesky(S)  # raises unless S is positive definite
+        gain = np.linalg.solve(S, model.H @ state.cov).T  # cov is symmetric
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
+    mean = state.mean + gain @ y
+    cov = state.cov - gain @ S @ gain.T
+    return _filter_result(mean, cov, model, "update")
+
+
+def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
+    """Squared Mahalanobis distance of the observation under the innovation
+    covariance: y^T S^-1 y over the observed components."""
+    y = _innovation(state, model.observation(det), model)
+    S = _innovation_cov(state, model)
+    try:
+        chol = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
+    z = np.linalg.solve(chol, y)
+    return float(z @ z)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmot.errors import DataFormatError, ValidationError
 from hmot.evaluation import (
@@ -169,6 +171,64 @@ def test_id_bijection_invariance():
         ]
         c = evaluate(gt, renamed, mode=Mode.D2).per_class[PED]
         assert c == base
+
+
+def _random_sequences(rng, mode):
+    """Ground truth of a few objects per class moving over a few frames,
+    and hypotheses that follow them with jitter, drop out, swap ids and add
+    clutter, so every kind of event occurs."""
+    classes = list(ObjectClass)
+    n_frames = int(rng.integers(1, 12))
+    gt_ids = list(range(1, int(rng.integers(1, 7)) + 1))
+    cls_of = {g: classes[int(rng.integers(len(classes)))] for g in gt_ids}
+    start = {g: rng.uniform(0, 60, 2) for g in gt_ids}
+    step = {g: rng.normal(0, 1.5, 2) for g in gt_ids}
+    hyp_of = {g: 100 + g for g in gt_ids}
+    next_id = 200
+    gt, hyp = [], []
+
+    def obj(oid, xy, cls):
+        x, y = (float(v) for v in xy)
+        if mode is Mode.D2:
+            return FrameObject(oid, Box2D(x, y, 10.0, 10.0), cls)
+        return FrameObject(oid, Box3D(x, y, 0.0, 1.8, 0.7, 0.9, 0.0), cls)
+
+    for t in range(n_frames):
+        gts, hyps = [], []
+        for g in gt_ids:
+            if rng.random() < 0.1:
+                continue
+            xy = start[g] + t * step[g]
+            gts.append(obj(g, xy, cls_of[g]))
+            if rng.random() < 0.15:
+                continue
+            if rng.random() < 0.1:
+                hyp_of[g], next_id = next_id, next_id + 1
+            hyps.append(obj(hyp_of[g], xy + rng.normal(0, 1.5, 2), cls_of[g]))
+        for _ in range(int(rng.integers(0, 3))):
+            hyps.append(obj(next_id, rng.uniform(0, 60, 2), classes[int(rng.integers(3))]))
+            next_id += 1
+        order = rng.permutation(len(hyps))
+        gt.append(GroundTruthFrame(t, tuple(gts)))
+        hyp.append(GroundTruthFrame(t, tuple(hyps[i] for i in order)))
+    return gt, hyp
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from([Mode.D2, Mode.D3]), seed=st.integers(0, 2**32 - 1))
+def test_totals_invariant_under_hypothesis_relabelling(mode, seed):
+    """Renaming hypothesis ids by any bijection leaves every class's totals
+    unchanged: only id equality may matter to the event accounting."""
+    rng = np.random.default_rng(seed)
+    gt, hyp = _random_sequences(rng, mode)
+    ids = sorted({o.obj_id for fr in hyp for o in fr.objects})
+    new_ids = rng.choice(10 * len(ids) + 10, size=len(ids), replace=False)
+    relabel = {old: int(new) for old, new in zip(ids, new_ids)}
+    renamed = [GroundTruthFrame(fr.frame, tuple(
+        FrameObject(relabel[o.obj_id], o.box, o.class_label) for o in fr.objects))
+        for fr in hyp]
+    base = evaluate(gt, hyp, mode=mode)
+    assert evaluate(gt, renamed, mode=mode).per_class == base.per_class
 
 
 def test_gate_2d_iou_threshold():

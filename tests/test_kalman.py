@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmot.errors import NumericFailureError
+import oracles
+from hmot.errors import NumericFailureError, ValidationError
 from hmot.kalman import (
     MotionModel2D,
     MotionModel3D,
@@ -20,9 +21,11 @@ from hmot.kalman import (
     predict_batch,
     update,
     update_batch,
+    wrap_headings,
     wrap_innovation,
+    wrap_innovations,
 )
-from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass, State
+from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass, State, normalize_heading
 
 
 def _det2(cx=100.0, cy=200.0, w=30.0, h=60.0, score=0.9):
@@ -64,6 +67,37 @@ def test_wrap_innovation_range():
         assert math.cos(w) == pytest.approx(math.cos(d), abs=1e-9)
 
 
+_SEAM = math.nextafter(math.pi, 0.0)
+_EDGE_ANGLES = [math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0),
+                _SEAM, -_SEAM, 1e300, -1e300, -0.0, 0.0, 5e-324, -5e-324]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_ANGLES),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-20.0, 20.0)), min_size=1, max_size=40))
+def test_array_wraps_equal_scalar_wraps_bit_for_bit(angles):
+    theta = np.array(angles)
+    assert np.array_equal(_bits(wrap_headings(theta)),
+                          _bits([normalize_heading(a) for a in angles]))
+    assert np.array_equal(_bits(wrap_innovations(theta)),
+                          _bits([oracles.wrap_innovation(a) for a in angles]))
+    assert np.array_equal(_bits([wrap_innovation(a) for a in angles]),
+                          _bits([oracles.wrap_innovation(a) for a in angles]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_wraps_reject_non_finite_angles(value):
+    with pytest.raises(ValidationError, match="heading must be finite"):
+        wrap_innovation(value)
+    with pytest.raises(ValidationError, match="heading must be finite"):
+        wrap_headings(np.array([0.5, value]))
+
+
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -103,6 +137,13 @@ def test_init_3d_velocity_variance_ratio():
     assert st.cov[0, 0] == pytest.approx(noise.pos_meas_std ** 2)
     assert st.cov[7, 7] == pytest.approx(
         noise.init_vel_var_ratio * noise.pos_meas_std ** 2)
+
+
+@pytest.mark.parametrize("noise_cls, field", [(Noise2D, "w_p"), (Noise3D, "pos_proc_std")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1.0])
+def test_noise_rejects_non_finite_or_negative(noise_cls, field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be >= 0 and finite"):
+        noise_cls(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +364,8 @@ def _scipy_update(state, det, model):
     """The measurement update through scipy's Cholesky factor and solve."""
     import scipy.linalg
 
-    from hmot.kalman import _innovation, _innovation_cov
-    from hmot.types import normalize_heading
-
-    y = _innovation(state, model.observation(det), model)
-    S = _innovation_cov(state, model)
+    y = oracles._innovation(state, model.observation(det), model)
+    S = oracles._innovation_cov(state, model)
     chol = scipy.linalg.cho_factor(S, lower=True)
     gain = scipy.linalg.cho_solve(chol, (state.cov @ model.H.T).T).T
     mean = state.mean + gain @ y
@@ -340,10 +378,8 @@ def _scipy_update(state, det, model):
 def _scipy_mahalanobis_sq(state, det, model):
     import scipy.linalg
 
-    from hmot.kalman import _innovation, _innovation_cov
-
-    y = _innovation(state, model.observation(det), model)
-    chol = np.linalg.cholesky(_innovation_cov(state, model))
+    y = oracles._innovation(state, model.observation(det), model)
+    chol = np.linalg.cholesky(oracles._innovation_cov(state, model))
     z = scipy.linalg.solve_triangular(chol, y, lower=True)
     return float(z @ z)
 
@@ -382,6 +418,26 @@ def test_non_positive_definite_innovation_raises(model, det):
         mahalanobis_sq(st, det, model)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, det", [
+    (MotionModel2D(), _det2()),
+    (MotionModel3D(), _det3()),
+])
+def test_state_without_cholesky_factor_fails_alone_and_quietly(model, det):
+    """A huge non-positive-definite covariance fails its own row only, and
+    the batch finishes without a floating-point warning."""
+    good = init_track_state(det, model)
+    bad = State(good.mean, -1e300 * np.eye(model.dim_state))
+    out = update_batch([good, bad, good], [det, det, det], model)
+    assert [type(o) for o in out] == [State, NumericFailureError, State]
+    assert str(out[1]) == "singular innovation covariance: Matrix is not positive definite"
+    _assert_same(out[0], oracles.update, good, det, model)
+    rows = np.array([0, 1, 2, 1])
+    d2 = mahalanobis_sq_pairs([good, bad, good], [det], rows, np.zeros(4, int), model)
+    assert d2[0] == d2[2] == mahalanobis_sq(good, det, model)
+    assert d2[1] == d2[3] == math.inf
+
+
 # ---------------------------------------------------------------------------
 # batched forms against the scalar oracles
 
@@ -418,18 +474,25 @@ def _break(rng, state, model):
     return State(mean, cov)
 
 
-def _assert_same(batched, scalar, *args):
-    """``batched`` is the state ``scalar(*args)`` returns, bit for bit, or
-    the NumericFailureError it raises, with the same message."""
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the NumericFailureError it raises."""
     try:
-        expected = scalar(*args)
+        return fn(*args)
     except NumericFailureError as exc:
-        assert isinstance(batched, NumericFailureError)
-        assert str(batched) == str(exc)
+        return exc
+
+
+def _assert_same(out, oracle, *args):
+    """``out`` is the state ``oracle(*args)`` returns, bit for bit, or the
+    NumericFailureError it raises, with the same message."""
+    expected = _outcome(oracle, *args)
+    if isinstance(expected, NumericFailureError):
+        assert isinstance(out, NumericFailureError)
+        assert str(out) == str(expected)
         return
-    assert isinstance(batched, State)
-    assert np.array_equal(batched.mean, expected.mean)
-    assert np.array_equal(batched.cov, expected.cov)
+    assert isinstance(out, State)
+    assert np.array_equal(_bits(out.mean), _bits(expected.mean))
+    assert np.array_equal(_bits(out.cov), _bits(expected.cov))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -438,6 +501,8 @@ def _assert_same(batched, scalar, *args):
 @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
        zero_noise=st.booleans())
 def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
+    """The batched functions and the one-row scalar API against the scalar
+    step in ``oracles``."""
     rng = np.random.default_rng(seed)
     noise_cls = Noise2D if dim == 2 else Noise3D
     noise = noise_cls(**{f: 0.0 for f in noise_cls.__dataclass_fields__}) if zero_noise else None
@@ -452,22 +517,26 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
     predicted = predict_batch(states, model)
     assert len(predicted) == n
     for state, out in zip(states, predicted):
-        _assert_same(out, predict, state, model)
+        _assert_same(out, oracles.predict, state, model)
+        _assert_same(_outcome(predict, state, model), oracles.predict, state, model)
 
     live = [s for s in predicted if isinstance(s, State)] + states
     dets = [random_det(rng) for _ in live]
     updated = update_batch(live, dets, model)
     assert len(updated) == len(live)
     for state, det, out in zip(live, dets, updated):
-        _assert_same(out, update, state, det, model)
+        _assert_same(out, oracles.update, state, det, model)
+        _assert_same(_outcome(update, state, det, model), oracles.update, state, det, model)
 
     rows, cols = np.nonzero(rng.random((len(live), len(dets))) < 0.2)
     for r, c, d2 in zip(rows, cols, mahalanobis_sq_pairs(live, dets, rows, cols, model)):
-        try:
-            expected = mahalanobis_sq(live[r], dets[c], model)
-        except NumericFailureError:
-            expected = math.inf
-        assert np.array_equal(d2, expected, equal_nan=True)
+        expected = _outcome(oracles.mahalanobis_sq, live[r], dets[c], model)
+        one = _outcome(mahalanobis_sq, live[r], dets[c], model)
+        if isinstance(expected, NumericFailureError):
+            assert d2 == math.inf
+            assert isinstance(one, NumericFailureError) and str(one) == str(expected)
+        else:
+            assert _bits(d2) == _bits(expected) == _bits(one)
 
 
 def test_batched_filter_of_no_states():
