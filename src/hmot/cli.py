@@ -24,6 +24,7 @@ from .io import (
     DetectionFrame,
     TrackRow,
     gt_to_rows,
+    iter_detections,
     read_detections,
     read_tracks,
     rows_to_eval_frames,
@@ -69,7 +70,6 @@ class _Totals:  # one sequence's counts for the summary line
 def _cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, mode=args.mode)
     mode = cfg.mode
-    det_frames = read_detections(args.dets)
     # After this many empty steps no track is left, so the rest of a frame
     # gap only advances the frame counter.
     max_empty_steps = max(c.a_max for c in cfg.class_configs.values()) + 1
@@ -80,7 +80,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     totals: defaultdict[str, _Totals] = defaultdict(_Totals)
     rows: list[TrackRow] = []
 
-    for fr in det_frames:
+    for fr in iter_detections(args.dets):
         key = (fr.sequence_id, fr.camera)
         st = totals[fr.sequence_id]
         gap = fr.frame - last_frame[key] - 1 if key in last_frame else 0

@@ -155,8 +155,9 @@ def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
         raise DataFormatError(f"bad detection: {exc}", line) from None
 
 
-def read_detections(path: str | Path) -> list[DetectionFrame]:
-    frames: list[DetectionFrame] = []
+def iter_detections(path: str | Path) -> Iterator[DetectionFrame]:
+    """Yield the frames of a detection file one at a time, checking each
+    line as it is read; a bad line raises when the reader reaches it."""
     last_frame: dict[tuple[str, Camera | None], int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -197,8 +198,11 @@ def read_detections(path: str | Path) -> list[DetectionFrame]:
             if not isinstance(dets_raw, list):
                 raise DataFormatError("detections must be a list", lineno)
             dets = [_parse_detection(d, camera, lineno) for d in dets_raw]
-            frames.append(DetectionFrame(seq, frame, camera, dets))
-    return frames
+            yield DetectionFrame(seq, frame, camera, dets)
+
+
+def read_detections(path: str | Path) -> list[DetectionFrame]:
+    return list(iter_detections(path))
 
 
 # ---------------------------------------------------------------------------

@@ -142,12 +142,6 @@ class MotionModel2D:
             [n.w_p * h, n.w_p * h, n.aspect_meas_std * np.ones_like(h), n.w_p * h],
             axis=-1))
 
-    def process_noise(self, mean: np.ndarray) -> np.ndarray:
-        return np.diag(self.process_var(mean))
-
-    def measurement_noise(self, mean: np.ndarray) -> np.ndarray:
-        return np.diag(self.measurement_var(mean))
-
     def initial_state(self, obs: np.ndarray) -> State:
         n = self.noise
         h = obs[3]
@@ -195,12 +189,6 @@ class MotionModel3D:
     def measurement_var(self, mean: np.ndarray) -> np.ndarray:
         """Diagonal of the (constant) measurement noise."""
         return self._r
-
-    def process_noise(self, mean: np.ndarray) -> np.ndarray:
-        return np.diag(self._q)
-
-    def measurement_noise(self, mean: np.ndarray) -> np.ndarray:
-        return np.diag(self._r)
 
     def initial_state(self, obs: np.ndarray) -> State:
         n = self.noise

@@ -116,7 +116,7 @@ def cosine_gallery_dist(gallery: Sequence[np.ndarray], embedding: np.ndarray) ->
     """
     if len(gallery) == 0:
         raise EmptyGalleryError("cosine distance requested against an empty gallery")
-    sims = np.stack(tuple(gallery)) @ np.asarray(embedding)
+    sims = np.asarray(gallery) @ np.asarray(embedding)
     return float(1.0 - np.max(sims))
 
 
@@ -191,6 +191,6 @@ def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]],
     for i, gallery in enumerate(galleries):
         if len(gallery) == 0:
             continue
-        sims = np.stack(tuple(gallery)) @ emb  # (gallery, m')
+        sims = np.asarray(gallery) @ emb  # (gallery, m')
         costs[i, have_emb] = 1.0 - sims.max(axis=0)
     return costs

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -258,6 +257,22 @@ def _apply(
     )
 
 
+def _with_row(gallery: np.ndarray, embedding: np.ndarray, budget: int) -> np.ndarray:
+    """``gallery`` plus ``embedding`` as its newest row, keeping the newest
+    ``budget``. A growing gallery is the first rows of one ``(budget, dim)``
+    array and takes its next row in place, so it neither copies nor frees
+    memory; no row an earlier gallery showed is ever written."""
+    n = len(gallery)
+    buf = gallery.base
+    if n == 0:
+        buf = np.empty((budget, len(embedding)))
+    elif n >= budget or not (isinstance(buf, np.ndarray) and buf.shape == (budget, len(embedding))
+                             and buf.ctypes.data == gallery.ctypes.data):
+        return np.concatenate((gallery[max(0, n + 1 - budget):], embedding[None]))
+    buf[n] = embedding
+    return buf[:n + 1]
+
+
 class TrackerInstance:
     """Single-stream online tracker for one sequence (in 2D: one camera).
 
@@ -361,6 +376,8 @@ class TrackerInstance:
         result = FrameResult(frame=self.frame_index)
         # Until the first embedding arrives, 2D stage 1 gates by IoU.
         use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
+        # Only 2D re-id reads galleries; only there are embedding sizes checked.
+        keep_embeddings = self.mode is Mode.D2 and self.use_reid
         dets_by_class: dict[ObjectClass, list[Detection]] = {}
         for det in dets:
             dets_by_class.setdefault(det.class_label, []).append(det)
@@ -410,10 +427,8 @@ class TrackerInstance:
                 track.age_since_update = 0
                 track.hits += 1
                 track.score = det.score
-                if self.use_reid and det.embedding is not None:
-                    track.gallery.append(det.embedding)
-                    while len(track.gallery) > cfg.gallery_budget:
-                        track.gallery.popleft()
+                if keep_embeddings and det.embedding is not None:
+                    track.gallery = _with_row(track.gallery, det.embedding, cfg.gallery_budget)
                 if track.hits >= cfg.min_hits:
                     emit_pairs.append((track, det))
             for track in rest:
@@ -423,9 +438,10 @@ class TrackerInstance:
             kept = [t for t in live if t not in failed and t.age_since_update <= cfg.a_max]
 
             for det in prim:
-                embeddings = [det.embedding] if self.use_reid and det.embedding is not None else []
                 track = Track(next(self._id_counter), init_track_state(det, self.model), cls,
-                              det.score, gallery=deque(embeddings))
+                              det.score)
+                if keep_embeddings and det.embedding is not None:
+                    track.gallery = _with_row(track.gallery, det.embedding, cfg.gallery_budget)
                 kept.append(track)
                 result.created_ids.append(track.track_id)
                 if track.hits >= cfg.min_hits:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -286,7 +285,8 @@ class Track:
 
     ``age_since_update`` is the number of frames since the last successful
     association; it is 0 exactly when the track was associated (or created)
-    in the current frame.
+    in the current frame. ``gallery`` is a float64 matrix of the track's last
+    ``gallery_budget`` embeddings, oldest row first; only 2D re-id fills it.
     """
 
     track_id: int
@@ -295,7 +295,7 @@ class Track:
     score: float
     age_since_update: int = 0
     hits: int = 1
-    gallery: deque = field(default_factory=deque)
+    gallery: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
 
 @dataclass(frozen=True)
@@ -328,21 +328,23 @@ class ClassConfig:
     def __post_init__(self):
         if not 0.0 < self.t_s <= 1.0:
             raise ValidationError(f"t_s must be in (0, 1], got {self.t_s}")
-        if self.a_max < 1:
-            raise ValidationError(f"a_max must be >= 1, got {self.a_max}")
-        if self.min_hits < 1:
-            raise ValidationError(f"min_hits must be >= 1, got {self.min_hits}")
-        if self.gallery_budget < 1:
-            raise ValidationError(f"gallery_budget must be >= 1, got {self.gallery_budget}")
+        for name in ("a_max", "min_hits", "gallery_budget"):
+            v = getattr(self, name)
+            # Counts are integers (what operator.index takes), never bools.
+            if isinstance(v, bool) or not hasattr(type(v), "__index__") or v < 1:
+                raise ValidationError(f"{name} must be >= 1 and an integer, got {v!r}")
         for name in ("t_a", "max_iou_dist_front", "max_iou_dist_front_lr",
                      "max_iou_dist_side", "max_center_dist"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValidationError(f"{name} must be in (0, 1], got {v}")
-        if self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
-        if self.enlarge_stage2 < 1.0 or self.enlarge_stage3 < 1.0:
-            raise ValidationError("enlargement factors must be >= 1")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        for name in ("enlarge_stage2", "enlarge_stage3"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 1.0):
+                raise ValidationError(
+                    f"enlargement factors must be >= 1 and finite, got {name}={v}")
 
     def max_iou_dist_for(self, camera: Camera) -> float:
         group = camera.group

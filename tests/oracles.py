@@ -127,7 +127,7 @@ def _filter_result(mean: np.ndarray, cov: np.ndarray, model: MotionModel, what: 
 def predict(state: State, model: MotionModel) -> State:
     """One constant-velocity step: mean' = F mean, cov' = F cov F^T + Q."""
     mean = model.F @ state.mean
-    cov = model.F @ state.cov @ model.F.T + model.process_noise(state.mean)
+    cov = model.F @ state.cov @ model.F.T + np.diag(model.process_var(state.mean))
     return _filter_result(mean, cov, model, "predict")
 
 
@@ -151,7 +151,7 @@ def _innovation(state: State, obs: np.ndarray, model: MotionModel) -> np.ndarray
 
 
 def _innovation_cov(state: State, model: MotionModel) -> np.ndarray:
-    return model.H @ state.cov @ model.H.T + model.measurement_noise(state.mean)
+    return model.H @ state.cov @ model.H.T + np.diag(model.measurement_var(state.mean))
 
 
 def update(state: State, det: Detection, model: MotionModel) -> State:

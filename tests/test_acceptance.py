@@ -110,7 +110,7 @@ def test_kalman_filter_algebra():
         for j in range(k):
             mean_j = np.linalg.matrix_power(model.F, j) @ st0.mean
             Fj = np.linalg.matrix_power(model.F, k - 1 - j)
-            cov_closed += Fj @ model.process_noise(mean_j) @ Fj.T
+            cov_closed += Fj @ np.diag(model.process_var(mean_j)) @ Fj.T
         assert np.array_equal(stepped.mean, mean_closed)
         assert np.max(np.abs(stepped.cov - cov_closed)) <= 1e-9
 

@@ -356,6 +356,21 @@ def test_track_long_frame_gap_is_bounded(tmp_path, capsys):
     assert "2 tracks created, 1 deleted" in out_text
 
 
+def test_track_malformed_last_line_exits_2_without_output(tmp_path, capsys):
+    _, dets = _simulate(tmp_path)
+    lines = dets.read_text().splitlines(keepends=True)
+    dets.write_text("".join(lines) + '{"sequence_id": "s", "frame": \n')
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"line {len(lines) + 1}: invalid JSON" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_track_mixed_embedding_sizes_exits_2(tmp_path, capsys):
     def det(dim):
         return Detection(box=Box2D(500.0, 400.0, 60.0, 120.0), score=0.9,
@@ -371,6 +386,25 @@ def test_track_mixed_embedding_sizes_exits_2(tmp_path, capsys):
     assert "sequence 's' frame 1: embedding size 4" in err
     assert "size 8" in err
     assert not out.exists()
+
+
+def test_track_3d_ignores_embeddings_of_mixed_sizes(tmp_path, capsys):
+    # 3D association never reads embeddings, so their sizes are not checked
+    # and the tracks are those of the same file without them.
+    def frames(dims):
+        return [DetectionFrame("s", t, None, [Detection(
+            box=Box3D(1.0 + 0.5 * t, 2.0, 0.5, 1.7, 0.6, 0.8, 0.0), score=0.9,
+            class_label=ObjectClass.PEDESTRIAN,
+            embedding=None if dim is None else np.full(dim, dim ** -0.5))])
+            for t, dim in enumerate(dims)]
+    outputs = []
+    for name, dims in (("mixed", [8, 4, 8, 2]), ("none", [None] * 4)):
+        dets, out = tmp_path / f"{name}.ndjson", tmp_path / f"{name}.csv"
+        write_detections(dets, frames(dims))
+        code = main(["track", "--mode", "3d", "--dets", str(dets), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +579,9 @@ def test_simulate_preset_output_is_pinned(tmp_path, name):
 
 # sha256 of (track CSV, stdout with the output path read as OUT) written by
 # `hmot track` on the output of `hmot simulate --preset NAME --seed 0`, under
-# each flag set. mahalanobis turns on mahalanobis_gating for every class.
+# each flag set. mahalanobis turns on mahalanobis_gating for every class;
+# budget1 sets gallery_budget to 1 for every class, so every match evicts a
+# gallery row. Only on occlusion does that change the output at seed 0.
 _TRACK_SHA256 = {
     ("clean-2d", "default"): ("164ee9f6ec4f5f87b20f061eced5058c57764f9618fd94e6bed2cd82da6f1ffc",
                               "ee14cc87e11d860a2650b0d44678a7867cfd3edcb0aa44208eb65bf22388dfc6"),
@@ -579,19 +615,23 @@ _TRACK_SHA256 = {
                                "d569ed5418a5a3045b9d43e0d9decdf0f1e495609851cb178bfbff8f252a9f49"),
     ("occlusion", "mahalanobis"): ("1fdde1cae1f4e8449fddacf95263a9bf053ea9a0a962457ea5612bbc1b2b9412",
                                    "aa2f8e85cc6fd2247eb8990e1a4153a46a20669e065c1f20c07170acdcb511c8"),
+    ("occlusion", "budget1"): ("1fdde1cae1f4e8449fddacf95263a9bf053ea9a0a962457ea5612bbc1b2b9412",
+                               "d569ed5418a5a3045b9d43e0d9decdf0f1e495609851cb178bfbff8f252a9f49"),
 }
 
 
 @pytest.mark.parametrize("name, flags", sorted(_TRACK_SHA256))
 def test_track_preset_output_is_pinned(tmp_path, capsys, name, flags):
-    dets, out, maha = tmp_path / "dets.ndjson", tmp_path / "tracks.csv", tmp_path / "maha.json"
-    maha.write_text(json.dumps({"classes": {c.value: {"mahalanobis_gating": True}
-                                            for c in ObjectClass}}))
+    dets, out = tmp_path / "dets.ndjson", tmp_path / "tracks.csv"
+    configs = {"mahalanobis": {"mahalanobis_gating": True}, "budget1": {"gallery_budget": 1}}
+    for flag, fields in configs.items():
+        (tmp_path / f"{flag}.json").write_text(
+            json.dumps({"classes": {c.value: fields for c in ObjectClass}}))
     assert main(["simulate", "--preset", name, "--seed", "0",
                  "--out-gt", str(tmp_path / "gt.csv"), "--out-dets", str(dets)]) == 0
     capsys.readouterr()
     extra = {"default": [], "no-stage3": ["--no-stage3"], "no-reid": ["--no-reid"],
-             "mahalanobis": ["--config", str(maha)]}[flags]
+             **{flag: ["--config", str(tmp_path / f"{flag}.json")] for flag in configs}}[flags]
     assert main(["track", "--dets", str(dets), "--mode", preset(name).mode.value,
                  "--out", str(out)] + extra) == 0
     stdout = capsys.readouterr().out.replace(str(out), "OUT")

@@ -188,7 +188,7 @@ def test_predict_k_steps_matches_closed_form():
             # Q is evaluated at the pre-step mean on the stepped route
             mean_j = np.linalg.matrix_power(model.F, j) @ st0.mean
             Fj = np.linalg.matrix_power(model.F, k - 1 - j)
-            cov_closed += Fj @ model.process_noise(mean_j) @ Fj.T
+            cov_closed += Fj @ np.diag(model.process_var(mean_j)) @ Fj.T
         assert np.array_equal(stepped.mean, mean_closed)
         assert np.max(np.abs(stepped.cov - cov_closed)) <= 1e-9
 
@@ -354,7 +354,7 @@ def test_mahalanobis_matches_direct_solve():
     d2 = mahalanobis_sq(st, det, model)
     from hmot.types import observation_2d
     y = observation_2d(det.box) - model.H @ st.mean
-    S = model.H @ st.cov @ model.H.T + model.measurement_noise(st.mean)
+    S = model.H @ st.cov @ model.H.T + np.diag(model.measurement_var(st.mean))
     expected = float(y @ np.linalg.solve(S, y))
     assert d2 == pytest.approx(expected, rel=1e-9)
     assert d2 > 0

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import mc_bev_iou, raster_iou_2d
 
@@ -349,3 +352,35 @@ def test_cosine_matrix_matches_scalar_and_flags_missing():
         for j in (0, 2):
             assert mat[i, j] == pytest.approx(
                 cosine_gallery_dist(galleries[i], embeddings[j]), abs=1e-12)
+
+
+@st.composite
+def _galleries_and_embeddings(draw):
+    """Gallery matrices (whole, row-sliced views, empty) and embeddings
+    (some missing) of one random size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 3, 8, 64, 512]))
+
+    def units(n):
+        v = rng.normal(size=(n, dim))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    galleries = []
+    for _ in range(draw(st.integers(0, 6))):
+        base = units(draw(st.integers(0, 12)))
+        start, stop = sorted(draw(st.lists(st.integers(0, len(base)), min_size=2, max_size=2)))
+        step = draw(st.sampled_from([1, 1, 2, 3]))
+        galleries.append(draw(st.sampled_from([base, base[start:stop:step], np.empty((0, 0))])))
+    embeddings = [None if draw(st.booleans()) else e for e in units(draw(st.integers(0, 6)))]
+    return galleries, embeddings
+
+
+@settings(max_examples=300, deadline=None)
+@given(_galleries_and_embeddings())
+def test_cosine_matrix_over_matrix_galleries_equals_deque_galleries(case):
+    galleries, embeddings = case
+    mat = cosine_gallery_dist_matrix(galleries, embeddings)
+    ref = cosine_gallery_dist_matrix([deque(np.array(row) for row in g) for g in galleries],
+                                     embeddings)
+    assert mat.shape == ref.shape == (len(galleries), len(embeddings))
+    assert mat.tobytes() == ref.tobytes()

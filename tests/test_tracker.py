@@ -440,20 +440,29 @@ def test_mode_dependent_vehicle_threshold():
     assert res.created_ids == []
 
 
-def test_gallery_budget_fifo():
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+def test_gallery_budget_fifo(budget):
     configs = {
-        cls: dataclasses.replace(cfg, gallery_budget=3)
+        cls: dataclasses.replace(cfg, gallery_budget=budget)
         for cls, cfg in default_class_configs(Mode.D2).items()
     }
     inst = TrackerInstance(Mode.D2, configs, camera_id=Camera.FRONT)
-    embs = [_unit(np.concatenate([[1.0], 0.01 * np.eye(4)[i][:3]])) for i in range(4)]
-    inst.step([_det2(100, 100, embedding=embs[0])])
-    for e in embs[1:]:
+    rng = np.random.default_rng(budget)
+    expected = deque(maxlen=budget)
+    seen = []  # every gallery so far, with a copy of its rows
+    for _ in range(budget + 3):
+        e = _unit(np.concatenate([[20.0], rng.normal(size=7)]))
         inst.step([_det2(100, 100, embedding=e)])
-    gallery = inst.tracks[0].gallery
-    assert len(gallery) == 3
-    assert not any(np.array_equal(g, embs[0]) for g in gallery)
-    assert np.array_equal(gallery[-1], embs[3])
+        expected.append(e)
+        [track] = inst.tracks
+        gallery = track.gallery
+        assert gallery.shape == (len(expected), 8)
+        assert gallery.dtype == np.float64 and gallery.flags.c_contiguous
+        assert all(np.array_equal(g, e) for g, e in zip(gallery, expected))
+        seen.append((gallery, gallery.copy()))
+    assert track.track_id == 1 and len(gallery) == budget
+    # Adding a row never rewrites a row an earlier gallery showed.
+    assert all(np.array_equal(g, rows) for g, rows in seen)
 
 
 def test_shared_id_counter_across_instances():

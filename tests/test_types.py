@@ -307,6 +307,22 @@ def test_class_config_rejects_bad_ranges():
         _config(enlarge_stage2=0.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    *[(name, bad) for name in ("sigma", "enlarge_stage2", "enlarge_stage3")
+      for bad in (math.nan, math.inf, -math.inf)],
+    *[(name, bad) for name in ("a_max", "min_hits", "gallery_budget")
+      for bad in (math.nan, math.inf, 2.5, 3.0, True)],
+])
+def test_class_config_rejects_non_finite_or_non_integer(field, value):
+    with pytest.raises(ValidationError, match=field):
+        _config(**{field: value})
+
+
+def test_class_config_accepts_integer_like_counts():
+    cfg = _config(a_max=np.int64(4), min_hits=2, gallery_budget=np.int32(7))
+    assert (cfg.a_max, cfg.min_hits, cfg.gallery_budget) == (4, 2, 7)
+
+
 def test_class_config_defaults():
     cfg = _config()
     assert cfg.a_max == 3
