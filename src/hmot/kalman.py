@@ -7,11 +7,14 @@ The emitted box of an updated track is the raw observation; the filtered
 mean only drives prediction and association.
 
 The filter is ``predict_batch``, ``update_batch`` and
-``mahalanobis_sq_pairs``: each runs one stacked computation over many
-states, and gives each row its own result or its own
-``NumericFailureError``. The tracker makes one call of each per class per
-frame. ``predict``, ``update`` and ``mahalanobis_sq`` are the scalar API:
-one row of the batched functions, raising that row's failure.
+``mahalanobis_sq_pairs``. Each runs one stacked computation over means
+(N, d) and covariances (N, d, d), with observations (N, k) from the
+model's ``observations``. It returns new arrays and the
+``NumericFailureError`` of each row that failed, by row; a failed row
+holds no usable state. The tracker keeps each class's states in such arrays
+between frames and makes one call of each per class per frame.
+``predict``, ``update`` and ``mahalanobis_sq`` are the scalar API: one row
+of the batched functions, raising that row's failure.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +38,6 @@ from .types import (
     IX_THETA_3D,
     Detection,
     State,
-    observation_2d,
-    observation_3d,
 )
 
 
@@ -120,8 +123,15 @@ class MotionModel2D:
             self.F[i, self.dim_obs + i] = 1.0
         self.H = np.eye(self.dim_obs, self.dim_state)
 
-    def observation(self, det: Detection) -> np.ndarray:
-        return observation_2d(det.box)
+    @staticmethod
+    def observations(dets: Sequence[Detection]) -> np.ndarray:
+        """:func:`~hmot.types.observation_2d` of each detection's box, bit for
+        bit, stacked (N, 4)."""
+        xywh = attrgetter("cx", "cy", "w", "h")
+        obs = np.fromiter(chain.from_iterable([xywh(d.box) for d in dets]), np.float64,
+                          4 * len(dets)).reshape(-1, 4)
+        obs[:, 2] /= obs[:, 3]  # gamma = w / h
+        return obs
 
     def process_var(self, mean: np.ndarray) -> np.ndarray:
         """Diagonal of the process noise for a mean (d,), or for each row of
@@ -179,8 +189,13 @@ class MotionModel3D:
             n.heading_meas_std,
         ])
 
-    def observation(self, det: Detection) -> np.ndarray:
-        return observation_3d(det.box)
+    @staticmethod
+    def observations(dets: Sequence[Detection]) -> np.ndarray:
+        """:func:`~hmot.types.observation_3d` of each detection's box, stacked
+        (N, 7)."""
+        box = attrgetter("cx", "cy", "cz", "h", "w", "l", "theta")
+        return np.fromiter(chain.from_iterable([box(d.box) for d in dets]), np.float64,
+                           7 * len(dets)).reshape(-1, 7)
 
     def process_var(self, mean: np.ndarray) -> np.ndarray:
         """Diagonal of the (constant) process noise."""
@@ -206,12 +221,7 @@ MotionModel = MotionModel2D | MotionModel3D
 
 def init_track_state(det: Detection, model: MotionModel) -> State:
     """State for a freshly created track: observation copied, zero velocity."""
-    return model.initial_state(model.observation(det))
-
-
-def _stack(states: Sequence[State]) -> tuple[np.ndarray, np.ndarray]:
-    """Means (N, d) and covariances (N, d, d) of ``states``."""
-    return np.array([s.mean for s in states]), np.array([s.cov for s in states])
+    return model.initial_state(model.observations([det])[0])
 
 
 def _add_diagonal(mats: np.ndarray, var: np.ndarray) -> np.ndarray:
@@ -221,14 +231,16 @@ def _add_diagonal(mats: np.ndarray, var: np.ndarray) -> np.ndarray:
     return mats
 
 
+Failures = dict[int, NumericFailureError]
+
+
 def _filter_results(
-    means: np.ndarray, covs: np.ndarray, model: MotionModel, what: str,
-    singular: dict[int, NumericFailureError],
-) -> list[State | NumericFailureError]:
-    """The states a filter step ends in, one per row of stacked means and
-    covariances: covariance symmetrised, heading wrapped. A row in
-    ``singular``, with a non-finite entry or with a non-positive box extent
-    is that numeric failure instead, checked in this order."""
+    means: np.ndarray, covs: np.ndarray, model: MotionModel, what: str, failures: Failures,
+) -> tuple[np.ndarray, np.ndarray, Failures]:
+    """The arrays a filter step ends in, with its failures: covariances
+    symmetrised, headings wrapped. A row already in ``failures``, with a
+    non-finite entry or with a non-positive box extent fails, with the
+    first of these that applies."""
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     hi = model.heading_index
@@ -238,15 +250,11 @@ def _filter_results(
         if outside.any():
             theta[outside] = wrap_headings(theta[outside])
     ok = finite & (means[:, EXTENTS[model.dim_state]] > 0).all(axis=1)
-    if not singular and ok.all():
-        return [State.trusted(mean, cov) for mean, cov in zip(means, covs)]
-    return [
-        singular[i] if i in singular
-        else State.trusted(mean, cov) if good
-        else NumericFailureError(f"{what} produced non-positive box extents") if fin
-        else NumericFailureError(f"{what} produced non-finite values")
-        for i, (mean, cov, good, fin) in enumerate(zip(means, covs, ok.tolist(), finite.tolist()))
-    ]
+    for i in np.flatnonzero(~ok).tolist():
+        failures.setdefault(i, NumericFailureError(
+            f"{what} produced non-positive box extents" if finite[i]
+            else f"{what} produced non-finite values"))
+    return means, covs, failures
 
 
 def _innovations(means: np.ndarray, obs: np.ndarray, model: MotionModel) -> np.ndarray:
@@ -268,7 +276,7 @@ def _innovations(means: np.ndarray, obs: np.ndarray, model: MotionModel) -> np.n
     return y
 
 
-def _singular_rows(S: np.ndarray, B: np.ndarray | None = None) -> dict[int, NumericFailureError]:
+def _singular_rows(S: np.ndarray, B: np.ndarray | None = None) -> Failures:
     """Each row whose S has no Cholesky factor (or cannot solve its B), with
     its failure. Its S becomes the identity and its B zero, so the batch
     can finish; the caller discards those rows."""
@@ -287,29 +295,27 @@ def _singular_rows(S: np.ndarray, B: np.ndarray | None = None) -> dict[int, Nume
 
 
 def predict_batch(
-    states: Sequence[State], model: MotionModel
-) -> list[State | NumericFailureError]:
+    means: np.ndarray, covs: np.ndarray, model: MotionModel
+) -> tuple[np.ndarray, np.ndarray, Failures]:
     """One constant-velocity step of every state, mean' = F mean and
-    cov' = F cov F^T + Q. Each entry is the predicted state or the
-    ``NumericFailureError`` of its row."""
-    if not states:
-        return []
-    means, covs = _stack(states)
+    cov' = F cov F^T + Q: the new means and covariances, and the failure
+    of each row that failed."""
+    if not len(means):
+        return means, covs, {}
     F = model.F
     covs = _add_diagonal(F @ covs @ F.T, model.process_var(means))
     return _filter_results(means @ F.T, covs, model, "predict", {})
 
 
 def update_batch(
-    states: Sequence[State], dets: Sequence[Detection], model: MotionModel
-) -> list[State | NumericFailureError]:
-    """The standard Kalman measurement update of each state with the
-    observation of its detection. Each entry is the updated state or the
-    ``NumericFailureError`` of its pair."""
-    if not states:
-        return []
-    means, covs = _stack(states)
-    y = _innovations(means, np.array([model.observation(d) for d in dets]), model)
+    means: np.ndarray, covs: np.ndarray, obs: np.ndarray, model: MotionModel
+) -> tuple[np.ndarray, np.ndarray, Failures]:
+    """The standard Kalman measurement update of each state with its row
+    of ``obs``: the new means and covariances, and the failure of each
+    pair that failed."""
+    if not len(means):
+        return means, covs, {}
+    y = _innovations(means, obs, model)
     H = model.H
     HP = H @ covs
     S = _add_diagonal(HP @ H.T, model.measurement_var(means))
@@ -326,66 +332,56 @@ def update_batch(
     return _filter_results(means, covs, model, "update", singular)
 
 
-def _mahalanobis_pairs(
-    states: Sequence[State], dets: Sequence[Detection],
+def mahalanobis_sq_pairs(
+    means: np.ndarray, covs: np.ndarray, obs: np.ndarray,
     rows: np.ndarray, cols: np.ndarray, model: MotionModel,
-) -> tuple[np.ndarray, dict[int, NumericFailureError]]:
-    """:func:`mahalanobis_sq_pairs` and the failure of each state, by its
-    place among the distinct ``rows``, whose S has no Cholesky factor."""
+) -> tuple[np.ndarray, Failures]:
+    """Squared Mahalanobis distance y^T S^-1 y of observation ``obs[c]``
+    from state ``r`` for each pair of ``rows`` and ``cols``, with the
+    innovation covariance S of each state factored once, and the failure of
+    each state whose S is not positive definite. Its pairs get inf."""
+    if not len(rows):
+        return np.empty(0), {}
     used, row_of_pair = np.unique(rows, return_inverse=True)
-    means, covs = _stack([states[i] for i in used])
+    means, covs = means[used], covs[used]
     H = model.H
     S = _add_diagonal(H @ covs @ H.T, model.measurement_var(means))
     singular = {}
     try:
         chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        singular = _singular_rows(S)
+        singular = {int(used[i]): exc for i, exc in _singular_rows(S).items()}
         chol = np.linalg.cholesky(S)
-    obs = np.array([model.observation(d) for d in dets])
     y = _innovations(means[row_of_pair], obs[cols], model)
     z = np.linalg.solve(chol[row_of_pair], y[..., None])
     d2 = (np.swapaxes(z, 1, 2) @ z)[:, 0, 0]
     if singular:
-        d2[np.isin(row_of_pair, list(singular))] = math.inf
+        d2[np.isin(rows, list(singular))] = math.inf
     return d2, singular
 
 
-def mahalanobis_sq_pairs(
-    states: Sequence[State], dets: Sequence[Detection],
-    rows: np.ndarray, cols: np.ndarray, model: MotionModel,
-) -> np.ndarray:
-    """Squared Mahalanobis distance y^T S^-1 y of ``dets[c]`` from
-    ``states[r]`` for each pair of ``rows`` and ``cols``, with the innovation
-    covariance S of each state factored once. A pair whose S is not positive
-    definite gets inf."""
-    if not len(rows):
-        return np.empty(0)
-    return _mahalanobis_pairs(states, dets, rows, cols, model)[0]
-
-
-def _one(results: list[State | NumericFailureError]) -> State:
-    (result,) = results
-    if isinstance(result, NumericFailureError):
-        raise result
-    return result
+def _one(batch, state: State, *args) -> list:
+    """The outputs of ``batch`` for ``state`` as its one row, followed by
+    ``args``; raises the row's failure."""
+    *outputs, failures = batch(np.array([state.mean]), np.array([state.cov]), *args)
+    if failures:
+        raise failures[0]
+    return [out[0] for out in outputs]
 
 
 def predict(state: State, model: MotionModel) -> State:
     """:func:`predict_batch` of one state; raises its failure."""
-    return _one(predict_batch([state], model))
+    return State.trusted(*_one(predict_batch, state, model))
 
 
 def update(state: State, det: Detection, model: MotionModel) -> State:
     """:func:`update_batch` of one pair; raises its failure."""
-    return _one(update_batch([state], [det], model))
+    return State.trusted(*_one(update_batch, state, model.observations([det]), model))
 
 
 def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
     """:func:`mahalanobis_sq_pairs` of one pair; raises the failure of an S
     that is not positive definite, where the pairs function gives inf."""
     zero = np.zeros(1, dtype=np.intp)
-    d2, singular = _mahalanobis_pairs([state], [det], zero, zero, model)
-    if singular:
-        raise singular[0]
-    return float(d2[0])
+    (d2,) = _one(mahalanobis_sq_pairs, state, model.observations([det]), zero, zero, model)
+    return float(d2)

@@ -145,7 +145,14 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
 # Vectorized cost-matrix fills
 
 
-def _corner_arrays(boxes: Sequence[Box2D], factor: float) -> np.ndarray:
+def _corner_arrays(boxes: Sequence[Box2D] | np.ndarray, factor: float) -> np.ndarray:
+    """(x1, y1, x2, y2) of each box scaled by ``factor``; ``boxes`` holds
+    ``Box2D`` objects or (cx, cy, w, h) rows, with the same float operations
+    either way. The loop is faster on the few boxes of one frame."""
+    if isinstance(boxes, np.ndarray):
+        cx, cy = boxes[:, 0], boxes[:, 1]
+        hw, hh = boxes[:, 2] * factor / 2.0, boxes[:, 3] * factor / 2.0
+        return np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
     out = np.empty((len(boxes), 4))
     for i, b in enumerate(boxes):
         hw, hh = b.w * factor / 2.0, b.h * factor / 2.0
@@ -153,8 +160,10 @@ def _corner_arrays(boxes: Sequence[Box2D], factor: float) -> np.ndarray:
     return out
 
 
-def iou_dist_matrix(rows: Sequence[Box2D], cols: Sequence[Box2D], factor: float = 1.0) -> np.ndarray:
-    """(len(rows), len(cols)) matrix of enlarged-IoU distances."""
+def iou_dist_matrix(rows: Sequence[Box2D] | np.ndarray, cols: Sequence[Box2D] | np.ndarray,
+                    factor: float = 1.0) -> np.ndarray:
+    """(len(rows), len(cols)) matrix of enlarged-IoU distances. Each side is
+    ``Box2D`` objects or an (n, 4) array of (cx, cy, w, h) rows."""
     if len(rows) == 0 or len(cols) == 0:
         return np.zeros((len(rows), len(cols)))
     a = _corner_arrays(rows, factor)[:, None, :]

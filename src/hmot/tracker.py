@@ -3,15 +3,20 @@
 Per frame, one pass per class: predict its tracks, split its detections by
 score into a primary and a secondary set, run a three-stage gated cascade,
 update matched tracks, age out stale ones, and seed new tracks from leftover
-primary detections. Predict and update are one batched filter call each,
-over the class's tracks and over its matched pairs. Each stage solves one
-gated assignment per band of tracks over the detections earlier bands left
-unclaimed. Stage 1 bands tracks by age, youngest first, using appearance
-distance in 2D and kernelized center distance in 3D. Stage 2 is one band of
-recently lost tracks on the remaining primary detections with enlarged-IoU
-distance (2D). Stage 3 is one band of all still unmatched tracks on the
-low-score secondary set, which keeps weakly detected objects alive but never
-seeds a track.
+primary detections. Between frames the filter states of a class are one
+array of means (N, d) and one of covariances (N, d, d), row i belonging to
+the class's i-th track. Predict is one batched filter call on those
+arrays; update is one on the matched rows, gathered and scattered back;
+births are appended. After each step ``track.state`` is a view of the
+track's rows, so edits to it in place reach the next step's filter; a
+deleted track keeps the state of the last step it lived through. Each
+stage solves one gated assignment per band of tracks over the detections
+earlier bands left unclaimed. Stage 1 bands tracks by age, youngest first,
+using appearance distance in 2D and kernelized center distance in 3D.
+Stage 2 is one band of recently lost tracks on the remaining primary
+detections with enlarged-IoU distance (2D). Stage 3 is one band of all
+still unmatched tracks on the low-score secondary set, which keeps weakly
+detected objects alive but never seeds a track.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .assignment import INADMISSIBLE, AssociationResult, solve_gated_assignment
 from .config import default_class_configs
-from .errors import ConfigError, NumericFailureError, ValidationError
+from .errors import ConfigError, DegenerateBoxError, NumericFailureError, ValidationError
 from .kalman import (
     MotionModel,
     MotionModel2D,
@@ -53,7 +58,6 @@ from .types import (
     ObjectClass,
     State,
     Track,
-    box2d_from_state,
 )
 
 log = logging.getLogger(__name__)
@@ -97,14 +101,34 @@ def split_detections(
     score t_s is kept rather than dropped between the sets). Detections
     scoring below t_s/2 are in neither set.
     """
-    primary = [d for d in dets if d.score > t_s]
-    secondary = [d for d in dets if t_s / 2.0 <= d.score <= t_s]
-    return primary, secondary
+    primary, secondary = _split_indices(dets, t_s)
+    return [dets[j] for j in primary], [dets[j] for j in secondary]
+
+
+def _split_indices(dets: Sequence[Detection], t_s: float) -> tuple[list[int], list[int]]:
+    """Positions in ``dets`` of the primary and of the secondary set."""
+    return ([j for j, d in enumerate(dets) if d.score > t_s],
+            [j for j, d in enumerate(dets) if t_s / 2.0 <= d.score <= t_s])
+
+
+def _state_boxes(means: np.ndarray) -> np.ndarray:
+    """(cx, cy, w, h) of each 2D state mean, w = gamma * h, as
+    :func:`~hmot.types.box2d_from_state` reconstructs it; the first mean
+    whose w or h is not positive raises ``DegenerateBoxError``."""
+    w, h = means[:, 2] * means[:, 3], means[:, 3]
+    bad = np.flatnonzero((w <= 0) | (h <= 0))
+    if len(bad):
+        raise DegenerateBoxError(f"state yields degenerate box (w={w[bad[0]]}, h={h[bad[0]]})")
+    return np.stack([means[:, 0], means[:, 1], w, h], axis=1)
 
 
 def _gated_match(
     tracks: Sequence[Track],
+    means: np.ndarray,
     dets: Sequence[Detection],
+    obs: np.ndarray,
+    rows: list[int],
+    cols: list[int],
     config: ClassConfig,
     mode: Mode,
     camera: Camera | None,
@@ -112,49 +136,48 @@ def _gated_match(
     use_reid: bool = False,
     enlarge: float = 1.0,
     model: MotionModel | None = None,
+    covs: np.ndarray | None = None,
 ) -> AssociationResult:
-    """One gated minimum-cost assignment of ``tracks`` to ``dets``.
+    """One gated minimum-cost assignment of the tracks ``rows`` to the
+    detections ``cols``, as in :func:`stage1_cascade`.
 
     In 3D the cost is kernelized center distance (gate max_center_dist). In
     2D it is appearance distance against the track gallery (gate t_a) when
     ``use_reid`` is set, otherwise IoU distance over boxes scaled by
     ``enlarge`` with the camera's gate. With a ``model`` and
-    ``mahalanobis_gating`` on, pairs whose innovation lies beyond the 95%
-    chi-square quantile are inadmissible.
+    ``mahalanobis_gating`` on, pairs whose innovation under the covariances
+    ``covs`` lies beyond the 95% chi-square quantile are inadmissible.
     """
+    means = means[rows]
     if mode is Mode.D3:
-        costs = gauss_center_dist_matrix(
-            np.array([t.state.mean[:3] for t in tracks]).reshape(-1, 3),
-            np.array([[d.box.cx, d.box.cy, d.box.cz] for d in dets]).reshape(-1, 3),
-            config.sigma,
-        )
+        costs = gauss_center_dist_matrix(means[:, :3], obs[cols, :3], config.sigma)
         gate = config.max_center_dist
     elif use_reid:
         costs = cosine_gallery_dist_matrix(
-            [t.gallery for t in tracks], [d.embedding for d in dets]
+            [tracks[i].gallery for i in rows], [dets[j].embedding for j in cols]
         )
         gate = config.t_a
     else:
-        costs = iou_dist_matrix(
-            [box2d_from_state(t.state) for t in tracks], [d.box for d in dets],
-            factor=enlarge,
-        )
+        costs = iou_dist_matrix(_state_boxes(means), [dets[j].box for j in cols],
+                                factor=enlarge)
         if camera is None:
             raise ConfigError("2D IoU gating requires a camera")
         gate = config.max_iou_dist_for(camera)
     if config.mahalanobis_gating and model is not None:
         # Only pairs within the cost gate can be matched, so only they are
         # tested. A track without a positive definite S gates out all pairs.
-        rows, cols = np.nonzero(costs <= gate)
-        d2 = mahalanobis_sq_pairs([t.state for t in tracks], dets, rows, cols, model)
+        r, c = np.nonzero(costs <= gate)
+        d2, _ = mahalanobis_sq_pairs(means, covs[rows], obs[cols], r, c, model)
         far = d2 > CHI2_95[model.dim_obs]
-        costs[rows[far], cols[far]] = INADMISSIBLE
+        costs[r[far], c[far]] = INADMISSIBLE
     return solve_gated_assignment(costs, gate)
 
 
 def _cascade(
     tracks: Sequence[Track],
+    means: np.ndarray,
     dets: Sequence[Detection],
+    obs: np.ndarray,
     bands: Iterable[list[int]],
     config: ClassConfig,
     mode: Mode | str,
@@ -169,10 +192,8 @@ def _cascade(
     for band in bands:
         if not band or not remaining:
             continue
-        result = _gated_match(
-            [tracks[i] for i in band], [dets[j] for j in remaining], config, mode,
-            camera, **match_kwargs,
-        )
+        result = _gated_match(tracks, means, dets, obs, band, remaining, config, mode, camera,
+                              **match_kwargs)
         matches += [(band[r], remaining[c]) for r, c in result.matches]
         remaining = [remaining[c] for c in result.unmatched_detections]
     matched = {i for i, _ in matches}
@@ -182,52 +203,63 @@ def _cascade(
 
 def stage1_cascade(
     tracks: Sequence[Track],
+    means: np.ndarray,
     dets: Sequence[Detection],
+    obs: np.ndarray,
     config: ClassConfig,
     *,
     mode: Mode | str,
     camera: Camera | None = None,
     use_reid: bool = True,
     model: MotionModel | None = None,
+    covs: np.ndarray | None = None,
 ) -> AssociationResult:
     """Age-ordered association against the primary detection set.
 
-    Visits the ages present among the tracks, youngest first and up to
-    a_max, solving one gated assignment per age band over the detections
-    still unclaimed, so a recently seen track always outranks a
-    long-occluded one competing for the same detection. The cost is the
-    appearance (or, without ``use_reid``, IoU) distance in 2D and the
-    kernelized center distance in 3D; see :func:`_gated_match`.
+    Row i of ``means`` (and of ``covs``) is the predicted state of
+    ``tracks[i]``; row j of ``obs`` is the observation of ``dets[j]``, as
+    ``model.observations`` gives it. Visits the ages present among the
+    tracks, youngest first and up to a_max, solving one gated assignment per
+    age band over the detections still unclaimed, so a recently seen track
+    always outranks a long-occluded one competing for the same detection.
+    The cost is the appearance (or, without ``use_reid``, IoU) distance in
+    2D and the kernelized center distance in 3D; see :func:`_gated_match`.
     """
     by_age: dict[int, list[int]] = {}
     for i, t in enumerate(tracks):
         if 0 <= t.age_since_update <= config.a_max:
             by_age.setdefault(t.age_since_update, []).append(i)
     return _cascade(
-        tracks, dets, [by_age[age] for age in sorted(by_age)], config, mode, camera,
-        use_reid=use_reid, model=model,
+        tracks, means, dets, obs, [by_age[age] for age in sorted(by_age)], config, mode,
+        camera, use_reid=use_reid, model=model, covs=covs,
     )
 
 
 def stage2_relaxed(
     tracks: Sequence[Track],
+    means: np.ndarray,
     dets: Sequence[Detection],
+    obs: np.ndarray,
     config: ClassConfig,
     *,
     mode: Mode | str,
     camera: Camera | None = None,
 ) -> AssociationResult:
     """Second chance for recently lost tracks (age < 3) on leftover primary
-    detections; 2D cost is IoU distance with boxes enlarged 2x."""
+    detections; 2D cost is IoU distance with boxes enlarged 2x. The arrays
+    are as in :func:`stage1_cascade`."""
     eligible = [i for i, t in enumerate(tracks) if t.age_since_update < STAGE2_MAX_AGE]
     return _cascade(
-        tracks, dets, [eligible], config, mode, camera, enlarge=config.enlarge_stage2
+        tracks, means, dets, obs, [eligible], config, mode, camera,
+        enlarge=config.enlarge_stage2,
     )
 
 
 def stage3_secondary(
     tracks: Sequence[Track],
+    means: np.ndarray,
     dets: Sequence[Detection],
+    obs: np.ndarray,
     config: ClassConfig,
     *,
     mode: Mode | str,
@@ -235,26 +267,34 @@ def stage3_secondary(
 ) -> AssociationResult:
     """Match still-unmatched tracks against the weak (secondary) detections;
     2D cost is IoU distance with boxes enlarged 3x. Secondary detections
-    that stay unmatched are dropped, never turned into tracks."""
+    that stay unmatched are dropped, never turned into tracks. The arrays
+    are as in :func:`stage1_cascade`."""
     return _cascade(
-        tracks, dets, [list(range(len(tracks)))], config, mode, camera,
+        tracks, means, dets, obs, [list(range(len(tracks)))], config, mode, camera,
         enlarge=config.enlarge_stage3,
     )
 
 
 def _apply(
-    result: AssociationResult,
-    tracks: list[Track],
-    dets: list[Detection],
-    pairs: list[tuple[Track, Detection]],
-) -> tuple[list[Track], list[Detection]]:
-    """Append the matched (track, detection) pairs of ``result`` to ``pairs``
-    and return the tracks and detections it left unmatched."""
-    pairs += [(tracks[i], dets[j]) for i, j in result.matches]
+    result: AssociationResult, rows: Sequence[int], cols: Sequence[int],
+    pairs: list[tuple[int, int]],
+) -> tuple[list[int], list[int]]:
+    """Append the matched pairs of ``result``, as (``rows[i]``, ``cols[j]``),
+    to ``pairs`` and return the rows and columns it left unmatched."""
+    pairs += [(rows[i], cols[j]) for i, j in result.matches]
     return (
-        [tracks[i] for i in result.unmatched_tracks],
-        [dets[j] for j in result.unmatched_detections],
+        [rows[i] for i in result.unmatched_tracks],
+        [cols[j] for j in result.unmatched_detections],
     )
+
+
+def _delete(tracks: Sequence[Track], failures: Mapping[int, NumericFailureError],
+            result: FrameResult) -> None:
+    """Log and list as deleted, in order, each track ``failures`` names by
+    its place in ``tracks``."""
+    for i in sorted(failures):
+        log.warning("deleting track %d: %s", tracks[i].track_id, failures[i])
+        result.deleted_ids.append(tracks[i].track_id)
 
 
 def _with_row(gallery: np.ndarray, embedding: np.ndarray, budget: int) -> np.ndarray:
@@ -311,6 +351,10 @@ class TrackerInstance:
         self.model: MotionModel = model_cls(noise)
         self.configs = dict(configs) if configs is not None else default_class_configs(self.mode)
         self._tracks: dict[ObjectClass, list[Track]] = {cls: [] for cls in ObjectClass}
+        # The filter states of each class: row i of its means (N, d) and
+        # covariances (N, d, d) is the state of self._tracks[cls][i].
+        d = self.model.dim_state
+        self._states = {cls: (np.empty((0, d)), np.empty((0, d, d))) for cls in ObjectClass}
         self.frame_index = 0
         self.use_stage3 = use_stage3
         self.use_reid = use_reid
@@ -331,20 +375,30 @@ class TrackerInstance:
         except KeyError:
             raise ConfigError(f"no configuration for class {label.value!r}") from None
 
-    def _validate(self, dets: Sequence[Detection]) -> None:
+    def _by_class(self, dets: Sequence[Detection]) -> dict[ObjectClass, list[Detection]]:
+        """``dets`` grouped by class, each group in input order. The first
+        detection that fails a check raises; each is checked for its box
+        kind, its camera (2D), its class's configuration and its embedding
+        size (2D with re-id), in that order."""
+        d2 = self.mode is Mode.D2
+        check_size = d2 and self.use_reid
         embed_dim = self._embed_dim
+        by_class: dict[ObjectClass, list[Detection]] = {}
         for det in dets:
-            if det.is_2d != (self.mode is Mode.D2):
+            if det.is_2d != d2:
                 raise ConfigError(
                     f"detection box type does not match tracker mode {self.mode.value!r}"
                 )
-            if self.mode is Mode.D2 and det.camera_id != self.camera_id:
+            if d2 and det.camera_id != self.camera_id:
                 raise ConfigError(
                     f"detection camera {det.camera_id} does not belong to this "
                     f"instance (camera {self.camera_id})"
                 )
-            self._config_for(det.class_label)
-            if self.mode is Mode.D2 and self.use_reid and det.embedding is not None:
+            group = by_class.get(det.class_label)
+            if group is None:
+                self._config_for(det.class_label)
+                group = by_class[det.class_label] = []
+            if check_size and det.embedding is not None:
                 if embed_dim is None:
                     embed_dim = len(det.embedding)
                 elif len(det.embedding) != embed_dim:
@@ -352,47 +406,32 @@ class TrackerInstance:
                         f"embedding size {len(det.embedding)} differs from the "
                         f"first embedding's size {embed_dim}"
                     )
+            group.append(det)
         self._embed_dim = embed_dim
-
-    def _advance(self, tracks: Sequence[Track],
-                 states: Sequence[State | NumericFailureError], result: FrameResult
-                 ) -> set[Track]:
-        """Give each track its entry of ``states``, one batched ``predict`` or
-        ``update``. A track whose entry is a numeric failure is listed as
-        deleted, in order, instead; return those tracks."""
-        failed = set()
-        for track, state in zip(tracks, states):
-            if isinstance(state, NumericFailureError):
-                log.warning("deleting track %d: %s", track.track_id, state)
-                result.deleted_ids.append(track.track_id)
-                failed.add(track)
-            else:
-                track.state = state
-        return failed
+        return by_class
 
     def step(self, detections: Iterable[Detection]) -> FrameResult:
-        dets = list(detections)
-        self._validate(dets)
+        dets_by_class = self._by_class(list(detections))
         result = FrameResult(frame=self.frame_index)
         # Until the first embedding arrives, 2D stage 1 gates by IoU.
         use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
         # Only 2D re-id reads galleries; only there are embedding sizes checked.
         keep_embeddings = self.mode is Mode.D2 and self.use_reid
-        dets_by_class: dict[ObjectClass, list[Detection]] = {}
-        for det in dets:
-            dets_by_class.setdefault(det.class_label, []).append(det)
+        model = self.model
 
         emit_pairs: list[tuple[Track, Detection]] = []
         s1 = s2 = s3 = 0
-        for cls, cls_tracks in self._tracks.items():
+        for cls, tracks in self._tracks.items():
             cls_dets = dets_by_class.get(cls, [])
-            if not cls_tracks and not cls_dets:
+            if not tracks and not cls_dets:
                 continue
             cfg = self._config_for(cls)
-            failed = self._advance(cls_tracks, predict([t.state for t in cls_tracks], self.model),
-                                   result)
-            live = [t for t in cls_tracks if t not in failed]
-            if not use_reid_now and not self._fallback_logged and live and dets:
+            means, covs, failures = predict(*self._states[cls], model)
+            if failures:
+                _delete(tracks, failures, result)
+                live = [i for i in range(len(tracks)) if i not in failures]
+                tracks, means, covs = [tracks[i] for i in live], means[live], covs[live]
+            if not use_reid_now and not self._fallback_logged and tracks and dets_by_class:
                 log.log(
                     logging.INFO if not self.use_reid else logging.WARNING,
                     "no appearance embeddings available; stage-1 association "
@@ -400,30 +439,39 @@ class TrackerInstance:
                 )
                 self._fallback_logged = True
 
-            pairs: list[tuple[Track, Detection]] = []
-            prim, sec = split_detections(cls_dets, cfg.t_s)
-            r1 = stage1_cascade(live, prim, cfg, mode=self.mode, camera=self.camera_id,
-                                use_reid=use_reid_now, model=self.model)
+            # From here on, tracks and detections are rows of the class's
+            # arrays; pairs holds each matched (track row, detection row).
+            obs = model.observations(cls_dets)
+            pairs: list[tuple[int, int]] = []
+            prim, sec = _split_indices(cls_dets, cfg.t_s)
+            r1 = stage1_cascade(tracks, means, [cls_dets[j] for j in prim], obs[prim], cfg,
+                                mode=self.mode, camera=self.camera_id, use_reid=use_reid_now,
+                                model=model, covs=covs)
             s1 += len(r1.matches)
-            rest, prim = _apply(r1, live, prim, pairs)
+            rest, prim = _apply(r1, range(len(tracks)), prim, pairs)
 
-            r2 = stage2_relaxed(rest, prim, cfg, mode=self.mode, camera=self.camera_id)
+            r2 = stage2_relaxed([tracks[i] for i in rest], means[rest],
+                                [cls_dets[j] for j in prim], obs[prim], cfg,
+                                mode=self.mode, camera=self.camera_id)
             s2 += len(r2.matches)
             rest, prim = _apply(r2, rest, prim, pairs)
 
             if self.use_stage3:
-                r3 = stage3_secondary(rest, sec, cfg, mode=self.mode, camera=self.camera_id)
+                r3 = stage3_secondary([tracks[i] for i in rest], means[rest],
+                                      [cls_dets[j] for j in sec], obs[sec], cfg,
+                                      mode=self.mode, camera=self.camera_id)
                 s3 += len(r3.matches)
                 rest, _ = _apply(r3, rest, sec, pairs)
 
-            failed = self._advance(
-                [t for t, _ in pairs],
-                update([t.state for t, _ in pairs], [det for _, det in pairs], self.model),
-                result,
-            )
-            for track, det in pairs:
-                if track in failed:
+            rows = np.array([i for i, _ in pairs], dtype=np.intp)
+            means[rows], covs[rows], failures = update(
+                means[rows], covs[rows], obs[[j for _, j in pairs]], model)
+            if failures:
+                _delete([tracks[i] for i in rows], failures, result)
+            for k, (i, j) in enumerate(pairs):
+                if k in failures:
                     continue
+                track, det = tracks[i], cls_dets[j]
                 track.age_since_update = 0
                 track.hits += 1
                 track.score = det.score
@@ -431,22 +479,39 @@ class TrackerInstance:
                     track.gallery = _with_row(track.gallery, det.embedding, cfg.gallery_budget)
                 if track.hits >= cfg.min_hits:
                     emit_pairs.append((track, det))
-            for track in rest:
+            for i in rest:
+                track = tracks[i]
                 track.age_since_update += 1
                 if track.age_since_update > cfg.a_max:
                     result.deleted_ids.append(track.track_id)
-            kept = [t for t in live if t not in failed and t.age_since_update <= cfg.a_max]
-
-            for det in prim:
-                track = Track(next(self._id_counter), init_track_state(det, self.model), cls,
+            # Deleted tracks keep the state of the last step they lived
+            # through: rows of an earlier array, which no step writes.
+            failed = {pairs[k][0] for k in failures}
+            kept = [i for i, track in enumerate(tracks)
+                    if i not in failed and track.age_since_update <= cfg.a_max]
+            if len(kept) < len(tracks):
+                tracks, means, covs = [tracks[i] for i in kept], means[kept], covs[kept]
+            born = []
+            for j in prim:
+                det = cls_dets[j]
+                track = Track(next(self._id_counter), init_track_state(det, model), cls,
                               det.score)
                 if keep_embeddings and det.embedding is not None:
                     track.gallery = _with_row(track.gallery, det.embedding, cfg.gallery_budget)
-                kept.append(track)
+                born.append(track)
                 result.created_ids.append(track.track_id)
                 if track.hits >= cfg.min_hits:
                     emit_pairs.append((track, det))
-            self._tracks[cls] = kept
+            if born:
+                tracks = tracks + born
+                means = np.concatenate((means, [t.state.mean for t in born]))
+                covs = np.concatenate((covs, [t.state.cov for t in born]))
+            # Each track's state is a view of its rows, so it reads the
+            # current state and edits to it reach the next step's filter.
+            for track, mean, cov in zip(tracks, means, covs):
+                track.state = State.trusted(mean, cov)
+            self._tracks[cls] = tracks
+            self._states[cls] = means, covs
 
         result.emitted = [
             EmittedTrack(track.track_id, det.box, track.score, track.class_label)

@@ -16,7 +16,7 @@ import numpy as np
 
 from hmot.errors import NumericFailureError, ValidationError
 from hmot.kalman import MotionModel
-from hmot.types import EXTENTS, State, normalize_heading
+from hmot.types import EXTENTS, State, normalize_heading, observation_2d, observation_3d
 
 
 def raster_iou_2d(a, b) -> float:
@@ -150,13 +150,18 @@ def _innovation(state: State, obs: np.ndarray, model: MotionModel) -> np.ndarray
     return y
 
 
+def observation(det: Detection) -> np.ndarray:
+    """The observed components of one detection's box, one box at a time."""
+    return observation_2d(det.box) if det.is_2d else observation_3d(det.box)
+
+
 def _innovation_cov(state: State, model: MotionModel) -> np.ndarray:
     return model.H @ state.cov @ model.H.T + np.diag(model.measurement_var(state.mean))
 
 
 def update(state: State, det: Detection, model: MotionModel) -> State:
     """Standard Kalman measurement update with the detection's observation."""
-    obs = model.observation(det)
+    obs = observation(det)
     y = _innovation(state, obs, model)
     S = _innovation_cov(state, model)
     try:
@@ -172,7 +177,7 @@ def update(state: State, det: Detection, model: MotionModel) -> State:
 def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
     """Squared Mahalanobis distance of the observation under the innovation
     covariance: y^T S^-1 y over the observed components."""
-    y = _innovation(state, model.observation(det), model)
+    y = _innovation(state, observation(det), model)
     S = _innovation_cov(state, model)
     try:
         chol = np.linalg.cholesky(S)

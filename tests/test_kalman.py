@@ -364,7 +364,7 @@ def _scipy_update(state, det, model):
     """The measurement update through scipy's Cholesky factor and solve."""
     import scipy.linalg
 
-    y = oracles._innovation(state, model.observation(det), model)
+    y = oracles._innovation(state, oracles.observation(det), model)
     S = oracles._innovation_cov(state, model)
     chol = scipy.linalg.cho_factor(S, lower=True)
     gain = scipy.linalg.cho_solve(chol, (state.cov @ model.H.T).T).T
@@ -378,7 +378,7 @@ def _scipy_update(state, det, model):
 def _scipy_mahalanobis_sq(state, det, model):
     import scipy.linalg
 
-    y = oracles._innovation(state, model.observation(det), model)
+    y = oracles._innovation(state, oracles.observation(det), model)
     chol = np.linalg.cholesky(oracles._innovation_cov(state, model))
     z = scipy.linalg.solve_triangular(chol, y, lower=True)
     return float(z @ z)
@@ -405,6 +405,19 @@ def test_update_and_mahalanobis_match_scipy_reference(model, random_det):
             _scipy_mahalanobis_sq(st, det, model), rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_observations_stack_the_scalar_observations_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    model = MotionModel2D if dim == 2 else MotionModel3D
+    if dim == 2:
+        dets = [_random_det2(rng) for _ in range(40)] + [_det2(1, 2, 3, 7)]
+    else:
+        dets = [_random_det3(rng) for _ in range(40)] + [_det3(1, 2, 3, 1, 2, 3, 1)]
+    expected = np.array([oracles.observation(d) for d in dets])
+    assert np.array_equal(_bits(model.observations(dets)), _bits(expected))
+    assert model.observations([]).shape == (0, model.dim_obs)
+
+
 @pytest.mark.parametrize("model, det", [
     (MotionModel2D(), _det2()),
     (MotionModel3D(), _det3()),
@@ -428,18 +441,31 @@ def test_state_without_cholesky_factor_fails_alone_and_quietly(model, det):
     the batch finishes without a floating-point warning."""
     good = init_track_state(det, model)
     bad = State(good.mean, -1e300 * np.eye(model.dim_state))
-    out = update_batch([good, bad, good], [det, det, det], model)
+    out = _results(*update_batch(*_stack([good, bad, good]),
+                                 model.observations([det, det, det]), model))
     assert [type(o) for o in out] == [State, NumericFailureError, State]
     assert str(out[1]) == "singular innovation covariance: Matrix is not positive definite"
     _assert_same(out[0], oracles.update, good, det, model)
     rows = np.array([0, 1, 2, 1])
-    d2 = mahalanobis_sq_pairs([good, bad, good], [det], rows, np.zeros(4, int), model)
+    d2, failures = mahalanobis_sq_pairs(*_stack([good, bad, good]), model.observations([det]),
+                                        rows, np.zeros(4, int), model)
     assert d2[0] == d2[2] == mahalanobis_sq(good, det, model)
     assert d2[1] == d2[3] == math.inf
+    assert list(failures) == [1]
 
 
 # ---------------------------------------------------------------------------
 # batched forms against the scalar oracles
+
+
+def _stack(states):
+    """Stacked means (N, d) and covariances (N, d, d) of ``states``."""
+    return np.array([s.mean for s in states]), np.array([s.cov for s in states])
+
+
+def _results(means, covs, failures):
+    """Each row of a batched filter step: its state, or its failure."""
+    return [failures.get(i) or State(mean, cov) for i, (mean, cov) in enumerate(zip(means, covs))]
 
 
 def _random_state(rng, model):
@@ -514,7 +540,7 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
     if zero_noise and n > 1:
         states[0] = State(states[0].mean, np.zeros_like(states[0].cov))  # S = 0
 
-    predicted = predict_batch(states, model)
+    predicted = _results(*predict_batch(*_stack(states), model))
     assert len(predicted) == n
     for state, out in zip(states, predicted):
         _assert_same(out, oracles.predict, state, model)
@@ -522,14 +548,15 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
 
     live = [s for s in predicted if isinstance(s, State)] + states
     dets = [random_det(rng) for _ in live]
-    updated = update_batch(live, dets, model)
+    updated = _results(*update_batch(*_stack(live), model.observations(dets), model))
     assert len(updated) == len(live)
     for state, det, out in zip(live, dets, updated):
         _assert_same(out, oracles.update, state, det, model)
         _assert_same(_outcome(update, state, det, model), oracles.update, state, det, model)
 
     rows, cols = np.nonzero(rng.random((len(live), len(dets))) < 0.2)
-    for r, c, d2 in zip(rows, cols, mahalanobis_sq_pairs(live, dets, rows, cols, model)):
+    d2s, _ = mahalanobis_sq_pairs(*_stack(live), model.observations(dets), rows, cols, model)
+    for r, c, d2 in zip(rows, cols, d2s):
         expected = _outcome(oracles.mahalanobis_sq, live[r], dets[c], model)
         one = _outcome(mahalanobis_sq, live[r], dets[c], model)
         if isinstance(expected, NumericFailureError):
@@ -541,6 +568,8 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
 
 def test_batched_filter_of_no_states():
     model = MotionModel3D()
-    assert predict_batch([], model) == []
-    assert update_batch([], [], model) == []
-    assert mahalanobis_sq_pairs([], [], np.empty(0, int), np.empty(0, int), model).size == 0
+    means, covs, obs = np.empty((0, 10)), np.empty((0, 10, 10)), model.observations([])
+    assert _results(*predict_batch(means, covs, model)) == []
+    assert _results(*update_batch(means, covs, obs, model)) == []
+    assert mahalanobis_sq_pairs(means, covs, obs, np.empty(0, int), np.empty(0, int),
+                                model)[0].size == 0

@@ -6,6 +6,7 @@ import itertools
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,12 +20,14 @@ from hypothesis import strategies as st
 
 import hmot
 from hmot.config import default_class_configs
-from hmot.errors import ConfigError, ValidationError
+from hmot.errors import ConfigError, DegenerateBoxError, ValidationError
 from hmot.kalman import MotionModel2D, MotionModel3D, Noise2D, Noise3D, init_track_state
+from hmot.metrics import _corner_arrays
 from hmot.tracker import (
     CHI2_95,
     STAGE2_MAX_AGE,
     TrackerInstance,
+    _state_boxes,
     split_detections,
     stage1_cascade,
     stage2_relaxed,
@@ -40,6 +43,7 @@ from hmot.types import (
     ObjectClass,
     State,
     Track,
+    box2d_from_state,
 )
 
 
@@ -80,6 +84,16 @@ def _track3(track_id, det, age=0):
                  gallery=deque())
 
 
+def _means(tracks):
+    """The stage functions' rows of track means."""
+    return np.array([t.state.mean for t in tracks])
+
+
+def _obs(dets):
+    """The stage functions' rows of detection observations."""
+    return (MotionModel2D if dets[0].is_2d else MotionModel3D).observations(dets)
+
+
 PED_2D = default_class_configs(Mode.D2)[ObjectClass.PEDESTRIAN]
 PED_3D = default_class_configs(Mode.D3)[ObjectClass.PEDESTRIAN]
 
@@ -117,7 +131,7 @@ def test_split_preserves_order():
 def test_stage1_2d_appearance_match():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(400, 400, embedding=E_CLOSE)  # far away, same appearance
-    res = stage1_cascade([track], [det], PED_2D, mode=Mode.D2,
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                          camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
 
@@ -125,7 +139,7 @@ def test_stage1_2d_appearance_match():
 def test_stage1_2d_appearance_gate():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100, embedding=E2)  # same place, different appearance
-    res = stage1_cascade([track], [det], PED_2D, mode=Mode.D2,
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                          camera=Camera.FRONT)
     assert res.matches == []
     assert res.unmatched_tracks == [0]
@@ -138,8 +152,8 @@ def test_stage1_age_band_priority():
     young = _track2(1, _det2(100, 100), age=0, gallery=[E_CLOSE])
     old = _track2(2, _det2(100, 100), age=2, gallery=[E1])
     det = _det2(100, 100, embedding=E1)
-    res = stage1_cascade([young, old], [det], PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage1_cascade([young, old], _means([young, old]), [det], _obs([det]),
+                         PED_2D, mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
     assert res.unmatched_tracks == [1]
 
@@ -148,15 +162,15 @@ def test_stage1_second_band_gets_leftovers():
     young = _track2(1, _det2(100, 100), age=0, gallery=[E1])
     old = _track2(2, _det2(500, 500), age=2, gallery=[E2])
     dets = [_det2(100, 100, embedding=E1), _det2(500, 500, embedding=E2)]
-    res = stage1_cascade([young, old], dets, PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage1_cascade([young, old], _means([young, old]), dets, _obs(dets),
+                         PED_2D, mode=Mode.D2, camera=Camera.FRONT)
     assert set(res.matches) == {(0, 0), (1, 1)}
 
 
 def test_stage1_no_embeddings_means_no_reid_matches():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100)  # no embedding
-    res = stage1_cascade([track], [det], PED_2D, mode=Mode.D2,
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                          camera=Camera.FRONT)
     assert res.matches == []
 
@@ -164,7 +178,7 @@ def test_stage1_no_embeddings_means_no_reid_matches():
 def test_stage1_iou_fallback_without_reid():
     track = _track2(1, _det2(100, 100))
     det = _det2(102, 101)  # heavy overlap
-    res = stage1_cascade([track], [det], PED_2D, mode=Mode.D2,
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                          camera=Camera.FRONT, use_reid=False)
     assert res.matches == [(0, 0)]
 
@@ -172,15 +186,16 @@ def test_stage1_iou_fallback_without_reid():
 def test_stage1_iou_fallback_needs_camera():
     track = _track2(1, _det2(100, 100))
     with pytest.raises(ConfigError):
-        stage1_cascade([track], [_det2(100, 100)], PED_2D, mode=Mode.D2,
-                       camera=None, use_reid=False)
+        stage1_cascade([track], _means([track]), [_det2(100, 100)], _obs([_det2(100, 100)]),
+                       PED_2D, mode=Mode.D2, camera=None, use_reid=False)
 
 
 def test_stage1_3d_center_gate():
     track = _track3(1, _det3(0, 0))
     near = _det3(0.3, 0)
     far = _det3(30, 0)
-    res = stage1_cascade([track], [near, far], PED_3D, mode=Mode.D3)
+    res = stage1_cascade([track], _means([track]), [near, far], _obs([near, far]),
+                         PED_3D, mode=Mode.D3)
     assert res.matches == [(0, 0)]
     assert res.unmatched_detections == [1]
 
@@ -189,7 +204,8 @@ def test_stage1_3d_age_priority_beats_distance():
     t_young = _track3(1, _det3(0, 0), age=0)
     t_old = _track3(2, _det3(1.0, 0), age=1)
     det = _det3(0.6, 0)  # nearer to the old track
-    res = stage1_cascade([t_young, t_old], [det], PED_3D, mode=Mode.D3)
+    res = stage1_cascade([t_young, t_old], _means([t_young, t_old]), [det], _obs([det]),
+                         PED_3D, mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -198,10 +214,11 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     model = MotionModel2D()
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(900, 900, embedding=E1)  # appearance-identical, 1100 px away
-    gated = stage1_cascade([track], [det], cfg, mode=Mode.D2,
-                           camera=Camera.FRONT, model=model)
+    gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg, mode=Mode.D2,
+                           camera=Camera.FRONT, model=model,
+                           covs=np.array([track.state.cov]))
     assert gated.matches == []
-    ungated = stage1_cascade([track], [det], PED_2D, mode=Mode.D2,
+    ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                              camera=Camera.FRONT, model=model)
     assert ungated.matches == [(0, 0)]
 
@@ -242,6 +259,37 @@ def test_stage1_work_does_not_grow_with_a_max():
     assert res.stage_matches == (1, 0, 0)
 
 
+def _corners_one_at_a_time(boxes, factor):
+    """(x1, y1, x2, y2) of each box scaled by ``factor``, in Python floats."""
+    out = np.empty((len(boxes), 4))
+    for i, b in enumerate(boxes):
+        hw, hh = b.w * factor / 2.0, b.h * factor / 2.0
+        out[i] = (b.cx - hw, b.cy - hh, b.cx + hw, b.cy + hh)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       factor=st.sampled_from([1.0, 2.0, 3.0]), bad=st.booleans())
+def test_iou_corners_of_state_rows_equal_box_objects_bit_for_bit(seed, n, factor, bad):
+    """The IoU fill reads 2D state rows directly; its corners equal those
+    of :func:`box2d_from_state` boxes computed one at a time, and a state
+    with a non-positive w raises the same error."""
+    rng = np.random.default_rng(seed)
+    means = np.concatenate([rng.uniform(0, 1900, (n, 2)), rng.uniform(0.1, 3.0, (n, 1)),
+                            rng.uniform(5, 300, (n, 1)), rng.normal(0, 3, (n, 4))], axis=1)
+    boxes = [box2d_from_state(State(m, np.eye(8))) for m in means]
+    expected = _corners_one_at_a_time(boxes, factor).view(np.int64)
+    assert np.array_equal(_corner_arrays(_state_boxes(means), factor).view(np.int64), expected)
+    assert np.array_equal(_corner_arrays(boxes, factor).view(np.int64), expected)
+    if bad:
+        means[rng.integers(n):, 2] = -means[0, 2]
+        with pytest.raises(DegenerateBoxError) as scalar:
+            [box2d_from_state(State(m, np.eye(8))) for m in means]
+        with pytest.raises(DegenerateBoxError, match=f"^{re.escape(str(scalar.value))}$"):
+            _state_boxes(means)
+
+
 # ---------------------------------------------------------------------------
 # stage 2
 
@@ -249,7 +297,7 @@ def test_stage1_work_does_not_grow_with_a_max():
 def test_stage2_matches_by_enlarged_iou():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(111, 100, w=10, h=10)  # 1 px gap: plain IoU 0, enlarged > 0
-    res = stage2_relaxed([track], [det], PED_2D, mode=Mode.D2,
+    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                          camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
 
@@ -258,8 +306,8 @@ def test_stage2_age_eligibility():
     fresh = _track2(1, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE - 1)
     stale = _track2(2, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE)
     det = _det2(100, 100, w=10, h=10)
-    res = stage2_relaxed([stale, fresh], [det], PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage2_relaxed([stale, fresh], _means([stale, fresh]), [det], _obs([det]),
+                         PED_2D, mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(1, 0)]
     assert 0 in res.unmatched_tracks
 
@@ -267,7 +315,7 @@ def test_stage2_age_eligibility():
 def test_stage2_3d_same_metric_as_stage1():
     track = _track3(1, _det3(0, 0), age=1)
     det = _det3(0.4, 0)
-    res = stage2_relaxed([track], [det], PED_3D, mode=Mode.D3)
+    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D, mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -278,9 +326,9 @@ def test_stage2_3d_same_metric_as_stage1():
 def test_stage3_wider_reach_than_stage2():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(119, 100, w=10, h=10)  # 9 px gap
-    r2 = stage2_relaxed([track], [det], PED_2D, mode=Mode.D2,
+    r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                         camera=Camera.FRONT)
-    r3 = stage3_secondary([track], [det], PED_2D, mode=Mode.D2,
+    r3 = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
                           camera=Camera.FRONT)
     # 2x enlargement: IoU dist 0.974, outside the 0.95 gate; 3x: 0.776
     assert r2.matches == []
@@ -290,7 +338,7 @@ def test_stage3_wider_reach_than_stage2():
 def test_stage3_3d():
     track = _track3(1, _det3(0, 0), age=3)
     det = _det3(0.5, 0, score=0.3)
-    res = stage3_secondary([track], [det], PED_3D, mode=Mode.D3)
+    res = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_3D, mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -628,6 +676,69 @@ def test_filter_failures_keep_deletion_order(caplog):
     ]
     assert [t.track_id for t in inst.tracks] == [4, 5]  # 5 is born at x = 300
     assert healthy.age_since_update == 0
+
+
+def test_held_tracks_follow_the_tracker_and_freeze_when_deleted():
+    """A ``Track`` held across steps is the tracker's own: after every step
+    it is the entry of ``inst.tracks`` with its id. A track deleted by a
+    numeric failure or by age-out keeps the mean it ended in, shares no
+    memory with a live track's state, and never changes afterwards."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, use_reid=False)
+    inst.step([_det2(x, 100) for x in (100, 300, 500)])
+    held = {t.track_id: t for t in inst.tracks}
+    held[2].state.mean[7] = -2.0 * held[2].state.mean[3]  # h <= 0 after predict
+    before = held[2].state.mean.copy()
+    a_max = inst.configs[ObjectClass.PEDESTRIAN].a_max
+    dead = {}  # track id -> (track, copy of the mean it was deleted with)
+    for f in range(a_max + 4):
+        res = inst.step([_det2(100 + f, 100), _det2(300 + f, 100)])
+        for t in inst.tracks:
+            held.setdefault(t.track_id, t)
+            assert held[t.track_id] is t
+        for tid in res.deleted_ids:
+            dead[tid] = (held[tid], held[tid].state.mean.copy())
+        for track, mean in dead.values():
+            assert np.array_equal(track.state.mean, mean)
+            assert not any(np.shares_memory(track.state.mean, t.state.mean)
+                           or np.shares_memory(track.state.cov, t.state.cov)
+                           for t in inst.tracks)
+    assert set(dead) == {2, 3}  # 2 failed in predict, 3 aged out
+    # A failed predict leaves the state it started from.
+    assert np.array_equal(held[2].state.mean, before)
+    assert [t.track_id for t in inst.tracks] == [1, 4]
+
+
+@pytest.mark.parametrize("frame, error, match", [
+    # A foreign camera and a class without configuration, in both orders.
+    ([_det2(0, 0, camera=Camera.SIDE_LEFT), _det2(0, 0, cls=ObjectClass.CYCLIST)],
+     ConfigError, "does not belong"),
+    ([_det2(0, 0, cls=ObjectClass.CYCLIST), _det2(0, 0, camera=Camera.SIDE_LEFT)],
+     ConfigError, "no configuration for class 'cyclist'"),
+    # One detection failing both: the camera is checked first.
+    ([_det2(0, 0, cls=ObjectClass.CYCLIST, camera=Camera.SIDE_LEFT)],
+     ConfigError, "does not belong"),
+    # One detection failing both: its class is checked before its embedding.
+    ([_det2(0, 0, embedding=E1), _det2(0, 0, cls=ObjectClass.CYCLIST,
+                                         embedding=_unit(np.ones(8)))],
+     ConfigError, "no configuration for class 'cyclist'"),
+    # A class without configuration before an embedding of another size.
+    ([_det2(0, 0, embedding=E1), _det2(0, 0, cls=ObjectClass.CYCLIST),
+      _det2(0, 0, embedding=_unit(np.ones(8)))],
+     ConfigError, "no configuration for class 'cyclist'"),
+    ([_det2(0, 0, embedding=E1), _det2(0, 0, embedding=_unit(np.ones(8))),
+      _det2(0, 0, cls=ObjectClass.CYCLIST)],
+     ValidationError, "embedding size 8 differs from the first embedding's size 4"),
+    # A box of the other mode before everything else.
+    ([_det3(0, 0), _det2(0, 0, camera=Camera.SIDE_LEFT)],
+     ConfigError, "detection box type does not match tracker mode '2d'"),
+])
+def test_first_bad_detection_in_input_order_raises(frame, error, match):
+    configs = default_class_configs(Mode.D2)
+    del configs[ObjectClass.CYCLIST]
+    inst = TrackerInstance(Mode.D2, configs, camera_id=Camera.FRONT)
+    with pytest.raises(error, match=match):
+        inst.step(frame)
+    assert inst.tracks == [] and inst.frame_index == 0
 
 
 def test_mahalanobis_gate_skips_track_without_positive_definite_s(caplog):
