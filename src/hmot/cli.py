@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .config import load_config
 from .errors import ConfigError, TrackingError, ValidationError
@@ -78,51 +78,53 @@ def _cmd_track(args: argparse.Namespace) -> int:
     counters: dict[str, itertools.count] = {}
     last_frame: dict[tuple[str, object], int] = {}
     totals: defaultdict[str, _Totals] = defaultdict(_Totals)
-    rows: list[TrackRow] = []
+    n_rows = 0
 
-    for fr in iter_detections(args.dets):
-        key = (fr.sequence_id, fr.camera)
-        st = totals[fr.sequence_id]
-        gap = fr.frame - last_frame[key] - 1 if key in last_frame else 0
-        last_frame[key] = fr.frame
-        try:
-            if key not in instances:
-                counter = counters.setdefault(fr.sequence_id, itertools.count(1))
-                instances[key] = TrackerInstance(
-                    mode,
-                    cfg.class_configs,
-                    camera_id=fr.camera,
-                    noise=cfg.noise_2d if mode is Mode.D2 else cfg.noise_3d,
-                    id_counter=counter,
-                    use_stage3=not args.no_stage3,
-                    use_reid=not args.no_reid,
-                )
-            inst = instances[key]
-            stepped = min(gap, max_empty_steps)
-            for _ in range(stepped):
-                st.deleted += len(inst.step([]).deleted_ids)
-            inst.frame_index += gap - stepped
-            result = inst.step(fr.detections)
-        except (ConfigError, ValidationError) as exc:
-            raise type(exc)(f"sequence {fr.sequence_id!r} frame {fr.frame}: {exc}") from None
-        st.frames += 1 + gap
-        st.stage_matches = tuple(map(sum, zip(st.stage_matches, result.stage_matches)))
-        st.created += len(result.created_ids)
-        st.deleted += len(result.deleted_ids)
-        for em in result.emitted:
-            rows.append(
-                TrackRow(fr.sequence_id, fr.frame, em.track_id, em.class_label,
-                         em.box, em.score)
-            )
+    def track_rows() -> Iterator[TrackRow]:
+        # Frames are read, tracked and written one at a time.
+        nonlocal n_rows
+        for fr in iter_detections(args.dets):
+            key = (fr.sequence_id, fr.camera)
+            st = totals[fr.sequence_id]
+            gap = fr.frame - last_frame[key] - 1 if key in last_frame else 0
+            last_frame[key] = fr.frame
+            try:
+                if key not in instances:
+                    counter = counters.setdefault(fr.sequence_id, itertools.count(1))
+                    instances[key] = TrackerInstance(
+                        mode,
+                        cfg.class_configs,
+                        camera_id=fr.camera,
+                        noise=cfg.noise_2d if mode is Mode.D2 else cfg.noise_3d,
+                        id_counter=counter,
+                        use_stage3=not args.no_stage3,
+                        use_reid=not args.no_reid,
+                    )
+                inst = instances[key]
+                stepped = min(gap, max_empty_steps)
+                for _ in range(stepped):
+                    st.deleted += len(inst.step([]).deleted_ids)
+                inst.frame_index += gap - stepped
+                result = inst.step(fr.detections)
+            except (ConfigError, ValidationError) as exc:
+                raise type(exc)(f"sequence {fr.sequence_id!r} frame {fr.frame}: {exc}") from None
+            st.frames += 1 + gap
+            st.stage_matches = tuple(map(sum, zip(st.stage_matches, result.stage_matches)))
+            st.created += len(result.created_ids)
+            st.deleted += len(result.deleted_ids)
+            n_rows += len(result.emitted)
+            for em in result.emitted:
+                yield TrackRow(fr.sequence_id, fr.frame, em.track_id, em.class_label,
+                               em.box, em.score)
 
-    write_tracks(args.out, rows, mode)
+    write_tracks(args.out, track_rows(), mode)
     for seq, st in totals.items():
         s1, s2, s3 = st.stage_matches
         print(
             f"sequence {seq}: {st.frames} frames, stage matches {s1}/{s2}/{s3}, "
             f"{st.created} tracks created, {st.deleted} deleted"
         )
-    print(f"wrote {len(rows)} track rows to {args.out}")
+    print(f"wrote {n_rows} track rows to {args.out}")
     return 0
 
 

@@ -5,18 +5,19 @@ score into a primary and a secondary set, run a three-stage gated cascade,
 update matched tracks, age out stale ones, and seed new tracks from leftover
 primary detections. Between frames the filter states of a class are one
 array of means (N, d) and one of covariances (N, d, d), row i belonging to
-the class's i-th track. Predict is one batched filter call on those
-arrays; update is one on the matched rows, gathered and scattered back;
-births are appended. After each step ``track.state`` is a view of the
-track's rows, so edits to it in place reach the next step's filter; a
-deleted track keeps the state of the last step it lived through. Each
-stage solves one gated assignment per band of tracks over the detections
-earlier bands left unclaimed. Stage 1 bands tracks by age, youngest first,
-using appearance distance in 2D and kernelized center distance in 3D.
-Stage 2 is one band of recently lost tracks on the remaining primary
-detections with enlarged-IoU distance (2D). Stage 3 is one band of all
-still unmatched tracks on the low-score secondary set, which keeps weakly
-detected objects alive but never seeds a track.
+the class's i-th track. Predict and update are one batched filter call each.
+Each stage takes the class's whole arrays, the track rows still open and the
+detection rows to match, and returns rows of the same arrays; then one
+compaction per class and frame drops failed and aged-out rows, and births
+are appended. ``track.state`` is a view of the track's rows, so edits to it
+in place reach the next step's filter; a deleted track keeps the state of
+the last step it lived through. Each stage solves one gated assignment per
+band of tracks over the detections earlier bands left. Stage 1 bands by age,
+youngest first, by appearance distance in 2D and kernelized center distance
+in 3D. Stage 2 is one band of recently lost tracks on the remaining primary
+detections by enlarged IoU (2D). Stage 3 is one band of all still unmatched
+tracks on the low-score secondary set, which keeps weak objects alive but
+never seeds a track.
 """
 
 from __future__ import annotations
@@ -178,17 +179,20 @@ def _cascade(
     means: np.ndarray,
     dets: Sequence[Detection],
     obs: np.ndarray,
+    rows: Sequence[int],
     bands: Iterable[list[int]],
+    cols: Sequence[int],
     config: ClassConfig,
     mode: Mode | str,
     camera: Camera | None,
     **match_kwargs,
 ) -> AssociationResult:
     """One :func:`_gated_match` (given ``match_kwargs``) per band of track
-    indices, in order, over the detections earlier bands left unclaimed."""
+    rows, in order, over the rows of ``cols`` earlier bands left unclaimed;
+    the unmatched tracks are the rows of ``rows`` no band matched."""
     mode = Mode(mode)
     matches: list[tuple[int, int]] = []
-    remaining = list(range(len(dets)))
+    remaining = list(cols)
     for band in bands:
         if not band or not remaining:
             continue
@@ -197,8 +201,7 @@ def _cascade(
         matches += [(band[r], remaining[c]) for r, c in result.matches]
         remaining = [remaining[c] for c in result.unmatched_detections]
     matched = {i for i, _ in matches}
-    return AssociationResult(matches, [i for i in range(len(tracks)) if i not in matched],
-                             remaining)
+    return AssociationResult(matches, [i for i in rows if i not in matched], remaining)
 
 
 def stage1_cascade(
@@ -208,13 +211,16 @@ def stage1_cascade(
     obs: np.ndarray,
     config: ClassConfig,
     *,
+    rows: Sequence[int],
+    cols: Sequence[int],
     mode: Mode | str,
     camera: Camera | None = None,
     use_reid: bool = True,
     model: MotionModel | None = None,
     covs: np.ndarray | None = None,
 ) -> AssociationResult:
-    """Age-ordered association against the primary detection set.
+    """Age-ordered association of the track rows ``rows`` against the
+    primary detection rows ``cols``; the results are rows too.
 
     Row i of ``means`` (and of ``covs``) is the predicted state of
     ``tracks[i]``; row j of ``obs`` is the observation of ``dets[j]``, as
@@ -226,12 +232,12 @@ def stage1_cascade(
     2D and the kernelized center distance in 3D; see :func:`_gated_match`.
     """
     by_age: dict[int, list[int]] = {}
-    for i, t in enumerate(tracks):
-        if 0 <= t.age_since_update <= config.a_max:
-            by_age.setdefault(t.age_since_update, []).append(i)
+    for i in rows:
+        if 0 <= (age := tracks[i].age_since_update) <= config.a_max:
+            by_age.setdefault(age, []).append(i)
     return _cascade(
-        tracks, means, dets, obs, [by_age[age] for age in sorted(by_age)], config, mode,
-        camera, use_reid=use_reid, model=model, covs=covs,
+        tracks, means, dets, obs, rows, [by_age[age] for age in sorted(by_age)], cols, config,
+        mode, camera, use_reid=use_reid, model=model, covs=covs,
     )
 
 
@@ -242,17 +248,17 @@ def stage2_relaxed(
     obs: np.ndarray,
     config: ClassConfig,
     *,
+    rows: Sequence[int],
+    cols: Sequence[int],
     mode: Mode | str,
     camera: Camera | None = None,
 ) -> AssociationResult:
-    """Second chance for recently lost tracks (age < 3) on leftover primary
-    detections; 2D cost is IoU distance with boxes enlarged 2x. The arrays
-    are as in :func:`stage1_cascade`."""
-    eligible = [i for i, t in enumerate(tracks) if t.age_since_update < STAGE2_MAX_AGE]
-    return _cascade(
-        tracks, means, dets, obs, [eligible], config, mode, camera,
-        enlarge=config.enlarge_stage2,
-    )
+    """Second chance for recently lost tracks (age < 3) among ``rows`` on
+    leftover primary detections ``cols``; 2D cost is IoU distance with boxes
+    enlarged 2x. Arguments and results are as in :func:`stage1_cascade`."""
+    eligible = [i for i in rows if tracks[i].age_since_update < STAGE2_MAX_AGE]
+    return _cascade(tracks, means, dets, obs, rows, [eligible], cols, config, mode, camera,
+                    enlarge=config.enlarge_stage2)
 
 
 def stage3_secondary(
@@ -262,30 +268,17 @@ def stage3_secondary(
     obs: np.ndarray,
     config: ClassConfig,
     *,
+    rows: Sequence[int],
+    cols: Sequence[int],
     mode: Mode | str,
     camera: Camera | None = None,
 ) -> AssociationResult:
-    """Match still-unmatched tracks against the weak (secondary) detections;
-    2D cost is IoU distance with boxes enlarged 3x. Secondary detections
-    that stay unmatched are dropped, never turned into tracks. The arrays
-    are as in :func:`stage1_cascade`."""
-    return _cascade(
-        tracks, means, dets, obs, [list(range(len(tracks)))], config, mode, camera,
-        enlarge=config.enlarge_stage3,
-    )
-
-
-def _apply(
-    result: AssociationResult, rows: Sequence[int], cols: Sequence[int],
-    pairs: list[tuple[int, int]],
-) -> tuple[list[int], list[int]]:
-    """Append the matched pairs of ``result``, as (``rows[i]``, ``cols[j]``),
-    to ``pairs`` and return the rows and columns it left unmatched."""
-    pairs += [(rows[i], cols[j]) for i, j in result.matches]
-    return (
-        [rows[i] for i in result.unmatched_tracks],
-        [cols[j] for j in result.unmatched_detections],
-    )
+    """Match still-unmatched tracks ``rows`` against the weak (secondary)
+    detections ``cols``; 2D cost is IoU distance with boxes enlarged 3x.
+    Secondary detections that stay unmatched are dropped, never turned into
+    tracks. Arguments and results are as in :func:`stage1_cascade`."""
+    return _cascade(tracks, means, dets, obs, rows, [list(rows)], cols, config, mode, camera,
+                    enlarge=config.enlarge_stage3)
 
 
 def _delete(tracks: Sequence[Track], failures: Mapping[int, NumericFailureError],
@@ -418,6 +411,7 @@ class TrackerInstance:
         # Only 2D re-id reads galleries; only there are embedding sizes checked.
         keep_embeddings = self.mode is Mode.D2 and self.use_reid
         model = self.model
+        where = {"mode": self.mode, "camera": self.camera_id}
 
         emit_pairs: list[tuple[Track, Detection]] = []
         s1 = s2 = s3 = 0
@@ -426,12 +420,12 @@ class TrackerInstance:
             if not tracks and not cls_dets:
                 continue
             cfg = self._config_for(cls)
-            means, covs, failures = predict(*self._states[cls], model)
-            if failures:
-                _delete(tracks, failures, result)
-                live = [i for i in range(len(tracks)) if i not in failures]
-                tracks, means, covs = [tracks[i] for i in live], means[live], covs[live]
-            if not use_reid_now and not self._fallback_logged and tracks and dets_by_class:
+            # Tracks and detections are rows of the class's arrays; a row
+            # whose predict failed is left out of association.
+            means, covs, predict_failures = predict(*self._states[cls], model)
+            _delete(tracks, predict_failures, result)
+            live = [i for i in range(len(tracks)) if i not in predict_failures]
+            if not use_reid_now and not self._fallback_logged and live and dets_by_class:
                 log.log(
                     logging.INFO if not self.use_reid else logging.WARNING,
                     "no appearance embeddings available; stage-1 association "
@@ -439,29 +433,20 @@ class TrackerInstance:
                 )
                 self._fallback_logged = True
 
-            # From here on, tracks and detections are rows of the class's
-            # arrays; pairs holds each matched (track row, detection row).
             obs = model.observations(cls_dets)
-            pairs: list[tuple[int, int]] = []
             prim, sec = _split_indices(cls_dets, cfg.t_s)
-            r1 = stage1_cascade(tracks, means, [cls_dets[j] for j in prim], obs[prim], cfg,
-                                mode=self.mode, camera=self.camera_id, use_reid=use_reid_now,
-                                model=model, covs=covs)
-            s1 += len(r1.matches)
-            rest, prim = _apply(r1, range(len(tracks)), prim, pairs)
-
-            r2 = stage2_relaxed([tracks[i] for i in rest], means[rest],
-                                [cls_dets[j] for j in prim], obs[prim], cfg,
-                                mode=self.mode, camera=self.camera_id)
-            s2 += len(r2.matches)
-            rest, prim = _apply(r2, rest, prim, pairs)
-
+            r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, rows=live, cols=prim,
+                                use_reid=use_reid_now, model=model, covs=covs, **where)
+            r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, rows=r1.unmatched_tracks,
+                                cols=r1.unmatched_detections, **where)
+            s1, s2 = s1 + len(r1.matches), s2 + len(r2.matches)
+            # pairs holds each matched (track row, detection row).
+            pairs, rest = r1.matches + r2.matches, r2.unmatched_tracks
             if self.use_stage3:
-                r3 = stage3_secondary([tracks[i] for i in rest], means[rest],
-                                      [cls_dets[j] for j in sec], obs[sec], cfg,
-                                      mode=self.mode, camera=self.camera_id)
+                r3 = stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=rest, cols=sec,
+                                      **where)
                 s3 += len(r3.matches)
-                rest, _ = _apply(r3, rest, sec, pairs)
+                pairs, rest = pairs + r3.matches, r3.unmatched_tracks
 
             rows = np.array([i for i, _ in pairs], dtype=np.intp)
             means[rows], covs[rows], failures = update(
@@ -487,12 +472,11 @@ class TrackerInstance:
             # Deleted tracks keep the state of the last step they lived
             # through: rows of an earlier array, which no step writes.
             failed = {pairs[k][0] for k in failures}
-            kept = [i for i, track in enumerate(tracks)
-                    if i not in failed and track.age_since_update <= cfg.a_max]
+            kept = [i for i in live if i not in failed and tracks[i].age_since_update <= cfg.a_max]
             if len(kept) < len(tracks):
                 tracks, means, covs = [tracks[i] for i in kept], means[kept], covs[kept]
             born = []
-            for j in prim:
+            for j in r2.unmatched_detections:
                 det = cls_dets[j]
                 track = Track(next(self._id_counter), init_track_state(det, model), cls,
                               det.score)

@@ -371,6 +371,16 @@ def test_track_malformed_last_line_exits_2_without_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+def test_track_reports_unwritable_output_before_reading(tmp_path, capsys):
+    # Rows are written as they are tracked, so the output is opened first.
+    dets = tmp_path / "d.ndjson"
+    dets.write_text('{"sequence_id": \n')
+    out = tmp_path / "missing" / "t.csv"
+    assert main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "invalid JSON" not in err
+
+
 def test_track_mixed_embedding_sizes_exits_2(tmp_path, capsys):
     def det(dim):
         return Detection(box=Box2D(500.0, 400.0, 60.0, 120.0), score=0.9,

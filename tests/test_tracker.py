@@ -131,16 +131,16 @@ def test_split_preserves_order():
 def test_stage1_2d_appearance_match():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(400, 400, embedding=E_CLOSE)  # far away, same appearance
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
 
 
 def test_stage1_2d_appearance_gate():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100, embedding=E2)  # same place, different appearance
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == []
     assert res.unmatched_tracks == [0]
     assert res.unmatched_detections == [0]
@@ -152,8 +152,8 @@ def test_stage1_age_band_priority():
     young = _track2(1, _det2(100, 100), age=0, gallery=[E_CLOSE])
     old = _track2(2, _det2(100, 100), age=2, gallery=[E1])
     det = _det2(100, 100, embedding=E1)
-    res = stage1_cascade([young, old], _means([young, old]), [det], _obs([det]),
-                         PED_2D, mode=Mode.D2, camera=Camera.FRONT)
+    res = stage1_cascade([young, old], _means([young, old]), [det], _obs([det]), PED_2D,
+                         rows=range(2), cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
     assert res.unmatched_tracks == [1]
 
@@ -162,24 +162,24 @@ def test_stage1_second_band_gets_leftovers():
     young = _track2(1, _det2(100, 100), age=0, gallery=[E1])
     old = _track2(2, _det2(500, 500), age=2, gallery=[E2])
     dets = [_det2(100, 100, embedding=E1), _det2(500, 500, embedding=E2)]
-    res = stage1_cascade([young, old], _means([young, old]), dets, _obs(dets),
-                         PED_2D, mode=Mode.D2, camera=Camera.FRONT)
+    res = stage1_cascade([young, old], _means([young, old]), dets, _obs(dets), PED_2D,
+                         rows=range(2), cols=range(2), mode=Mode.D2, camera=Camera.FRONT)
     assert set(res.matches) == {(0, 0), (1, 1)}
 
 
 def test_stage1_no_embeddings_means_no_reid_matches():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100)  # no embedding
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == []
 
 
 def test_stage1_iou_fallback_without_reid():
     track = _track2(1, _det2(100, 100))
     det = _det2(102, 101)  # heavy overlap
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT, use_reid=False)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT, use_reid=False)
     assert res.matches == [(0, 0)]
 
 
@@ -187,15 +187,16 @@ def test_stage1_iou_fallback_needs_camera():
     track = _track2(1, _det2(100, 100))
     with pytest.raises(ConfigError):
         stage1_cascade([track], _means([track]), [_det2(100, 100)], _obs([_det2(100, 100)]),
-                       PED_2D, mode=Mode.D2, camera=None, use_reid=False)
+                       PED_2D, rows=range(1), cols=range(1), mode=Mode.D2, camera=None,
+                       use_reid=False)
 
 
 def test_stage1_3d_center_gate():
     track = _track3(1, _det3(0, 0))
     near = _det3(0.3, 0)
     far = _det3(30, 0)
-    res = stage1_cascade([track], _means([track]), [near, far], _obs([near, far]),
-                         PED_3D, mode=Mode.D3)
+    res = stage1_cascade([track], _means([track]), [near, far], _obs([near, far]), PED_3D,
+                         rows=range(1), cols=range(2), mode=Mode.D3)
     assert res.matches == [(0, 0)]
     assert res.unmatched_detections == [1]
 
@@ -204,8 +205,8 @@ def test_stage1_3d_age_priority_beats_distance():
     t_young = _track3(1, _det3(0, 0), age=0)
     t_old = _track3(2, _det3(1.0, 0), age=1)
     det = _det3(0.6, 0)  # nearer to the old track
-    res = stage1_cascade([t_young, t_old], _means([t_young, t_old]), [det], _obs([det]),
-                         PED_3D, mode=Mode.D3)
+    res = stage1_cascade([t_young, t_old], _means([t_young, t_old]), [det], _obs([det]), PED_3D,
+                         rows=range(2), cols=range(1), mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -214,12 +215,12 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     model = MotionModel2D()
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(900, 900, embedding=E1)  # appearance-identical, 1100 px away
-    gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg, mode=Mode.D2,
-                           camera=Camera.FRONT, model=model,
+    gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg, rows=range(1),
+                           cols=range(1), mode=Mode.D2, camera=Camera.FRONT, model=model,
                            covs=np.array([track.state.cov]))
     assert gated.matches == []
-    ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                             camera=Camera.FRONT, model=model)
+    ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                             cols=range(1), mode=Mode.D2, camera=Camera.FRONT, model=model)
     assert ungated.matches == [(0, 0)]
 
 
@@ -297,8 +298,8 @@ def test_iou_corners_of_state_rows_equal_box_objects_bit_for_bit(seed, n, factor
 def test_stage2_matches_by_enlarged_iou():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(111, 100, w=10, h=10)  # 1 px gap: plain IoU 0, enlarged > 0
-    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                         camera=Camera.FRONT)
+    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
 
 
@@ -306,8 +307,8 @@ def test_stage2_age_eligibility():
     fresh = _track2(1, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE - 1)
     stale = _track2(2, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE)
     det = _det2(100, 100, w=10, h=10)
-    res = stage2_relaxed([stale, fresh], _means([stale, fresh]), [det], _obs([det]),
-                         PED_2D, mode=Mode.D2, camera=Camera.FRONT)
+    res = stage2_relaxed([stale, fresh], _means([stale, fresh]), [det], _obs([det]), PED_2D,
+                         rows=range(2), cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(1, 0)]
     assert 0 in res.unmatched_tracks
 
@@ -315,7 +316,8 @@ def test_stage2_age_eligibility():
 def test_stage2_3d_same_metric_as_stage1():
     track = _track3(1, _det3(0, 0), age=1)
     det = _det3(0.4, 0)
-    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D, mode=Mode.D3)
+    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D, rows=range(1),
+                         cols=range(1), mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -326,10 +328,10 @@ def test_stage2_3d_same_metric_as_stage1():
 def test_stage3_wider_reach_than_stage2():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(119, 100, w=10, h=10)  # 9 px gap
-    r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                        camera=Camera.FRONT)
-    r3 = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_2D, mode=Mode.D2,
-                          camera=Camera.FRONT)
+    r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                        cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+    r3 = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+                          cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     # 2x enlargement: IoU dist 0.974, outside the 0.95 gate; 3x: 0.776
     assert r2.matches == []
     assert r3.matches == [(0, 0)]
@@ -338,8 +340,72 @@ def test_stage3_wider_reach_than_stage2():
 def test_stage3_3d():
     track = _track3(1, _det3(0, 0), age=3)
     det = _det3(0.5, 0, score=0.3)
-    res = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_3D, mode=Mode.D3)
+    res = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_3D, rows=range(1),
+                           cols=range(1), mode=Mode.D3)
     assert res.matches == [(0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the row contract of the stages
+
+
+def _random_frame(rng, kind, n_tracks, n_dets):
+    """Tracks of random ages, their stacked states, detections and their
+    observations, all near one another so that many pairs pass the gates.
+    In 2D every embedding is close to one of three shared appearances."""
+    protos = [_unit(rng.normal(size=8)) for _ in range(3)]
+
+    def det():
+        if kind == "3d":
+            return _det3(*rng.uniform(0, 4, 2), theta=rng.uniform(-3, 3))
+        emb = _unit(protos[rng.integers(3)] + rng.normal(0, 0.1, 8))
+        return _det2(*rng.uniform(0, 150, 2), w=rng.uniform(20, 60), h=rng.uniform(40, 120),
+                     embedding=emb if kind == "2d-reid" else None)
+
+    model = MotionModel3D() if kind == "3d" else MotionModel2D()
+    firsts = [det() for _ in range(n_tracks)]
+    tracks = [Track(k + 1, init_track_state(first, model), first.class_label, first.score,
+                    age_since_update=int(rng.integers(0, 6)))
+              for k, first in enumerate(firsts)]
+    for track, first in zip(tracks, firsts):
+        if first.embedding is not None:
+            track.gallery = np.array([first.embedding])
+    dim = model.dim_state
+    means = np.array([t.state.mean for t in tracks]).reshape(-1, dim)
+    means[:, :2] += rng.normal(0, 0.5 if kind == "3d" else 5.0, (n_tracks, 2))
+    covs = np.array([t.state.cov for t in tracks]).reshape(-1, dim, dim)
+    dets = [det() for _ in range(n_dets)]
+    return model, tracks, means, covs, dets, model.observations(dets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["2d-iou", "2d-reid", "3d"]),
+       n_tracks=st.integers(0, 10), n_dets=st.integers(0, 10), gating=st.booleans())
+def test_stages_on_class_rows_equal_stages_on_sub_arrays(seed, kind, n_tracks, n_dets, gating):
+    """Each stage, given the whole arrays with track rows R and detection
+    rows C, returns what it returns on the sub-arrays of R and C, mapped
+    through R and C; no row outside R or C appears in its result."""
+    rng = np.random.default_rng(seed)
+    model, tracks, means, covs, dets, obs = _random_frame(rng, kind, n_tracks, n_dets)
+    R = [int(i) for i in rng.permutation(n_tracks)[:rng.integers(n_tracks + 1)]]
+    C = [int(j) for j in rng.permutation(n_dets)[:rng.integers(n_dets + 1)]]
+    cfg = dataclasses.replace(PED_3D if kind == "3d" else PED_2D, mahalanobis_gating=gating)
+    where = {"mode": Mode.D3} if kind == "3d" else {"mode": Mode.D2, "camera": Camera.FRONT}
+
+    def run(stage, tracks, means, covs, dets, obs, rows, cols):
+        extra = ({"use_reid": kind == "2d-reid", "model": model, "covs": covs}
+                 if stage is stage1_cascade else {})
+        return stage(tracks, means, dets, obs, cfg, rows=rows, cols=cols, **where, **extra)
+
+    for stage in (stage1_cascade, stage2_relaxed, stage3_secondary):
+        whole = run(stage, tracks, means, covs, dets, obs, R, C)
+        sub = run(stage, [tracks[i] for i in R], means[R], covs[R], [dets[j] for j in C],
+                  obs[C], range(len(R)), range(len(C)))
+        assert whole.matches == [(R[i], C[j]) for i, j in sub.matches]
+        assert whole.unmatched_tracks == [R[i] for i in sub.unmatched_tracks]
+        assert whole.unmatched_detections == [C[j] for j in sub.unmatched_detections]
+        assert {i for i, _ in whole.matches} | set(whole.unmatched_tracks) <= set(R)
+        assert {j for _, j in whole.matches} | set(whole.unmatched_detections) <= set(C)
 
 
 # ---------------------------------------------------------------------------
