@@ -2,8 +2,9 @@
 
 Detection files carry one frame per line as a JSON object; track files (and
 ground-truth files, which share the schema) are CSV with one box per row.
-All floats are serialized with 9 significant digits; reading a file back and
-rewriting it reproduces it byte for byte.
+Each float is written as the ``repr`` of its value rounded to 9 significant
+digits (``qfloat``); since that text reads back as the same float, reading a
+file and rewriting it reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -81,17 +82,25 @@ _DET_KEYS = {"class", *_BOX_KEYS.values(), "score", "embedding", "src_gt"}
 _FRAME_KEYS = {"sequence_id", "frame", "camera", "detections"}
 
 
-def _det_to_json(det: Detection) -> dict[str, Any]:
+def _json_floats(values: Iterable[float]) -> str:
+    """The JSON array ``json.dumps([qfloat(v) for v in values])`` without
+    spaces, with each value formatted once. A ``.9g`` token with a point and
+    no exponent is already the ``repr`` of its float; any other (an integer,
+    an exponent) is replaced by that ``repr``."""
+    return "[" + ",".join([
+        t if "." in t and "e" not in t else repr(float(t)) for t in map("{:.9g}".format, values)
+    ]) + "]"
+
+
+def _det_json(det: Detection) -> str:
     kind = type(det.box)
-    return {
-        "class": det.class_label.value,
-        _BOX_KEYS[kind]: [qfloat(v) for v in _BOX_VALUES[kind](det.box)],
-        "score": qfloat(det.score),
-        "embedding": (
-            None if det.embedding is None else [qfloat(v) for v in det.embedding]
-        ),
-        "src_gt": det.src_gt,
-    }
+    emb = "null" if det.embedding is None else _json_floats(det.embedding.tolist())
+    return (
+        f'{{"class":{json.dumps(det.class_label.value)},'
+        f'"{_BOX_KEYS[kind]}":{_json_floats(_BOX_VALUES[kind](det.box))},'
+        f'"score":{json.dumps(qfloat(det.score))},"embedding":{emb},'
+        f'"src_gt":{json.dumps(det.src_gt)}}}'
+    )
 
 
 def write_detections(path: str | Path, frames: Iterable[DetectionFrame]) -> None:
@@ -106,13 +115,11 @@ def write_detections(path: str | Path, frames: Iterable[DetectionFrame]) -> None
                     f"{fr.sequence_id!r}"
                 )
             last_frame[key] = fr.frame
-            record = {
-                "sequence_id": fr.sequence_id,
-                "frame": fr.frame,
-                "camera": None if fr.camera is None else fr.camera.value,
-                "detections": [_det_to_json(d) for d in fr.detections],
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            camera = None if fr.camera is None else fr.camera.value
+            head = json.dumps({"sequence_id": fr.sequence_id, "frame": fr.frame,
+                               "camera": camera}, separators=(",", ":"))
+            dets = ",".join(map(_det_json, fr.detections))
+            fh.write(f'{head[:-1]},"detections":[{dets}]}}\n')
 
 
 def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
@@ -132,7 +139,9 @@ def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
     try:
         vals = entry[key]
         names = _BOX_FIELDS[kind]
-        if not isinstance(vals, list) or len(vals) != len(names):
+        if not isinstance(vals, list) or len(vals) != len(names) or any(
+            isinstance(v, bool) for v in vals
+        ):
             raise DataFormatError(f"{key} must be [{', '.join(names)}]", line)
         box: Box = kind(*[float(v) for v in vals])
         embedding = entry.get("embedding")
@@ -141,8 +150,10 @@ def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
                 raise DataFormatError("embedding must be a list or null", line)
             embedding = np.asarray(embedding, dtype=np.float64)
         src_gt = entry.get("src_gt")
-        if src_gt is not None and not isinstance(src_gt, int):
+        if src_gt is not None and (isinstance(src_gt, bool) or not isinstance(src_gt, int)):
             raise DataFormatError("src_gt must be an integer or null", line)
+        if isinstance(entry["score"], bool):
+            raise DataFormatError("score must be a number", line)
         return Detection(
             box=box,
             score=float(entry["score"]),

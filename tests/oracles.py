@@ -2,21 +2,34 @@
 
 Each routine here recomputes a quantity by a method unrelated to the
 library's own algorithm (rasterization, Monte-Carlo sampling, exhaustive
-permutation search) so agreement is meaningful. The Kalman step at the end
-is the filter written one state at a time with scalar heading wraps; the
-library's stacked filter must equal it bit for bit.
+permutation search) so agreement is meaningful. The Kalman step is the
+filter written one state at a time with scalar heading wraps; the library's
+stacked filter must equal it bit for bit. The detection-file line at the end
+is built as a dict of quantized Python floats and encoded by ``json.dumps``;
+the library's writer, which composes the line as text, must equal it byte
+for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 
 from hmot.errors import NumericFailureError, ValidationError
+from hmot.io import qfloat
 from hmot.kalman import MotionModel
-from hmot.types import EXTENTS, State, normalize_heading, observation_2d, observation_3d
+from hmot.types import (
+    EXTENTS,
+    Box2D,
+    State,
+    normalize_heading,
+    observation_2d,
+    observation_3d,
+)
 
 
 def raster_iou_2d(a, b) -> float:
@@ -185,3 +198,34 @@ def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
         raise NumericFailureError(f"singular innovation covariance: {exc}") from exc
     z = np.linalg.solve(chol, y)
     return float(z @ z)
+
+
+# ---------------------------------------------------------------------------
+# The detection-file line, as a dict encoded by json.dumps
+
+
+def detection_json(det: Detection) -> dict:
+    """One detection as the dict its file record holds, every float
+    quantized by ``qfloat``; box values in dataclass field order."""
+    box_key = "box2d" if isinstance(det.box, Box2D) else "box3d"
+    box_values = [getattr(det.box, f.name) for f in dataclasses.fields(det.box)]
+    return {
+        "class": det.class_label.value,
+        box_key: [qfloat(v) for v in box_values],
+        "score": qfloat(det.score),
+        "embedding": (
+            None if det.embedding is None else [qfloat(v) for v in det.embedding]
+        ),
+        "src_gt": det.src_gt,
+    }
+
+
+def detection_line(frame) -> str:
+    """One ``DetectionFrame`` as its detection-file line, newline included."""
+    record = {
+        "sequence_id": frame.sequence_id,
+        "frame": frame.frame,
+        "camera": None if frame.camera is None else frame.camera.value,
+        "detections": [detection_json(d) for d in frame.detections],
+    }
+    return json.dumps(record, separators=(",", ":")) + "\n"

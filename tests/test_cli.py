@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from hmot.cli import main
 from hmot.config import load_config
 from hmot.io import (
@@ -552,6 +553,17 @@ def test_nms_merge_3d(tmp_path):
                  "--out", str(out)]) == 0
     kept = read_detections(out)[0].detections
     assert sorted(d.score for d in kept) == [0.7, 0.9]
+
+
+def test_nms_merge_output_equals_the_json_dumps_oracle(tmp_path):
+    _, a = _simulate(tmp_path, name="a")
+    _, b = _simulate(tmp_path, _spec_doc(seed=1), name="b")
+    out = tmp_path / "m.ndjson"
+    assert main(["nms-merge", "--dets", str(a), str(b), "--iou", "0.5",
+                 "--out", str(out)]) == 0
+    frames = read_detections(out)
+    assert any(d.embedding is not None for fr in frames for d in fr.detections)
+    assert out.read_text() == "".join(oracles.detection_line(fr) for fr in frames)
 
 
 def test_nms_merge_missing_input_exits_2(tmp_path, capsys):

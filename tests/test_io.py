@@ -1,6 +1,8 @@
 """Tests for the detection and track file formats."""
 
 import dataclasses
+import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -9,9 +11,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import hmot.io
+import oracles
 from hmot.errors import DataFormatError, ValidationError
 from hmot.io import (
     DetectionFrame,
+    _json_floats,
     TrackRow,
     gt_to_rows,
     qfloat,
@@ -58,6 +63,51 @@ def test_qfloat_idempotent():
         x = float(rng.normal() * 10.0 ** rng.integers(-6, 7))
         q = qfloat(x)
         assert qfloat(q) == q
+
+
+def _dumps_qfloats(values):
+    return json.dumps([qfloat(v) for v in values], separators=(",", ":"))
+
+
+# Values where ``.9g`` text and ``repr`` part: signed zeros and integers, a
+# rounding that carries into a new digit, the 1e-4 switch to exponents, the
+# 1e9 .. 1e16 range where only ``.9g`` uses an exponent, and subnormals.
+_FLOAT_EDGES = [
+    0.0, -0.0, 1.0, -1.0, 0.9999999996, 9.99999999995e-05, 0.0001, 1e-4, 1e-5, 1e-7,
+    999999999.6, 1e9, -1e9, 1.23456789e9, 999999999999999.9, 1e15, 1e16, -1e16,
+    9999999999999998.0, 5e-324, -5e-324, 1.2345678912e-310, 2.2250738585072014e-308,
+    1.7976931348623157e308,
+]
+
+
+def test_json_floats_on_edge_values():
+    assert _json_floats(_FLOAT_EDGES) == _dumps_qfloats(_FLOAT_EDGES)
+    for x in _FLOAT_EDGES:
+        assert _json_floats([x]) == _dumps_qfloats([x])
+    assert _json_floats([]) == "[]"
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Uniform bit patterns cover every binary exponent, subnormals included.
+any_double = st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    0, 2**64 - 1).map(_from_bits).filter(np.isfinite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_double, max_size=40))
+def test_json_floats_equals_json_dumps_of_qfloats(values):
+    assert _json_floats(values) == _dumps_qfloats(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 3, 128, 512]), st.integers(0, 2**32 - 1))
+def test_json_floats_on_unit_vectors(dim, seed):
+    v = np.random.default_rng(seed).standard_normal(dim)
+    values = (v / np.linalg.norm(v)).tolist()
+    assert _json_floats(values) == _dumps_qfloats(values)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +271,36 @@ def test_read_detections_rejects_bad_entries(tmp_path):
     path.write_text(frame_with(
         '{"class":"pedestrian","score":0.5,"box2d":[100,100,10,10],"oops":1}'))
     with pytest.raises(DataFormatError, match="unknown detection key 'oops'"):
+        read_detections(path)
+
+
+def _frame_with(det_json):
+    good = '{"sequence_id":"s","frame":0,"camera":"front","detections":[]}'
+    return (good + '\n{"sequence_id":"s","frame":1,"camera":"front","detections":['
+            + det_json + "]}\n")
+
+
+def test_read_detections_rejects_boolean_box_value(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with(
+        '{"class":"pedestrian","score":0.5,"box2d":[100,100,true,10]}'))
+    with pytest.raises(DataFormatError, match=r"line 2: box2d must be"):
+        read_detections(path)
+
+
+def test_read_detections_rejects_boolean_score(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with(
+        '{"class":"pedestrian","score":true,"box2d":[100,100,10,10]}'))
+    with pytest.raises(DataFormatError, match=r"line 2: score must be a number"):
+        read_detections(path)
+
+
+def test_read_detections_rejects_boolean_src_gt(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with(
+        '{"class":"pedestrian","score":0.5,"box2d":[100,100,10,10],"src_gt":true}'))
+    with pytest.raises(DataFormatError, match=r"line 2: src_gt must be an integer"):
         read_detections(path)
 
 
@@ -400,10 +480,10 @@ def unit_vectors(draw):
     return v / norm
 
 
-def detections(box, camera):
+def detections(box, camera, embedding=st.none() | unit_vectors()):
     return st.builds(
         Detection, box=box, score=score, class_label=label, camera_id=st.just(camera),
-        embedding=st.none() | unit_vectors(), src_gt=st.none() | st.integers(-10**12, 10**12),
+        embedding=embedding, src_gt=st.none() | st.integers(-10**12, 10**12),
     )
 
 
@@ -432,6 +512,29 @@ def track_tables(draw):
     return rows, mode
 
 
+# Sequence ids that JSON must escape: quotes, backslashes, control and
+# non-ASCII characters.
+escaped_text = st.text(st.sampled_from('"\\\n\r\t\x00/é字\u2028😀') | st.characters(),
+                       max_size=8)
+wide_unit_vectors = st.builds(
+    lambda dim, seed: _unit(np.random.default_rng(seed).standard_normal(dim)),
+    st.sampled_from([2, 64, 512]), st.integers(0, 2**32 - 1),
+)
+
+
+@st.composite
+def oracle_frames(draw):
+    frames = []
+    for sequence_id in draw(st.lists(escaped_text, max_size=3, unique=True)):
+        camera = draw(st.none() | st.sampled_from(Camera))
+        box = box3d if camera is None else box2d
+        embedding = st.none() | unit_vectors() | wide_unit_vectors
+        for frame in sorted(draw(st.sets(st.integers(0, 10**9), max_size=3))):
+            dets = draw(st.lists(detections(box, camera, embedding), max_size=3))
+            frames.append(DetectionFrame(sequence_id, frame, camera, dets))
+    return frames
+
+
 def _fresh_pair(tmp_path, suffix):
     """Two new file paths: rewriting one file per example is slow on some
     file systems, which flush a truncated file when it is closed."""
@@ -452,6 +555,32 @@ def test_detection_write_read_write_is_byte_identical(tmp_path, frames):
     write_detections(b, back)
     assert a.read_bytes() == b.read_bytes()
     assert [len(f.detections) for f in back] == [len(f.detections) for f in frames]
+
+
+@_ROUND_TRIP
+@given(oracle_frames())
+def test_detection_lines_equal_the_json_dumps_oracle(tmp_path, frames):
+    path, _ = _fresh_pair(tmp_path, ".ndjson")
+    write_detections(path, frames)
+    expected = "".join(oracles.detection_line(fr) for fr in frames)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_writer_quantizes_once_per_detection(tmp_path, monkeypatch):
+    """Writing a frame calls ``qfloat`` for each score only, not once per
+    float: 517 calls for a 2D detection with a 512-d embedding."""
+    spec = preset("occlusion", seed=11)
+    _, det_frames = generate(spec)
+    frame = DetectionFrame(spec.sequence_id, 0, spec.camera, max(det_frames, key=len))
+    assert frame.detections and all(d.embedding is not None for d in frame.detections)
+    calls = []
+    real = hmot.io.qfloat
+    monkeypatch.setattr(hmot.io, "qfloat", lambda x: calls.append(x) or real(x))
+    path = tmp_path / "d.ndjson"
+    write_detections(path, [frame])
+    assert 0 < len(calls) <= len(frame.detections)
+    monkeypatch.undo()
+    assert path.read_text() == oracles.detection_line(frame)
 
 
 @_ROUND_TRIP
