@@ -70,10 +70,6 @@ class _Totals:  # one sequence's counts for the summary line
 def _cmd_track(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, mode=args.mode)
     mode = cfg.mode
-    # After this many empty steps no track is left, so the rest of a frame
-    # gap only advances the frame counter.
-    max_empty_steps = max(c.a_max for c in cfg.class_configs.values()) + 1
-
     instances: dict[tuple[str, object], TrackerInstance] = {}
     counters: dict[str, itertools.count] = {}
     last_frame: dict[tuple[str, object], int] = {}
@@ -101,10 +97,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
                         use_reid=not args.no_reid,
                     )
                 inst = instances[key]
-                stepped = min(gap, max_empty_steps)
-                for _ in range(stepped):
-                    st.deleted += len(inst.step([]).deleted_ids)
-                inst.frame_index += gap - stepped
+                st.deleted += len(inst.skip(gap))
                 result = inst.step(fr.detections)
             except (ConfigError, ValidationError) as exc:
                 raise type(exc)(f"sequence {fr.sequence_id!r} frame {fr.frame}: {exc}") from None
@@ -117,7 +110,10 @@ def _cmd_track(args: argparse.Namespace) -> int:
                 yield TrackRow(fr.sequence_id, fr.frame, em.track_id, em.class_label,
                                em.box, em.score)
 
-    write_tracks(args.out, track_rows(), mode)
+    # A tracker emits each of its tracks at most once per frame, and the
+    # instances of one sequence share one id counter, so no row repeats a
+    # (sequence, frame, track_id) key and the writer need not keep them.
+    write_tracks(args.out, track_rows(), mode, check_duplicates=False)
     for seq, st in totals.items():
         s1, s2, s3 = st.stage_matches
         print(

@@ -122,6 +122,15 @@ def write_detections(path: str | Path, frames: Iterable[DetectionFrame]) -> None
             fh.write(f'{head[:-1]},"detections":[{dets}]}}\n')
 
 
+# A JSON number parses as int or float; strings and booleans (bool is an int
+# subclass) are not numbers.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(values: list) -> bool:
+    return _NUMBER_TYPES.issuperset(map(type, values))
+
+
 def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
     if not isinstance(entry, dict):
         raise DataFormatError("detection entry must be an object", line)
@@ -139,20 +148,18 @@ def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
     try:
         vals = entry[key]
         names = _BOX_FIELDS[kind]
-        if not isinstance(vals, list) or len(vals) != len(names) or any(
-            isinstance(v, bool) for v in vals
-        ):
+        if not isinstance(vals, list) or len(vals) != len(names) or not _numbers(vals):
             raise DataFormatError(f"{key} must be [{', '.join(names)}]", line)
         box: Box = kind(*[float(v) for v in vals])
         embedding = entry.get("embedding")
         if embedding is not None:
-            if not isinstance(embedding, list):
-                raise DataFormatError("embedding must be a list or null", line)
+            if not isinstance(embedding, list) or not _numbers(embedding):
+                raise DataFormatError("embedding must be a list of numbers or null", line)
             embedding = np.asarray(embedding, dtype=np.float64)
         src_gt = entry.get("src_gt")
         if src_gt is not None and (isinstance(src_gt, bool) or not isinstance(src_gt, int)):
             raise DataFormatError("src_gt must be an integer or null", line)
-        if isinstance(entry["score"], bool):
+        if type(entry["score"]) not in _NUMBER_TYPES:
             raise DataFormatError("score must be a number", line)
         return Detection(
             box=box,
@@ -162,7 +169,7 @@ def _parse_detection(entry: Any, camera: Camera | None, line: int) -> Detection:
             embedding=embedding,
             src_gt=src_gt,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad detection: {exc}", line) from None
 
 
@@ -242,11 +249,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_tracks(path: str | Path, rows: Iterable[TrackRow], mode: Mode | str) -> None:
+def write_tracks(path: str | Path, rows: Iterable[TrackRow], mode: Mode | str, *,
+                 check_duplicates: bool = True) -> None:
+    """Write ``rows`` as a track CSV of ``mode``'s box kind. A row with the
+    wrong box kind, a carriage return in its sequence id or, unless
+    ``check_duplicates`` is off, the (sequence, frame, track_id) of an
+    earlier row raises, and the file is left as it was. The duplicate check
+    keeps every key written; a caller whose rows are unique by construction
+    can turn it off, so memory stays flat as the output grows."""
     mode = Mode(mode)
     want = Box2D if mode is Mode.D2 else Box3D
     box_values = _BOX_VALUES[want]
-    seen: set[tuple[str, int, int]] = set()
+    seen: set[tuple[str, int, int]] | None = set() if check_duplicates else None
     with _output(path, "") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_TRACK_HEADERS[want])
@@ -256,17 +270,18 @@ def write_tracks(path: str | Path, rows: Iterable[TrackRow], mode: Mode | str) -
                     f"track {row.track_id} frame {row.frame}: box kind does not "
                     f"match {mode.value} output"
                 )
-            key = (row.sequence_id, row.frame, row.track_id)
-            if key in seen:
-                raise ValidationError(
-                    f"duplicate (sequence, frame, track_id) row: {key}"
-                )
+            if seen is not None:
+                key = (row.sequence_id, row.frame, row.track_id)
+                if key in seen:
+                    raise ValidationError(
+                        f"duplicate (sequence, frame, track_id) row: {key}"
+                    )
+                seen.add(key)
             if "\r" in row.sequence_id:
                 # the writer leaves a lone CR unquoted, and readers split on it
                 raise ValidationError(
                     f"sequence id {row.sequence_id!r} contains a carriage return"
                 )
-            seen.add(key)
             writer.writerow(
                 [row.sequence_id, str(row.frame), str(row.track_id),
                  row.class_label.value, *[_fmt(v) for v in box_values(row.box)],

@@ -184,22 +184,60 @@ def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -
     return -np.expm1(-d2 / (2.0 * sigma * sigma))
 
 
+def gallery_bound(gallery: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
+    """A ball that holds every row of a non-empty gallery: its mean row as
+    centre and, as radius, the largest distance of a row from it.
+
+    The squared distances are expanded as |g|^2 - 2 g.c + |c|^2, so the
+    rows are read three times and never copied; the radius is widened by
+    the rounding error of that expansion, so no row lies outside it."""
+    rows = np.asarray(gallery, dtype=np.float64)
+    centre = rows.mean(axis=0)
+    norms_sq = np.einsum("ij,ij->i", rows, rows)
+    cc = float(centre @ centre)
+    dist_sq = norms_sq - 2.0 * (rows @ centre) + cc
+    error = 4.0 * (rows.shape[1] + 2) * np.finfo(float).eps * np.square(np.sqrt(norms_sq)
+                                                                        + np.sqrt(cc))
+    return centre, float(np.sqrt(np.max(dist_sq + error)))
+
+
 def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]],
-                               embeddings: Sequence[np.ndarray | None]) -> np.ndarray:
+                               embeddings: Sequence[np.ndarray | None],
+                               gate: float | None = None,
+                               bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
+                               ) -> np.ndarray:
     """Per-track min cosine distance to each detection embedding.
 
     Pairs where the gallery is empty or the detection has no embedding get
-    +inf (inadmissible).
+    +inf (inadmissible). Given a ``gate`` and, per gallery, a ball
+    ``(centre, radius)`` that holds its rows (:func:`gallery_bound`), a pair
+    is left at +inf without computing it when the ball proves its cost above
+    the gate: by Cauchy-Schwarz no row g has g.e above c.e + r |e|. The
+    bound is compared with a slack far above rounding, so every pair with a
+    cost <= gate is computed.
     """
     n, m = len(galleries), len(embeddings)
     costs = np.full((n, m), np.inf)
-    have_emb = [j for j, e in enumerate(embeddings) if e is not None]
-    if not have_emb:
+    have_emb = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
+    live = [i for i, gallery in enumerate(galleries) if len(gallery)]
+    if not len(have_emb) or not live:
         return costs
     emb = np.stack([embeddings[j] for j in have_emb]).T  # (dim, m')
-    for i, gallery in enumerate(galleries):
-        if len(gallery) == 0:
-            continue
-        sims = np.asarray(gallery) @ emb  # (gallery, m')
-        costs[i, have_emb] = 1.0 - sims.max(axis=0)
+    if gate is None or bounds is None:
+        cols_of = [None] * len(live)
+    else:
+        centres = np.stack([bounds[i][0] for i in live])
+        radii = np.array([bounds[i][1] for i in live])[:, None]
+        norms = np.sqrt(np.square(emb).sum(axis=0))
+        reach = (np.sqrt(np.square(centres).sum(axis=1))[:, None] + radii) * norms
+        upper = centres @ emb + radii * norms  # >= every sim of the pair
+        keep = upper >= (1.0 - gate) - 1e-9 * (1.0 + reach)
+        cols_of = [cols if len(cols) < len(have_emb) else None
+                   for cols in map(np.flatnonzero, keep)]
+    for i, cols in zip(live, cols_of):
+        if cols is None:
+            costs[i, have_emb] = 1.0 - (np.asarray(galleries[i]) @ emb).max(axis=0)
+        elif len(cols):
+            sims = np.asarray(galleries[i]) @ emb[:, cols]  # (gallery, kept)
+            costs[i, have_emb[cols]] = 1.0 - sims.max(axis=0)
     return costs

@@ -47,10 +47,12 @@ from .kalman import predict_batch as predict
 from .kalman import update_batch as update
 from .metrics import (
     cosine_gallery_dist_matrix,
+    gallery_bound,
     gauss_center_dist_matrix,
     iou_dist_matrix,
 )
 from .types import (
+    EXTENTS,
     Box,
     Camera,
     ClassConfig,
@@ -138,6 +140,7 @@ def _gated_match(
     enlarge: float = 1.0,
     model: MotionModel | None = None,
     covs: np.ndarray | None = None,
+    bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
 ) -> AssociationResult:
     """One gated minimum-cost assignment of the tracks ``rows`` to the
     detections ``cols``, as in :func:`stage1_cascade`.
@@ -145,7 +148,9 @@ def _gated_match(
     In 3D the cost is kernelized center distance (gate max_center_dist). In
     2D it is appearance distance against the track gallery (gate t_a) when
     ``use_reid`` is set, otherwise IoU distance over boxes scaled by
-    ``enlarge`` with the camera's gate. With a ``model`` and
+    ``enlarge`` with the camera's gate. Given ``bounds``, row i's gallery
+    ball (see :func:`~hmot.metrics.cosine_gallery_dist_matrix`), pairs the
+    ball proves above t_a are not computed. With a ``model`` and
     ``mahalanobis_gating`` on, pairs whose innovation under the covariances
     ``covs`` lies beyond the 95% chi-square quantile are inadmissible.
     """
@@ -154,10 +159,11 @@ def _gated_match(
         costs = gauss_center_dist_matrix(means[:, :3], obs[cols, :3], config.sigma)
         gate = config.max_center_dist
     elif use_reid:
-        costs = cosine_gallery_dist_matrix(
-            [tracks[i].gallery for i in rows], [dets[j].embedding for j in cols]
-        )
         gate = config.t_a
+        costs = cosine_gallery_dist_matrix(
+            [tracks[i].gallery for i in rows], [dets[j].embedding for j in cols], gate,
+            None if bounds is None else [bounds[i] for i in rows],
+        )
     else:
         costs = iou_dist_matrix(_state_boxes(means), [dets[j].box for j in cols],
                                 factor=enlarge)
@@ -218,6 +224,7 @@ def stage1_cascade(
     use_reid: bool = True,
     model: MotionModel | None = None,
     covs: np.ndarray | None = None,
+    bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
 ) -> AssociationResult:
     """Age-ordered association of the track rows ``rows`` against the
     primary detection rows ``cols``; the results are rows too.
@@ -229,7 +236,9 @@ def stage1_cascade(
     age band over the detections still unclaimed, so a recently seen track
     always outranks a long-occluded one competing for the same detection.
     The cost is the appearance (or, without ``use_reid``, IoU) distance in
-    2D and the kernelized center distance in 3D; see :func:`_gated_match`.
+    2D and the kernelized center distance in 3D; see :func:`_gated_match`,
+    which also says how ``bounds`` (row i: ``tracks[i]``'s gallery ball, or
+    None for an empty gallery) prunes the appearance fill.
     """
     by_age: dict[int, list[int]] = {}
     for i in rows:
@@ -237,7 +246,7 @@ def stage1_cascade(
             by_age.setdefault(age, []).append(i)
     return _cascade(
         tracks, means, dets, obs, rows, [by_age[age] for age in sorted(by_age)], cols, config,
-        mode, camera, use_reid=use_reid, model=model, covs=covs,
+        mode, camera, use_reid=use_reid, model=model, covs=covs, bounds=bounds,
     )
 
 
@@ -290,20 +299,77 @@ def _delete(tracks: Sequence[Track], failures: Mapping[int, NumericFailureError]
         result.deleted_ids.append(tracks[i].track_id)
 
 
-def _with_row(gallery: np.ndarray, embedding: np.ndarray, budget: int) -> np.ndarray:
-    """``gallery`` plus ``embedding`` as its newest row, keeping the newest
-    ``budget``. A growing gallery is the first rows of one ``(budget, dim)``
-    array and takes its next row in place, so it neither copies nor frees
-    memory; no row an earlier gallery showed is ever written."""
-    n = len(gallery)
-    buf = gallery.base
-    if n == 0:
-        buf = np.empty((budget, len(embedding)))
-    elif n >= budget or not (isinstance(buf, np.ndarray) and buf.shape == (budget, len(embedding))
-                             and buf.ctypes.data == gallery.ctypes.data):
-        return np.concatenate((gallery[max(0, n + 1 - budget):], embedding[None]))
-    buf[n] = embedding
-    return buf[:n + 1]
+# A gallery of budget b holds up to b // GALLERY_SPARE (at least one) spare
+# rows beyond its newest, so its rows move to a new buffer once per that
+# many appends.
+GALLERY_SPARE = 4
+
+
+class _Gallery:
+    """A track's gallery, its newest ``budget`` embeddings oldest first, as
+    rows ``start:start + n`` of a buffer, with a ball (``centre``,
+    ``radius``) that holds every row.
+
+    An append writes the row after the gallery, so no row an earlier view
+    showed is ever rewritten, and widens the radius to reach the new row; a
+    row that drops out leaves the ball a bound. When the buffer is full, the
+    rows kept move into a new one, twice as large up to ``budget`` plus the
+    spare rows, and the ball is measured anew. ``view``, the gallery the
+    track shows, is read-only, so no edit in place can leave the ball stale.
+    """
+
+    __slots__ = ("buf", "start", "view", "centre", "radius")
+
+    def __init__(self, rows: np.ndarray, capacity: int):
+        self._move(rows, capacity)
+
+    def _move(self, rows: np.ndarray, capacity: int, embedding: np.ndarray | None = None) -> None:
+        """Make ``rows``, then ``embedding`` if given, the gallery, at the
+        start of a new buffer of ``capacity`` rows; measure the ball."""
+        n = len(rows)
+        self.buf = np.empty((capacity, rows.shape[1]))
+        self.buf[:n] = rows
+        if embedding is not None:
+            self.buf[n] = embedding
+            n += 1
+        self.start = 0
+        self._show(n)
+        self.centre, self.radius = gallery_bound(self.view)
+
+    def _show(self, n: int) -> None:
+        self.view = self.buf[self.start:self.start + n]
+        self.view.flags.writeable = False
+
+    def append(self, embedding: np.ndarray, budget: int) -> None:
+        n = len(self.view)
+        keep = min(n, budget - 1)  # rows that stay
+        end = self.start + n
+        if end < len(self.buf):
+            self.buf[end] = embedding
+            self.start = end - keep
+            self._show(keep + 1)
+            self.radius = max(self.radius, float(np.sqrt(np.square(embedding - self.centre).sum())))
+        else:
+            limit = budget + max(1, budget // GALLERY_SPARE)
+            self._move(self.view[n - keep:], min(limit, max(2 * len(self.buf), keep + 1)),
+                       embedding)
+
+
+def _coast_failure(x: float, v: float, steps: int) -> int:
+    """The first of ``steps`` constant-velocity predicts that leaves the
+    positive extent ``x`` (rate ``v``) non-positive, or 0 if none does. The
+    sums are rounded once per step, as predict rounds them."""
+    if v >= 0 or x + steps * v > 2.0 * steps * np.finfo(float).eps * x:
+        return 0  # even the rounded sums stay positive
+    done = 0
+    while done < steps:
+        n = min(steps - done, 1 << 16)
+        sums = np.cumsum(np.concatenate(([x], np.full(n, v))))[1:]
+        bad = np.flatnonzero(sums <= 0)
+        if len(bad):
+            return done + int(bad[0]) + 1
+        x, done = float(sums[-1]), done + n
+    return 0
 
 
 class TrackerInstance:
@@ -356,6 +422,8 @@ class TrackerInstance:
         # arrives, stage 1 falls back to IoU.
         self._embed_dim: int | None = None
         self._fallback_logged = False
+        # The gallery store of each track with embeddings, by track id.
+        self._galleries: dict[int, _Gallery] = {}
 
     @property
     def tracks(self) -> list[Track]:
@@ -403,104 +471,209 @@ class TrackerInstance:
         self._embed_dim = embed_dim
         return by_class
 
+    def _gallery(self, track: Track) -> _Gallery | None:
+        """The store entry of ``track``'s gallery, None while it is empty.
+        A gallery that is not the view the store handed out (one the caller
+        assigned: an array, list or deque) is copied into a new entry,
+        which is measured exactly, and the track shows its view instead."""
+        entry = self._galleries.get(track.track_id)
+        if entry is None or entry.view is not track.gallery:
+            if not len(track.gallery):
+                return None
+            rows = np.array(track.gallery, dtype=np.float64)
+            entry = self._galleries[track.track_id] = _Gallery(rows, len(rows))
+            track.gallery = entry.view
+        return entry
+
+    def _bound(self, track: Track) -> tuple[np.ndarray, float] | None:
+        entry = self._gallery(track)
+        return None if entry is None else (entry.centre, entry.radius)
+
+    def _add_embedding(self, track: Track, embedding: np.ndarray, budget: int) -> None:
+        entry = self._gallery(track)
+        if entry is None:
+            entry = self._galleries[track.track_id] = _Gallery(embedding[None], 1)
+        else:
+            entry.append(embedding, budget)
+        track.gallery = entry.view
+
+    def _forget(self, deleted_ids: Iterable[int]) -> None:
+        for track_id in deleted_ids:
+            self._galleries.pop(track_id, None)
+
     def step(self, detections: Iterable[Detection]) -> FrameResult:
         dets_by_class = self._by_class(list(detections))
         result = FrameResult(frame=self.frame_index)
-        # Until the first embedding arrives, 2D stage 1 gates by IoU.
-        use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
-        # Only 2D re-id reads galleries; only there are embedding sizes checked.
-        keep_embeddings = self.mode is Mode.D2 and self.use_reid
-        model = self.model
-        where = {"mode": self.mode, "camera": self.camera_id}
-
         emit_pairs: list[tuple[Track, Detection]] = []
-        s1 = s2 = s3 = 0
-        for cls, tracks in self._tracks.items():
+        matches = [0, 0, 0]
+        for cls in self._tracks:
             cls_dets = dets_by_class.get(cls, [])
-            if not tracks and not cls_dets:
-                continue
-            cfg = self._config_for(cls)
-            # Tracks and detections are rows of the class's arrays; a row
-            # whose predict failed is left out of association.
-            means, covs, predict_failures = predict(*self._states[cls], model)
-            _delete(tracks, predict_failures, result)
-            live = [i for i in range(len(tracks)) if i not in predict_failures]
-            if not use_reid_now and not self._fallback_logged and live and dets_by_class:
-                log.log(
-                    logging.INFO if not self.use_reid else logging.WARNING,
-                    "no appearance embeddings available; stage-1 association "
-                    "falls back to IoU gating",
-                )
-                self._fallback_logged = True
-
-            obs = model.observations(cls_dets)
-            prim, sec = _split_indices(cls_dets, cfg.t_s)
-            r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, rows=live, cols=prim,
-                                use_reid=use_reid_now, model=model, covs=covs, **where)
-            r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, rows=r1.unmatched_tracks,
-                                cols=r1.unmatched_detections, **where)
-            s1, s2 = s1 + len(r1.matches), s2 + len(r2.matches)
-            # pairs holds each matched (track row, detection row).
-            pairs, rest = r1.matches + r2.matches, r2.unmatched_tracks
-            if self.use_stage3:
-                r3 = stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=rest, cols=sec,
-                                      **where)
-                s3 += len(r3.matches)
-                pairs, rest = pairs + r3.matches, r3.unmatched_tracks
-
-            rows = np.array([i for i, _ in pairs], dtype=np.intp)
-            means[rows], covs[rows], failures = update(
-                means[rows], covs[rows], obs[[j for _, j in pairs]], model)
-            if failures:
-                _delete([tracks[i] for i in rows], failures, result)
-            for k, (i, j) in enumerate(pairs):
-                if k in failures:
-                    continue
-                track, det = tracks[i], cls_dets[j]
-                track.age_since_update = 0
-                track.hits += 1
-                track.score = det.score
-                if keep_embeddings and det.embedding is not None:
-                    track.gallery = _with_row(track.gallery, det.embedding, cfg.gallery_budget)
-                if track.hits >= cfg.min_hits:
-                    emit_pairs.append((track, det))
-            for i in rest:
-                track = tracks[i]
-                track.age_since_update += 1
-                if track.age_since_update > cfg.a_max:
-                    result.deleted_ids.append(track.track_id)
-            # Deleted tracks keep the state of the last step they lived
-            # through: rows of an earlier array, which no step writes.
-            failed = {pairs[k][0] for k in failures}
-            kept = [i for i in live if i not in failed and tracks[i].age_since_update <= cfg.a_max]
-            if len(kept) < len(tracks):
-                tracks, means, covs = [tracks[i] for i in kept], means[kept], covs[kept]
-            born = []
-            for j in r2.unmatched_detections:
-                det = cls_dets[j]
-                track = Track(next(self._id_counter), init_track_state(det, model), cls,
-                              det.score)
-                if keep_embeddings and det.embedding is not None:
-                    track.gallery = _with_row(track.gallery, det.embedding, cfg.gallery_budget)
-                born.append(track)
-                result.created_ids.append(track.track_id)
-                if track.hits >= cfg.min_hits:
-                    emit_pairs.append((track, det))
-            if born:
-                tracks = tracks + born
-                means = np.concatenate((means, [t.state.mean for t in born]))
-                covs = np.concatenate((covs, [t.state.cov for t in born]))
-            # Each track's state is a view of its rows, so it reads the
-            # current state and edits to it reach the next step's filter.
-            for track, mean, cov in zip(tracks, means, covs):
-                track.state = State.trusted(mean, cov)
-            self._tracks[cls] = tracks
-            self._states[cls] = means, covs
-
+            if self._tracks[cls] or cls_dets:
+                counts = self._step_class(cls, cls_dets, result, emit_pairs, bool(dets_by_class))
+                matches = [m + n for m, n in zip(matches, counts)]
+        self._forget(result.deleted_ids)
         result.emitted = [
             EmittedTrack(track.track_id, det.box, track.score, track.class_label)
             for track, det in sorted(emit_pairs, key=lambda pair: pair[0].track_id)
         ]
-        result.stage_matches = (s1, s2, s3)
+        result.stage_matches = tuple(matches)
         self.frame_index += 1
         return result
+
+    def _step_class(self, cls: ObjectClass, cls_dets: list[Detection], result: FrameResult,
+                    emit_pairs: list[tuple[Track, Detection]], frame_has_dets: bool,
+                    ) -> tuple[int, int, int]:
+        """One frame of the class ``cls`` on its detections ``cls_dets``:
+        deletions go to ``result``, emitted (track, detection) pairs to
+        ``emit_pairs``; returns the matches of each stage."""
+        tracks = self._tracks[cls]
+        cfg = self._config_for(cls)
+        model = self.model
+        where = {"mode": self.mode, "camera": self.camera_id}
+        # Until the first embedding arrives, 2D stage 1 gates by IoU.
+        use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
+        # Only 2D re-id reads galleries; only there are embedding sizes checked.
+        keep_embeddings = self.mode is Mode.D2 and self.use_reid
+        # Tracks and detections are rows of the class's arrays; a row whose
+        # predict failed is left out of association.
+        means, covs, predict_failures = predict(*self._states[cls], model)
+        _delete(tracks, predict_failures, result)
+        live = [i for i in range(len(tracks)) if i not in predict_failures]
+        if not use_reid_now and not self._fallback_logged and live and frame_has_dets:
+            log.log(
+                logging.INFO if not self.use_reid else logging.WARNING,
+                "no appearance embeddings available; stage-1 association "
+                "falls back to IoU gating",
+            )
+            self._fallback_logged = True
+
+        obs = model.observations(cls_dets)
+        prim, sec = _split_indices(cls_dets, cfg.t_s)
+        bounds = ([self._bound(t) for t in tracks] if keep_embeddings and use_reid_now and prim
+                  else None)
+        r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, rows=live, cols=prim,
+                            use_reid=use_reid_now, model=model, covs=covs, bounds=bounds, **where)
+        r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, rows=r1.unmatched_tracks,
+                            cols=r1.unmatched_detections, **where)
+        # pairs holds each matched (track row, detection row).
+        pairs, rest = r1.matches + r2.matches, r2.unmatched_tracks
+        s3 = 0
+        if self.use_stage3:
+            r3 = stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=rest, cols=sec,
+                                  **where)
+            s3 = len(r3.matches)
+            pairs, rest = pairs + r3.matches, r3.unmatched_tracks
+
+        rows = np.array([i for i, _ in pairs], dtype=np.intp)
+        means[rows], covs[rows], failures = update(
+            means[rows], covs[rows], obs[[j for _, j in pairs]], model)
+        if failures:
+            _delete([tracks[i] for i in rows], failures, result)
+        for k, (i, j) in enumerate(pairs):
+            if k in failures:
+                continue
+            track, det = tracks[i], cls_dets[j]
+            track.age_since_update = 0
+            track.hits += 1
+            track.score = det.score
+            if keep_embeddings and det.embedding is not None:
+                self._add_embedding(track, det.embedding, cfg.gallery_budget)
+            if track.hits >= cfg.min_hits:
+                emit_pairs.append((track, det))
+        for i in rest:
+            track = tracks[i]
+            track.age_since_update += 1
+            if track.age_since_update > cfg.a_max:
+                result.deleted_ids.append(track.track_id)
+        # Deleted tracks keep the state of the last step they lived
+        # through: rows of an earlier array, which no step writes.
+        failed = {pairs[k][0] for k in failures}
+        kept = [i for i in live if i not in failed and tracks[i].age_since_update <= cfg.a_max]
+        if len(kept) < len(tracks):
+            tracks, means, covs = [tracks[i] for i in kept], means[kept], covs[kept]
+        born = []
+        for j in r2.unmatched_detections:
+            det = cls_dets[j]
+            track = Track(next(self._id_counter), init_track_state(det, model), cls,
+                          det.score)
+            if keep_embeddings and det.embedding is not None:
+                self._add_embedding(track, det.embedding, cfg.gallery_budget)
+            born.append(track)
+            result.created_ids.append(track.track_id)
+            if track.hits >= cfg.min_hits:
+                emit_pairs.append((track, det))
+        if born:
+            tracks = tracks + born
+            means = np.concatenate((means, [t.state.mean for t in born]))
+            covs = np.concatenate((covs, [t.state.cov for t in born]))
+        # Each track's state is a view of its rows, so it reads the
+        # current state and edits to it reach the next step's filter.
+        for track, mean, cov in zip(tracks, means, covs):
+            track.state = State.trusted(mean, cov)
+        self._tracks[cls] = tracks
+        self._states[cls] = means, covs
+        return len(r1.matches), len(r2.matches), s3
+
+    def skip(self, n: int) -> list[int]:
+        """Advance over ``n`` frames without detections, as ``n`` calls of
+        ``step([])`` would, and return the ids of the tracks deleted in
+        them, in the order those calls list them.
+
+        A class whose ``a_max`` is below ``n`` loses every track in the gap,
+        so its tracks are deleted in one pass: each at the frame where it
+        ages out, or, if a predict would leave a box extent non-positive
+        before that, at that frame with the same warning. A track is taken
+        to coast to finite values. Every other class is predicted once per
+        frame, until it has no track left.
+        """
+        if n < 0:
+            raise ValueError(f"cannot skip {n} frames")
+        # Each deletion, keyed by (frame of the gap, class position, order).
+        pending: list[tuple[int, int, int, int, str | None]] = []
+        stepped = []
+        for pos, (cls, tracks) in enumerate(self._tracks.items()):
+            if not tracks:
+                continue
+            a_max = self._config_for(cls).a_max
+            if a_max >= n:
+                stepped.append((pos, cls))
+                continue
+            means = self._states[cls][0]
+            rate = means @ (self.model.F - np.eye(self.model.dim_state)).T
+            for i, track in enumerate(tracks):
+                due = a_max + 1 - track.age_since_update
+                fail = min(filter(None, (_coast_failure(means[i, c], rate[i, c], due)
+                                         for c in EXTENTS[self.model.dim_state])), default=0)
+                if fail:
+                    pending.append((fail, pos, i, track.track_id,
+                                    "predict produced non-positive box extents"))
+                else:
+                    pending.append((due, pos, len(tracks) + i, track.track_id, None))
+            self._tracks[cls] = []
+            self._states[cls] = tuple(a[:0] for a in self._states[cls])
+        pending.sort(key=lambda d: d[:3])
+        deleted: list[int] = []
+        done = 0
+
+        def flush(key: tuple[int, int]) -> None:
+            nonlocal done
+            while done < len(pending) and pending[done][:2] < key:
+                _, _, _, track_id, failure = pending[done]
+                if failure is not None:
+                    log.warning("deleting track %d: %s", track_id, failure)
+                deleted.append(track_id)
+                done += 1
+
+        for frame in range(1, n + 1):
+            if not any(self._tracks[cls] for _, cls in stepped):
+                break
+            for pos, cls in stepped:
+                flush((frame, pos))
+                result = FrameResult(self.frame_index + frame - 1)
+                if self._tracks[cls]:
+                    self._step_class(cls, [], result, [], False)
+                deleted += result.deleted_ids
+        flush((n + 1, 0))
+        self._forget(deleted)
+        self.frame_index += n
+        return deleted

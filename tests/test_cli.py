@@ -341,6 +341,51 @@ def test_track_frame_gap_matches_stepping_every_frame(tmp_path, capsys, a_max):
     assert f"tracks created, {deleted} deleted" in summary
 
 
+def _unit_vector(v):
+    return v / np.linalg.norm(v)
+
+
+def test_track_frame_gaps_equal_stepping_for_every_a_max(tmp_path, capsys):
+    """Gaps that some classes outlive and others do not: for each a_max
+    from 1 to 50 the CSV and the summary equal stepping every frame."""
+    rng = np.random.default_rng(7)
+    classes = list(ObjectClass)
+    frames = []
+    for f in (0, 1, 2, 3, 4, 5, 36, 37, 90):
+        dets = [Detection(Box2D(60.0 + 70 * k + 2 * f, 300.0, 30.0,
+                                max(20.0, 120.0 - min(f, 5) * (3 + 4 * (k % 3)))),
+                          0.9, classes[k % 3], camera_id=Camera.FRONT,
+                          embedding=_unit_vector(rng.normal(size=4)))
+                for k in range(9) if (f + k) % 4]
+        frames.append(DetectionFrame("s", f, Camera.FRONT, dets))
+    dets_path = tmp_path / "d.ndjson"
+    write_detections(dets_path, frames)
+    by_frame = {fr.frame: fr.detections for fr in read_detections(dets_path)}
+    cfg_path, out, ref = tmp_path / "cfg.json", tmp_path / "t.csv", tmp_path / "ref.csv"
+    for a_max in range(1, 51):
+        per_class = dict(zip(classes, (a_max, (7 * a_max) % 50 + 1, (13 * a_max) % 50 + 1)))
+        cfg_path.write_text(json.dumps(
+            {"classes": {cls.value: {"a_max": a} for cls, a in per_class.items()}}))
+        assert main(["track", "--mode", "2d", "--dets", str(dets_path), "--out", str(out),
+                     "--config", str(cfg_path)]) == 0
+        summary = capsys.readouterr().out
+
+        cfg = load_config(cfg_path, mode="2d")
+        inst = TrackerInstance(cfg.mode, cfg.class_configs, camera_id=Camera.FRONT)
+        rows, matches, created, deleted = [], [0, 0, 0], 0, 0
+        for t in range(91):
+            res = inst.step(by_frame.get(t, []))
+            matches = [m + n for m, n in zip(matches, res.stage_matches)]
+            created, deleted = created + len(res.created_ids), deleted + len(res.deleted_ids)
+            rows += [TrackRow("s", t, em.track_id, em.class_label, em.box, em.score)
+                     for em in res.emitted]
+        write_tracks(ref, rows, cfg.mode)
+        assert out.read_bytes() == ref.read_bytes(), a_max
+        assert summary.splitlines()[0] == (
+            f"sequence s: 91 frames, stage matches {matches[0]}/{matches[1]}/{matches[2]}, "
+            f"{created} tracks created, {deleted} deleted"), a_max
+
+
 def test_track_long_frame_gap_is_bounded(tmp_path, capsys):
     det = Detection(box=Box2D(500.0, 400.0, 60.0, 120.0), score=0.9,
                     class_label=ObjectClass.PEDESTRIAN, camera_id=Camera.FRONT)

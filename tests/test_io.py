@@ -4,6 +4,7 @@ import dataclasses
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,79 @@ def test_read_detections_rejects_boolean_src_gt(tmp_path):
         '{"class":"pedestrian","score":0.5,"box2d":[100,100,10,10],"src_gt":true}'))
     with pytest.raises(DataFormatError, match=r"line 2: src_gt must be an integer"):
         read_detections(path)
+
+
+def test_read_detections_rejects_string_box_value(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with(
+        '{"class":"pedestrian","score":0.5,"box2d":["100","1e2","10","10"]}'))
+    with pytest.raises(DataFormatError, match=r"line 2: box2d must be"):
+        read_detections(path)
+
+
+def test_read_detections_rejects_string_score(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with(
+        '{"class":"pedestrian","score":"0.5","box2d":[100,100,10,10]}'))
+    with pytest.raises(DataFormatError, match=r"line 2: score must be a number"):
+        read_detections(path)
+
+
+def test_read_detections_rejects_boolean_embedding_value(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with('{"class":"pedestrian","score":0.5,"box2d":[100,100,10,10],'
+                                '"embedding":[true,false]}'))
+    with pytest.raises(DataFormatError, match=r"line 2: embedding must be a list of numbers"):
+        read_detections(path)
+
+
+def test_read_detections_rejects_string_embedding_value(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with('{"class":"pedestrian","score":0.5,"box2d":[100,100,10,10],'
+                                '"embedding":[0.6,"0.8"]}'))
+    with pytest.raises(DataFormatError, match=r"line 2: embedding must be a list of numbers"):
+        read_detections(path)
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("det", [
+    '{"class":"pedestrian","score":%s,"box2d":[100,100,10,10]}' % _HUGE,
+    '{"class":"pedestrian","score":0.5,"box2d":[%s,100,10,10]}' % _HUGE,
+    '{"class":"pedestrian","score":0.5,"box2d":[100,100,10,10],"embedding":[%s,0]}' % _HUGE,
+])
+def test_read_detections_rejects_integers_beyond_float(tmp_path, det):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with(det))
+    with pytest.raises(DataFormatError, match=r"line 2: bad detection: int too large"):
+        read_detections(path)
+
+
+def test_read_detections_keeps_integer_values(tmp_path):
+    path = tmp_path / "d.ndjson"
+    path.write_text(_frame_with('{"class":"pedestrian","score":1,"box2d":[100,100,10,10],'
+                                '"embedding":[0,1]}'))
+    [_, frame] = read_detections(path)
+    [det] = frame.detections
+    assert det.score == 1.0 and det.box == Box2D(100.0, 100.0, 10.0, 10.0)
+    assert det.embedding.dtype == np.float64 and det.embedding.tolist() == [0.0, 1.0]
+
+
+def test_streamed_track_writer_keeps_no_keys(tmp_path):
+    """Without the duplicate check, memory does not grow with the rows."""
+    def rows(n):
+        for k in range(n):
+            yield TrackRow("s", k // 20, k % 20 + 1, ObjectClass.PEDESTRIAN,
+                           Box2D(100.0, 200.0, 40.0, 80.0), 0.9)
+
+    peaks = []
+    for n in (2_000, 40_000):
+        tracemalloc.start()
+        write_tracks(tmp_path / "t.csv", rows(n), Mode.D2, check_duplicates=False)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 100_000, peaks
 
 
 # ---------------------------------------------------------------------------

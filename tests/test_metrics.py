@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from oracles import mc_bev_iou, raster_iou_2d
 
+from hmot.assignment import solve_gated_assignment
 from hmot.errors import EmptyGalleryError
 from hmot.metrics import (
     bev_iou,
     cosine_gallery_dist,
     cosine_gallery_dist_matrix,
+    gallery_bound,
     gauss_center_dist,
     gauss_center_dist_matrix,
     iou_2d,
@@ -384,3 +386,62 @@ def test_cosine_matrix_over_matrix_galleries_equals_deque_galleries(case):
                                      embeddings)
     assert mat.shape == ref.shape == (len(galleries), len(embeddings))
     assert mat.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _gated_galleries(draw):
+    """Galleries as matrices, lists or deques of rows that need not be unit
+    length (one row makes the bound tight), embeddings (some missing) and a
+    gate within 1e-12 of one pair's cost, or a random one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 2, 8, 64, 512]))
+    protos = rng.normal(size=(3, dim))
+
+    def rows(n):
+        # Near one of a few shared appearances, so some pairs pass t_a.
+        v = protos[rng.integers(3, size=n)] + rng.normal(0, 0.3, (n, dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return v * rng.uniform(0.5, 2.0, (n, 1)) if draw(st.booleans()) else v
+
+    galleries = []
+    for _ in range(draw(st.integers(0, 6))):
+        g = rows(draw(st.sampled_from([0, 1, 1, 2, 5, 12])))
+        kind = draw(st.sampled_from(["matrix", "list", "deque"]))
+        galleries.append(g if kind == "matrix" else list(g) if kind == "list"
+                         else deque(g))
+    embeddings = [None if draw(st.integers(0, 4)) == 0 else e
+                  for e in rows(draw(st.integers(0, 6)))]
+    gate = draw(st.floats(0.0, 1.0))
+    full = cosine_gallery_dist_matrix(galleries, embeddings)
+    finite = full[np.isfinite(full)]
+    if len(finite) and draw(st.booleans()):
+        offset = draw(st.sampled_from([-1e-12, -3e-13, 3e-13, 1e-12]))
+        gate = float(finite[draw(st.integers(0, len(finite) - 1))]) + offset
+    return galleries, embeddings, gate
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gated_galleries())
+def test_pruned_cosine_fill_keeps_every_admissible_pair(case):
+    """Pruning by gallery balls leaves the admissible pairs, their costs
+    and the gated assignment as the full fill gives them."""
+    galleries, embeddings, gate = case
+    bounds = [gallery_bound(g) if len(g) else None for g in galleries]
+    full = cosine_gallery_dist_matrix(galleries, embeddings)
+    pruned = cosine_gallery_dist_matrix(galleries, embeddings, gate, bounds)
+    assert pruned.shape == full.shape
+    admissible = full <= gate
+    np.testing.assert_array_equal(pruned <= gate, admissible)
+    np.testing.assert_allclose(pruned[admissible], full[admissible], rtol=0, atol=1e-12)
+    assert (solve_gated_assignment(pruned, gate).matches
+            == solve_gated_assignment(full, gate).matches)
+
+
+def test_gallery_bound_holds_every_row():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 100):
+        rows = rng.normal(size=(n, 16)) * rng.uniform(0.1, 3.0, (n, 1))
+        centre, radius = gallery_bound(list(rows))
+        assert np.all(np.linalg.norm(rows - centre, axis=1) <= radius)
+    centre, radius = gallery_bound(np.ones((1, 4)))
+    assert radius < 1e-6 and centre.tolist() == [1.0] * 4

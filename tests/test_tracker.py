@@ -579,6 +579,47 @@ def test_gallery_budget_fifo(budget):
     assert all(np.array_equal(g, rows) for g, rows in seen)
 
 
+def test_huge_gallery_budget_holds_only_the_rows_seen():
+    """Memory follows the rows a gallery holds, not its budget."""
+    configs = {cls: dataclasses.replace(cfg, gallery_budget=10 ** 9)
+               for cls, cfg in default_class_configs(Mode.D2).items()}
+    inst = TrackerInstance(Mode.D2, configs, camera_id=Camera.FRONT)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        inst.step([_det2(100, 100, embedding=_unit([20.0, rng.normal()]))])
+    [track] = inst.tracks
+    assert track.gallery.shape == (5, 2)
+    assert track.gallery.base.shape[0] <= 8
+
+
+def test_track_gallery_is_read_only():
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    inst.step([_det2(100, 100, embedding=E1)])
+    inst.step([_det2(100, 100, embedding=E_CLOSE)])
+    [track] = inst.tracks
+    with pytest.raises(ValueError, match="read-only"):
+        track.gallery[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        track.gallery[1] += 1.0
+    assert np.array_equal(track.gallery, [E1, E_CLOSE])
+
+
+@pytest.mark.parametrize("kind", [np.array, list, deque])
+def test_assigned_gallery_is_measured_on_first_use(kind):
+    """A gallery the caller assigns replaces the tracker's, bound and all:
+    the fill must not prune by the ball of the gallery it replaced."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    inst.step([_det2(100, 100, embedding=E1)])
+    [track] = inst.tracks
+    mine = kind([E2])
+    track.gallery = mine
+    res = inst.step([_det2(100, 100, embedding=E2)])
+    assert res.stage_matches == (1, 0, 0)
+    assert np.array_equal(track.gallery, [E2, E2])
+    assert not track.gallery.flags.writeable
+    assert len(mine) == 1  # the caller's gallery is copied, never written
+
+
 def test_shared_id_counter_across_instances():
     counter = itertools.count(1)
     a = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, id_counter=counter)
@@ -742,6 +783,67 @@ def test_filter_failures_keep_deletion_order(caplog):
     ]
     assert [t.track_id for t in inst.tracks] == [4, 5]  # 5 is born at x = 300
     assert healthy.age_since_update == 0
+
+
+def test_skip_past_a_max_deletes_without_predicting(monkeypatch):
+    """A gap longer than every a_max costs no predict, however long."""
+    configs = {cls: dataclasses.replace(cfg, a_max=10 ** 5)
+               for cls, cfg in default_class_configs(Mode.D3).items()}
+    inst = TrackerInstance(Mode.D3, configs)
+    inst.step([_det3(0, 0), _det3(5, 5, cls=ObjectClass.VEHICLE), _det3(9, 9)])
+    inst.step([_det3(0.1, 0), _det3(5, 5, cls=ObjectClass.VEHICLE)])  # 3 misses once
+    calls = []
+    real = hmot.tracker.predict
+    monkeypatch.setattr(hmot.tracker, "predict",
+                        lambda *args: calls.append(len(args[0])) or real(*args))
+    # Vehicle track 1 and pedestrian tracks 2 and 3; track 3 missed a
+    # frame, so it ages out first, then the others in class order.
+    assert inst.skip(10 ** 5 + 5) == [3, 1, 2]
+    assert calls == [] and inst.tracks == [] and inst.frame_index == 10 ** 5 + 7
+    res = inst.step([_det3(0, 0)])
+    assert res.frame == 10 ** 5 + 7 and res.created_ids == [4]
+
+
+def _coasting_scene(a_max):
+    """A 2D tracker over a few frames of all three classes, some boxes
+    shrinking fast enough that a coast leaves them with no height."""
+    configs = {cls: dataclasses.replace(cfg, a_max=a)
+               for (cls, cfg), a in zip(default_class_configs(Mode.D2).items(), a_max)}
+    inst = TrackerInstance(Mode.D2, configs, camera_id=Camera.FRONT)
+    classes = list(ObjectClass)
+    rng = np.random.default_rng(sum(a_max))
+    for f in range(6):
+        inst.step([
+            _det2(60 + 70 * k + 2 * f, 300, w=30.0, h=120.0 - f * (3 + 4 * (k % 3)),
+                  cls=classes[k % 3], embedding=_unit(rng.normal(size=4)))
+            for k in range(9) if not (f == 5 and k == 4)
+        ])
+    return inst
+
+
+@pytest.mark.parametrize("a_max", [(1, 2, 3), (3, 30, 8), (40, 2, 12), (20, 20, 20)])
+@pytest.mark.parametrize("gap", [1, 2, 7, 15, 25, 45])
+def test_skip_equals_stepping_empty_frames(caplog, a_max, gap):
+    """Deleted ids, their order, the warnings and everything after the gap
+    are as ``gap`` empty steps give them, whether a class dies in the gap
+    (no predict) or is stepped through it."""
+    runs = []
+    for skip in (True, False):
+        inst = _coasting_scene(a_max)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hmot.tracker"):
+            if skip:
+                deleted = inst.skip(gap)
+            else:
+                deleted = [i for _ in range(gap) for i in inst.step([]).deleted_ids]
+        warnings = [r.getMessage() for r in caplog.records]
+        res = inst.step([_det2(100, 300, embedding=E1)])
+        runs.append((deleted, warnings, inst.frame_index, res.created_ids, res.stage_matches,
+                     [(t.track_id, t.age_since_update, t.state.mean.tolist())
+                      for t in inst.tracks]))
+    assert runs[0] == runs[1]
+    if gap > max(a_max) >= 20:
+        assert runs[0][1]  # every class dies, some tracks by a coasting failure
 
 
 def test_held_tracks_follow_the_tracker_and_freeze_when_deleted():
