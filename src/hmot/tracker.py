@@ -1,20 +1,20 @@
 """Online tracking engine.
 
-Per frame, one pass per class: predict its tracks, split its detections by
-score into a primary and a secondary set, run a three-stage gated cascade,
-update matched tracks, age out stale ones, and seed new tracks from leftover
-primary detections. Between frames the filter states of a class are one
-array of means (N, d) and one of covariances (N, d, d), row i belonging to
-the class's i-th track. Predict and update are one batched filter call each.
-Each stage takes the class's whole arrays, the track rows still open and the
-detection rows to match, and returns rows of the same arrays; then one
-compaction per class and frame drops failed and aged-out rows, and births
-are appended. ``track.state`` is a view of the track's rows, so edits to it
-in place reach the next step's filter; a deleted track keeps the state of
-the last step it lived through. Each stage solves one gated assignment per
-band of tracks over the detections earlier bands left. Stage 1 bands by age,
-youngest first, by appearance distance in 2D and kernelized center distance
-in 3D. Stage 2 is one band of recently lost tracks on the remaining primary
+One store per instance holds the filter states of all its tracks: one array
+of means (N, d) and one of covariances (N, d, d), row i belonging to the
+i-th track, rows grouped by class. Per frame: one batched predict of every
+row; per class, split its detections by score into a primary and a secondary
+set and run a three-stage gated cascade on its rows; one batched update of
+every matched pair; then age out stale tracks, seed new ones from leftover
+primary detections after their class's rows, and compact the store once.
+Each stage takes the whole arrays, the track rows still open and the
+detection rows to match, and returns rows of the same arrays.
+``track.state`` is a view of the track's rows, so edits to it in place reach
+the next step's filter; a deleted track keeps the state of the last step it
+lived through. Each stage solves one gated assignment per band of tracks
+over the detections earlier bands left. Stage 1 bands by age, youngest
+first, by appearance distance in 2D and kernelized center distance in 3D.
+Stage 2 is one band of recently lost tracks on the remaining primary
 detections by enlarged IoU (2D). Stage 3 is one band of all still unmatched
 tracks on the low-score secondary set, which keeps weak objects alive but
 never seeds a track.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .kalman import (
     init_track_state,
     mahalanobis_sq_pairs,
 )
-# One call per class and frame; the names are the ones the tracing layer of
-# the benchmark wraps.
+# One call each per frame; the names are the ones the tracing layer of the
+# benchmark wraps.
 from .kalman import predict_batch as predict
 from .kalman import update_batch as update
 from .metrics import (
@@ -74,8 +74,7 @@ STAGE2_MAX_AGE = 3
 CHI2_95 = {4: 9.487729036781154, 7: 14.067140449340169}
 
 
-@dataclass(frozen=True)
-class EmittedTrack:
+class EmittedTrack(NamedTuple):
     """One output row: the raw observed box of a track matched this frame."""
 
     track_id: int
@@ -291,12 +290,13 @@ def stage3_secondary(
 
 
 def _delete(tracks: Sequence[Track], failures: Mapping[int, NumericFailureError],
-            result: FrameResult) -> None:
+            start: int, stop: int, result: FrameResult) -> None:
     """Log and list as deleted, in order, each track ``failures`` names by
-    its place in ``tracks``."""
+    its place in ``tracks``, from ``start`` up to ``stop``."""
     for i in sorted(failures):
-        log.warning("deleting track %d: %s", tracks[i].track_id, failures[i])
-        result.deleted_ids.append(tracks[i].track_id)
+        if start <= i < stop:
+            log.warning("deleting track %d: %s", tracks[i].track_id, failures[i])
+            result.deleted_ids.append(tracks[i].track_id)
 
 
 # A gallery of budget b holds up to b // GALLERY_SPARE (at least one) spare
@@ -409,11 +409,13 @@ class TrackerInstance:
                               f"got {type(noise).__name__}")
         self.model: MotionModel = model_cls(noise)
         self.configs = dict(configs) if configs is not None else default_class_configs(self.mode)
-        self._tracks: dict[ObjectClass, list[Track]] = {cls: [] for cls in ObjectClass}
-        # The filter states of each class: row i of its means (N, d) and
-        # covariances (N, d, d) is the state of self._tracks[cls][i].
+        # The filter states of the instance: row i of means (N, d) and
+        # covariances (N, d, d) is the state of self._tracks[i]. Rows are
+        # grouped by class in ObjectClass order, self._sizes[k] of the k-th.
         d = self.model.dim_state
-        self._states = {cls: (np.empty((0, d)), np.empty((0, d, d))) for cls in ObjectClass}
+        self._tracks: list[Track] = []
+        self._means, self._covs = np.empty((0, d)), np.empty((0, d, d))
+        self._sizes = [0] * len(ObjectClass)
         self.frame_index = 0
         self.use_stage3 = use_stage3
         self.use_reid = use_reid
@@ -428,7 +430,7 @@ class TrackerInstance:
     @property
     def tracks(self) -> list[Track]:
         """The live tracks, grouped by class in ``ObjectClass`` order."""
-        return [t for cls_tracks in self._tracks.values() for t in cls_tracks]
+        return list(self._tracks)
 
     def _config_for(self, label: ObjectClass) -> ClassConfig:
         try:
@@ -497,122 +499,123 @@ class TrackerInstance:
             entry.append(embedding, budget)
         track.gallery = entry.view
 
-    def _forget(self, deleted_ids: Iterable[int]) -> None:
-        for track_id in deleted_ids:
-            self._galleries.pop(track_id, None)
-
     def step(self, detections: Iterable[Detection]) -> FrameResult:
         dets_by_class = self._by_class(list(detections))
         result = FrameResult(frame=self.frame_index)
-        emit_pairs: list[tuple[Track, Detection]] = []
-        matches = [0, 0, 0]
-        for cls in self._tracks:
-            cls_dets = dets_by_class.get(cls, [])
-            if self._tracks[cls] or cls_dets:
-                counts = self._step_class(cls, cls_dets, result, emit_pairs, bool(dets_by_class))
-                matches = [m + n for m, n in zip(matches, counts)]
-        self._forget(result.deleted_ids)
-        result.emitted = [
-            EmittedTrack(track.track_id, det.box, track.score, track.class_label)
-            for track, det in sorted(emit_pairs, key=lambda pair: pair[0].track_id)
-        ]
-        result.stage_matches = tuple(matches)
+        self._advance(dets_by_class, result)
+        for track_id in result.deleted_ids:
+            self._galleries.pop(track_id, None)
         self.frame_index += 1
         return result
 
-    def _step_class(self, cls: ObjectClass, cls_dets: list[Detection], result: FrameResult,
-                    emit_pairs: list[tuple[Track, Detection]], frame_has_dets: bool,
-                    ) -> tuple[int, int, int]:
-        """One frame of the class ``cls`` on its detections ``cls_dets``:
-        deletions go to ``result``, emitted (track, detection) pairs to
-        ``emit_pairs``; returns the matches of each stage."""
-        tracks = self._tracks[cls]
-        cfg = self._config_for(cls)
-        model = self.model
+    def _advance(self, dets_by_class: Mapping[ObjectClass, list[Detection]],
+                 result: FrameResult, before_class: Callable[[int], None] | None = None,
+                 ) -> None:
+        """One frame of the store on ``dets_by_class``: one predict of every
+        row, the stages of each class with tracks or detections, one update
+        of every matched pair, then, class by class, deletions, matches and
+        births into ``result``, and one compaction. Deletions are listed and
+        logged per class: predict failures, update failures in pair order,
+        then age-outs; ``before_class(pos)`` runs before those of the class
+        at ``pos`` in ``ObjectClass`` order."""
+        tracks, model = self._tracks, self.model
         where = {"mode": self.mode, "camera": self.camera_id}
         # Until the first embedding arrives, 2D stage 1 gates by IoU.
         use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
         # Only 2D re-id reads galleries; only there are embedding sizes checked.
         keep_embeddings = self.mode is Mode.D2 and self.use_reid
-        # Tracks and detections are rows of the class's arrays; a row whose
-        # predict failed is left out of association.
-        means, covs, predict_failures = predict(*self._states[cls], model)
-        _delete(tracks, predict_failures, result)
-        live = [i for i in range(len(tracks)) if i not in predict_failures]
-        if not use_reid_now and not self._fallback_logged and live and frame_has_dets:
-            log.log(
-                logging.INFO if not self.use_reid else logging.WARNING,
-                "no appearance embeddings available; stage-1 association "
-                "falls back to IoU gating",
-            )
-            self._fallback_logged = True
-
-        obs = model.observations(cls_dets)
-        prim, sec = _split_indices(cls_dets, cfg.t_s)
-        bounds = ([self._bound(t) for t in tracks] if keep_embeddings and use_reid_now and prim
-                  else None)
-        r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, rows=live, cols=prim,
-                            use_reid=use_reid_now, model=model, covs=covs, bounds=bounds, **where)
-        r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, rows=r1.unmatched_tracks,
-                            cols=r1.unmatched_detections, **where)
-        # pairs holds each matched (track row, detection row).
-        pairs, rest = r1.matches + r2.matches, r2.unmatched_tracks
-        s3 = 0
-        if self.use_stage3:
-            r3 = stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=rest, cols=sec,
-                                  **where)
-            s3 = len(r3.matches)
-            pairs, rest = pairs + r3.matches, r3.unmatched_tracks
-
-        rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        means[rows], covs[rows], failures = update(
-            means[rows], covs[rows], obs[[j for _, j in pairs]], model)
-        if failures:
-            _delete([tracks[i] for i in rows], failures, result)
-        for k, (i, j) in enumerate(pairs):
-            if k in failures:
+        # Tracks are rows of the store, detections rows of their class's
+        # list; a row whose predict failed is left out of association.
+        means, covs, predict_failures = predict(self._means, self._covs, model)
+        starts = list(itertools.accumulate(self._sizes, initial=0))
+        bounds, stepped, matches = None, [], [0, 0, 0]
+        pair_rows: list[int] = []  # the track row of each matched pair, class by class
+        pair_obs = [np.empty((0, model.dim_obs))]
+        for pos, cls in enumerate(ObjectClass):
+            start, end = starts[pos], starts[pos + 1]
+            cls_dets = dets_by_class.get(cls, [])
+            if start == end and not cls_dets:
                 continue
-            track, det = tracks[i], cls_dets[j]
-            track.age_since_update = 0
-            track.hits += 1
-            track.score = det.score
-            if keep_embeddings and det.embedding is not None:
-                self._add_embedding(track, det.embedding, cfg.gallery_budget)
-            if track.hits >= cfg.min_hits:
-                emit_pairs.append((track, det))
-        for i in rest:
-            track = tracks[i]
-            track.age_since_update += 1
-            if track.age_since_update > cfg.a_max:
-                result.deleted_ids.append(track.track_id)
+            cfg = self._config_for(cls)
+            live = [i for i in range(start, end) if i not in predict_failures]
+            obs = model.observations(cls_dets)
+            prim, sec = _split_indices(cls_dets, cfg.t_s)
+            if bounds is None and keep_embeddings and use_reid_now and prim:
+                bounds = [self._bound(t) for t in tracks]
+            r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, rows=live, cols=prim,
+                                use_reid=use_reid_now, model=model, covs=covs, bounds=bounds,
+                                **where)
+            r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, rows=r1.unmatched_tracks,
+                                cols=r1.unmatched_detections, **where)
+            r3 = (stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=r2.unmatched_tracks,
+                                   cols=sec, **where)
+                  if self.use_stage3 else AssociationResult([], r2.unmatched_tracks, []))
+            matches = [m + len(r.matches) for m, r in zip(matches, (r1, r2, r3))]
+            # pairs holds each matched (track row, detection row).
+            pairs = r1.matches + r2.matches + r3.matches
+            stepped.append((pos, cfg, cls_dets, bool(live), len(pair_rows), pairs,
+                            r3.unmatched_tracks, [cls_dets[j] for j in r2.unmatched_detections]))
+            pair_rows += [i for i, _ in pairs]
+            pair_obs.append(obs[[j for _, j in pairs]])
+        rows = np.array(pair_rows, dtype=np.intp)
+        means[rows], covs[rows], failures = update(
+            means[rows], covs[rows], np.concatenate(pair_obs), model)
+        failed = {pair_rows[k] for k in failures}
+        emit_pairs: list[tuple[Track, Detection]] = []
+        # The tracks of the next store, their rows in means and covs once
+        # the births are appended to these, the births and the class sizes.
+        next_tracks, index, born, sizes = [], [], [], [0] * len(self._sizes)
+        for pos, cfg, cls_dets, any_live, first, pairs, rest, unmatched in stepped:
+            if before_class is not None:
+                before_class(pos)
+            _delete(tracks, predict_failures, starts[pos], starts[pos + 1], result)
+            if not (use_reid_now or self._fallback_logged) and any_live and dets_by_class:
+                log.log(logging.WARNING if self.use_reid else logging.INFO,
+                        "no appearance embeddings available; stage-1 association "
+                        "falls back to IoU gating")
+                self._fallback_logged = True
+            if failures:
+                _delete([tracks[i] for i in pair_rows], failures, first, first + len(pairs),
+                        result)
+            updated = [(tracks[i], cls_dets[j])
+                       for k, (i, j) in enumerate(pairs, first) if k not in failures]
+            for track, det in updated:
+                track.age_since_update, track.hits, track.score = 0, track.hits + 1, det.score
+            for i in rest:
+                track = tracks[i]
+                track.age_since_update += 1
+                if track.age_since_update > cfg.a_max:
+                    result.deleted_ids.append(track.track_id)
+            kept = [i for i in range(starts[pos], starts[pos + 1])
+                    if i not in predict_failures and i not in failed
+                    and tracks[i].age_since_update <= cfg.a_max]
+            births = [Track(next(self._id_counter), init_track_state(det, model),
+                            det.class_label, det.score) for det in unmatched]
+            result.created_ids += [track.track_id for track in births]
+            for track, det in updated + list(zip(births, unmatched)):
+                if keep_embeddings and det.embedding is not None:
+                    self._add_embedding(track, det.embedding, cfg.gallery_budget)
+                if track.hits >= cfg.min_hits:
+                    emit_pairs.append((track, det))
+            next_tracks += [tracks[i] for i in kept] + births
+            index += kept + [len(means) + len(born) + b for b in range(len(births))]
+            born += births
+            sizes[pos] = len(kept) + len(births)
         # Deleted tracks keep the state of the last step they lived
         # through: rows of an earlier array, which no step writes.
-        failed = {pairs[k][0] for k in failures}
-        kept = [i for i in live if i not in failed and tracks[i].age_since_update <= cfg.a_max]
-        if len(kept) < len(tracks):
-            tracks, means, covs = [tracks[i] for i in kept], means[kept], covs[kept]
-        born = []
-        for j in r2.unmatched_detections:
-            det = cls_dets[j]
-            track = Track(next(self._id_counter), init_track_state(det, model), cls,
-                          det.score)
-            if keep_embeddings and det.embedding is not None:
-                self._add_embedding(track, det.embedding, cfg.gallery_budget)
-            born.append(track)
-            result.created_ids.append(track.track_id)
-            if track.hits >= cfg.min_hits:
-                emit_pairs.append((track, det))
         if born:
-            tracks = tracks + born
             means = np.concatenate((means, [t.state.mean for t in born]))
             covs = np.concatenate((covs, [t.state.cov for t in born]))
+        if index != list(range(len(means))):
+            means, covs = means[index], covs[index]
         # Each track's state is a view of its rows, so it reads the
         # current state and edits to it reach the next step's filter.
-        for track, mean, cov in zip(tracks, means, covs):
+        for track, mean, cov in zip(next_tracks, means, covs):
             track.state = State.trusted(mean, cov)
-        self._tracks[cls] = tracks
-        self._states[cls] = means, covs
-        return len(r1.matches), len(r2.matches), s3
+        self._tracks, self._means, self._covs, self._sizes = next_tracks, means, covs, sizes
+        result.emitted = [EmittedTrack(t.track_id, det.box, t.score, t.class_label)
+                          for t, det in sorted(emit_pairs, key=lambda pair: pair[0].track_id)]
+        result.stage_matches = tuple(matches)
 
     def skip(self, n: int) -> list[int]:
         """Advance over ``n`` frames without detections, as ``n`` calls of
@@ -623,36 +626,37 @@ class TrackerInstance:
         so its tracks are deleted in one pass: each at the frame where it
         ages out, or, if a predict would leave a box extent non-positive
         before that, at that frame with the same warning. A track is taken
-        to coast to finite values. Every other class is predicted once per
-        frame, until it has no track left.
+        to coast to finite values. The other classes stay in the store,
+        which is predicted once per frame until it has no track left.
         """
         if n < 0:
             raise ValueError(f"cannot skip {n} frames")
         # Each deletion, keyed by (frame of the gap, class position, order).
         pending: list[tuple[int, int, int, int, str | None]] = []
-        stepped = []
-        for pos, (cls, tracks) in enumerate(self._tracks.items()):
-            if not tracks:
+        keep: list[int] = []  # the rows of the classes stepped through the gap
+        starts = list(itertools.accumulate(self._sizes, initial=0))
+        for pos, cls in enumerate(ObjectClass):
+            start, end = starts[pos], starts[pos + 1]
+            if start == end or (a_max := self._config_for(cls).a_max) >= n:
+                keep += range(start, end)
                 continue
-            a_max = self._config_for(cls).a_max
-            if a_max >= n:
-                stepped.append((pos, cls))
-                continue
-            means = self._states[cls][0]
+            means = self._means[start:end]
             rate = means @ (self.model.F - np.eye(self.model.dim_state)).T
-            for i, track in enumerate(tracks):
+            for k, track in enumerate(self._tracks[start:end]):
                 due = a_max + 1 - track.age_since_update
-                fail = min(filter(None, (_coast_failure(means[i, c], rate[i, c], due)
+                fail = min(filter(None, (_coast_failure(means[k, c], rate[k, c], due)
                                          for c in EXTENTS[self.model.dim_state])), default=0)
                 if fail:
-                    pending.append((fail, pos, i, track.track_id,
+                    pending.append((fail, pos, k, track.track_id,
                                     "predict produced non-positive box extents"))
                 else:
-                    pending.append((due, pos, len(tracks) + i, track.track_id, None))
-            self._tracks[cls] = []
-            self._states[cls] = tuple(a[:0] for a in self._states[cls])
+                    pending.append((due, pos, end - start + k, track.track_id, None))
+            self._sizes[pos] = 0
+        if len(keep) < len(self._tracks):
+            self._tracks = [self._tracks[i] for i in keep]
+            self._means, self._covs = self._means[keep], self._covs[keep]
         pending.sort(key=lambda d: d[:3])
-        deleted: list[int] = []
+        gap = FrameResult(self.frame_index)
         done = 0
 
         def flush(key: tuple[int, int]) -> None:
@@ -661,19 +665,15 @@ class TrackerInstance:
                 _, _, _, track_id, failure = pending[done]
                 if failure is not None:
                     log.warning("deleting track %d: %s", track_id, failure)
-                deleted.append(track_id)
+                gap.deleted_ids.append(track_id)
                 done += 1
 
         for frame in range(1, n + 1):
-            if not any(self._tracks[cls] for _, cls in stepped):
+            if not self._tracks:
                 break
-            for pos, cls in stepped:
-                flush((frame, pos))
-                result = FrameResult(self.frame_index + frame - 1)
-                if self._tracks[cls]:
-                    self._step_class(cls, [], result, [], False)
-                deleted += result.deleted_ids
+            self._advance({}, gap, lambda pos: flush((frame, pos)))
         flush((n + 1, 0))
-        self._forget(deleted)
+        for track_id in gap.deleted_ids:
+            self._galleries.pop(track_id, None)
         self.frame_index += n
-        return deleted
+        return gap.deleted_ids

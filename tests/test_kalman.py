@@ -573,3 +573,36 @@ def test_batched_filter_of_no_states():
     assert _results(*update_batch(means, covs, obs, model)) == []
     assert mahalanobis_sq_pairs(means, covs, obs, np.empty(0, int), np.empty(0, int),
                                 model)[0].size == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([2, 3]), sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1), broken=st.integers(0, 6))
+def test_one_batch_over_blocks_equals_one_batch_per_block(dim, sizes, seed, broken):
+    """One filter call over row blocks stacked one after another, as the
+    classes of a tracker's store are, gives every block's rows bit for bit
+    as one call per block, and each block's failures with their keys
+    shifted by the block's first row; failing rows included."""
+    rng = np.random.default_rng(seed)
+    model = MotionModel2D() if dim == 2 else MotionModel3D()
+    random_det = _random_det2 if dim == 2 else _random_det3
+    n = sum(sizes)
+    states = [_random_state(rng, model) for _ in range(n)]
+    for i in rng.choice(n, size=min(n, broken), replace=False):
+        states[i] = _break(rng, states[i], model)
+    d = model.dim_state
+    means = np.array([s.mean for s in states]).reshape(n, d)
+    covs = np.array([s.cov for s in states]).reshape(n, d, d)
+    obs = model.observations([random_det(rng) for _ in range(n)])
+    starts = np.cumsum([0] + sizes)
+    for batch, extra in ((predict_batch, ()), (update_batch, (obs,))):
+        whole_means, whole_covs, whole_failures = batch(means, covs, *extra, model)
+        blocks = [batch(means[a:b], covs[a:b], *(x[a:b] for x in extra), model)
+                  for a, b in zip(starts, starts[1:])]
+        assert np.array_equal(_bits(whole_means), _bits(np.concatenate([m for m, _, _ in blocks])))
+        assert np.array_equal(_bits(whole_covs), _bits(np.concatenate([c for _, c, _ in blocks])))
+        shifted = {a + k: (type(exc), str(exc)) for a, (_, _, failures) in zip(starts, blocks)
+                   for k, exc in failures.items()}
+        assert {k: (type(exc), str(exc)) for k, exc in whole_failures.items()} == shifted

@@ -469,6 +469,18 @@ def test_created_track_emitted_with_raw_box():
     assert em.class_label is ObjectClass.PEDESTRIAN
 
 
+def test_emitted_row_is_an_immutable_tuple():
+    """An emitted row is a named tuple of (track_id, box, score,
+    class_label): it unpacks and compares equal to a plain tuple."""
+    det = _det3(1, 2, score=0.9)
+    (em,) = TrackerInstance(Mode.D3).step([det]).emitted
+    assert em == (1, det.box, 0.9, ObjectClass.PEDESTRIAN)
+    track_id, box, score, label = em
+    assert (track_id, box, score, label) == (em.track_id, em.box, em.score, em.class_label)
+    with pytest.raises(AttributeError):
+        em.score = 0.5
+
+
 def test_matched_track_emits_observation_not_filter_mean():
     inst = TrackerInstance(Mode.D3)
     inst.step([_det3(0, 0, score=0.9)])
@@ -783,6 +795,90 @@ def test_filter_failures_keep_deletion_order(caplog):
     ]
     assert [t.track_id for t in inst.tracks] == [4, 5]  # 5 is born at x = 300
     assert healthy.age_since_update == 0
+
+
+def test_deletion_order_holds_per_class_in_one_frame(caplog):
+    """With predict failures, update failures and age-outs in two classes
+    in one frame, each class lists and logs its own in that order, class by
+    class, and the IoU-fallback line comes after the first stepped class's
+    predict failures, although the filter runs once for both classes."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, use_reid=False)
+    veh = dict(w=120.0, h=80.0, cls=ObjectClass.VEHICLE)
+    inst.step([_det2(100 + 200 * k, 100) for k in range(4)]
+              + [_det2(100 + 200 * k, 600, **veh) for k in range(5)])
+    ped = {t.track_id: t for t in inst.tracks if t.class_label is ObjectClass.PEDESTRIAN}
+    cars = {t.track_id: t for t in inst.tracks if t.class_label is ObjectClass.VEHICLE}
+    assert sorted(cars) == [1, 2, 3, 4, 5] and sorted(ped) == [6, 7, 8, 9]
+    for tracks, aged, collapsing, singular in ((cars, [2], [5, 1], [4, 3]),
+                                               (ped, [6], [8], [7])):
+        for i in aged:
+            tracks[i].age_since_update = inst.configs[tracks[i].class_label].a_max
+        for i in collapsing:
+            tracks[i].state.mean[7] = -2.0 * tracks[i].state.mean[3]
+        for i in singular:
+            tracks[i].state.cov[...] = -1e6 * np.eye(8)
+    with caplog.at_level(logging.INFO, logger="hmot.tracker"):
+        res = inst.step([_det2(100 + 200 * k, 100) for k in (1, 3)]
+                        + [_det2(100 + 200 * k, 600, **veh) for k in (2, 3, 4)])
+    assert res.deleted_ids == [1, 5, 3, 4, 2, 8, 7, 6]
+    singular = "singular innovation covariance: Matrix is not positive definite"
+    assert [r.getMessage() for r in caplog.records] == [
+        "deleting track 1: predict produced non-positive box extents",
+        "deleting track 5: predict produced non-positive box extents",
+        "no appearance embeddings available; stage-1 association falls back to IoU gating",
+        f"deleting track 3: {singular}",
+        f"deleting track 4: {singular}",
+        "deleting track 8: predict produced non-positive box extents",
+        f"deleting track 7: {singular}",
+    ]
+    assert [t.track_id for t in inst.tracks] == [10, 9]
+    assert res.created_ids == [10] and res.stage_matches == (4, 0, 0)
+
+
+
+def test_step_that_raises_in_a_stage_leaves_every_class_as_it_was():
+    """The store is written only after every class has been associated, so
+    a stage that raises (here the appearance fill, on a gallery the caller
+    assigned with another embedding size) leaves the classes stepped
+    before it untouched too."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    inst.step([_det2(100, 100, cls=ObjectClass.VEHICLE, embedding=E1),
+               _det2(400, 100, embedding=E1)])
+    before = [(t.track_id, t.age_since_update, t.hits, t.state.mean.copy())
+              for t in inst.tracks]
+    inst.tracks[1].gallery = np.ones((2, 3))
+    with pytest.raises(ValueError):
+        inst.step([_det2(101, 100, cls=ObjectClass.VEHICLE, embedding=E1),
+                   _det2(401, 100, embedding=E1)])
+    assert inst.frame_index == 1
+    after = [(t.track_id, t.age_since_update, t.hits, t.state.mean) for t in inst.tracks]
+    assert [a[:3] for a in after] == [b[:3] for b in before]
+    assert all(np.array_equal(a[3], b[3]) for a, b in zip(after, before))
+
+def test_one_predict_and_one_update_per_frame(monkeypatch):
+    """Every class of an instance shares one filter store: a step makes one
+    predict call over all its rows and at most one update call, however
+    many classes it steps, and a gap makes one predict per frame stepped."""
+    inst = TrackerInstance(Mode.D3)
+    frame = [_det3(10 * k, 10 * j, cls=cls)
+             for k, cls in enumerate(ObjectClass) for j in range(3)]
+    inst.step(frame)
+    calls = []
+    for name in ("predict", "update"):
+        real = getattr(hmot.tracker, name)
+        monkeypatch.setattr(hmot.tracker, name, lambda *args, _real=real, _name=name:
+                            calls.append((_name, len(args[0]))) or _real(*args))
+    for f in range(1, 4):
+        calls.clear()
+        res = inst.step([dataclasses.replace(d, box=dataclasses.replace(d.box, cx=d.box.cx + f))
+                         for d in frame])
+        assert res.stage_matches == (9, 0, 0)
+        assert calls == [("predict", 9), ("update", 9)]
+    calls.clear()
+    assert inst.skip(2) == []
+    assert [name for name, _ in calls].count("predict") == 2
+    assert len(calls) <= 4 and all(rows == 9 for name, rows in calls if name == "predict")
+    assert [t.age_since_update for t in inst.tracks] == [2] * 9
 
 
 def test_skip_past_a_max_deletes_without_predicting(monkeypatch):
