@@ -11,10 +11,19 @@ The filter is ``predict_batch``, ``update_batch`` and
 (N, d) and covariances (N, d, d), with observations (N, k) from the
 model's ``observations``. It returns new arrays and the
 ``NumericFailureError`` of each row that failed, by row; a failed row
-holds no usable state. The tracker keeps each class's states in such arrays
-between frames and makes one call of each per class per frame.
-``predict``, ``update`` and ``mahalanobis_sq`` are the scalar API: one row
-of the batched functions, raising that row's failure.
+holds no usable state. The tracker keeps the states of all its tracks in
+one such pair of arrays between frames, with one predict and one update
+call a frame. ``predict``, ``update`` and ``mahalanobis_sq`` are the scalar
+API: one row of the batched functions, raising that row's failure.
+
+``update_batch`` needs no LAPACK call when every innovation covariance S of
+the batch is diagonal, as the tracker's are: P0, Q and R are diagonal, F
+couples each observed component only with its own velocity, and H selects
+the first k components, so the observed block of P stays diagonal with
+exact zeros. A row then fails where a diagonal entry of S is <= 0, as its
+Cholesky factor does, and its gain is HP times the reciprocal variances,
+which is how the solve with k > 1 right-hand sides computes it, bit for
+bit. Any other batch is factored and solved.
 """
 
 from __future__ import annotations
@@ -294,6 +303,27 @@ def _singular_rows(S: np.ndarray, B: np.ndarray | None = None) -> Failures:
     return singular
 
 
+def _diagonal_gain(
+    S: np.ndarray, HP: np.ndarray, var: np.ndarray,
+) -> tuple[np.ndarray, Failures]:
+    """``solve(S, HP)`` for diagonal innovation covariances S with diagonals
+    ``var`` (N, k), bit for bit, and the rows without a Cholesky factor,
+    set aside as :func:`_singular_rows` sets them. The factor exists exactly
+    when no diagonal entry is <= 0 (LAPACK lets a NaN pass, and so does
+    this check), and the solve with k > 1 right-hand sides multiplies by
+    pivot reciprocals. Where a reciprocal overflows, the solve spreads NaN
+    through the gain; here the whole row is NaN, so it fails as non-finite
+    without a floating-point warning."""
+    bad = np.flatnonzero((var <= 0).any(axis=1))
+    S[bad], HP[bad], var[bad] = np.eye(S.shape[-1]), 0.0, 1.0
+    with np.errstate(over="ignore"):
+        recip = 1.0 / var
+    recip[~np.isfinite(recip).all(axis=1)] = math.nan
+    return HP * recip[..., None], {i: NumericFailureError(
+        "singular innovation covariance: Matrix is not positive definite")
+        for i in bad.tolist()}
+
+
 def predict_batch(
     means: np.ndarray, covs: np.ndarray, model: MotionModel
 ) -> tuple[np.ndarray, np.ndarray, Failures]:
@@ -319,13 +349,18 @@ def update_batch(
     H = model.H
     HP = H @ covs
     S = _add_diagonal(HP @ H.T, model.measurement_var(means))
-    singular = {}
-    try:
-        np.linalg.cholesky(S)  # raises unless every S is positive definite
-        gain = np.linalg.solve(S, HP)
-    except np.linalg.LinAlgError:
-        singular = _singular_rows(S, HP)
-        gain = np.linalg.solve(S, HP)
+    i = np.arange(S.shape[-1])
+    var = S[:, i, i]
+    if np.count_nonzero(S) == np.count_nonzero(var):  # every S is diagonal
+        gain, singular = _diagonal_gain(S, HP, var)
+    else:
+        singular = {}
+        try:
+            np.linalg.cholesky(S)  # raises unless every S is positive definite
+            gain = np.linalg.solve(S, HP)
+        except np.linalg.LinAlgError:
+            singular = _singular_rows(S, HP)
+            gain = np.linalg.solve(S, HP)
     gain = np.swapaxes(gain, 1, 2)  # each cov is symmetric
     means = means + (gain @ y[..., None])[..., 0]
     covs = covs - gain @ S @ np.swapaxes(gain, 1, 2)

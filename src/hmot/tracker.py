@@ -477,12 +477,22 @@ class TrackerInstance:
         """The store entry of ``track``'s gallery, None while it is empty.
         A gallery that is not the view the store handed out (one the caller
         assigned: an array, list or deque) is copied into a new entry,
-        which is measured exactly, and the track shows its view instead."""
+        which is measured exactly, and the track shows its view instead;
+        it must hold finite rows of the embedding size."""
         entry = self._galleries.get(track.track_id)
         if entry is None or entry.view is not track.gallery:
             if not len(track.gallery):
                 return None
-            rows = np.array(track.gallery, dtype=np.float64)
+            try:
+                rows = np.array(track.gallery, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged, or not numbers
+                rows = None
+            if (rows is None or rows.ndim != 2 or rows.shape[1] != self._embed_dim
+                    or not np.isfinite(rows).all()):
+                got = "ragged or non-numeric rows" if rows is None else f"shape {rows.shape}"
+                raise ValidationError(
+                    f"gallery of track {track.track_id} must hold finite rows of the "
+                    f"embedding size {self._embed_dim}, got {got}")
             entry = self._galleries[track.track_id] = _Gallery(rows, len(rows))
             track.gallery = entry.view
         return entry

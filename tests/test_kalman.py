@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -500,6 +501,24 @@ def _break(rng, state, model):
     return State(mean, cov)
 
 
+def _tracked_state(rng, model, random_det):
+    """A state as the tracker makes them: a new track's, then random rounds
+    of predict and update, so the observed block of its covariance stays
+    diagonal. Some get a diagonal variance that is zero or negative."""
+    state = init_track_state(random_det(rng), model)
+    for _ in range(int(rng.integers(0, 6))):
+        try:
+            state = predict(state, model)
+            if rng.random() < 0.7:
+                state = update(state, random_det(rng), model)
+        except NumericFailureError:
+            break
+    if rng.random() < 0.2:
+        j = rng.integers(model.dim_state)
+        state.cov[j, j] *= rng.choice([0.0, -0.5, -1e6])
+    return state
+
+
 def _outcome(fn, *args):
     """What ``fn(*args)`` returns, or the NumericFailureError it raises."""
     try:
@@ -525,16 +544,18 @@ def _assert_same(out, oracle, *args):
                             "ignore:invalid value:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
-       zero_noise=st.booleans())
-def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
+       zero_noise=st.booleans(), tracked=st.booleans())
+def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise, tracked):
     """The batched functions and the one-row scalar API against the scalar
-    step in ``oracles``."""
+    step in ``oracles``, on states with full covariances and on states as
+    the tracker makes them, whose innovation covariances are diagonal."""
     rng = np.random.default_rng(seed)
     noise_cls = Noise2D if dim == 2 else Noise3D
     noise = noise_cls(**{f: 0.0 for f in noise_cls.__dataclass_fields__}) if zero_noise else None
     model = MotionModel2D(noise) if dim == 2 else MotionModel3D(noise)
     random_det = _random_det2 if dim == 2 else _random_det3
-    states = [_random_state(rng, model) for _ in range(n)]
+    states = [_tracked_state(rng, model, random_det) if tracked else _random_state(rng, model)
+              for _ in range(n)]
     for i in rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False):
         states[i] = _break(rng, states[i], model)
     if zero_noise and n > 1:
@@ -564,6 +585,60 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise):
             assert isinstance(one, NumericFailureError) and str(one) == str(expected)
         else:
             assert _bits(d2) == _bits(expected) == _bits(one)
+
+
+def _diagonal_batch(rng, model, random_det, n):
+    """``n`` tracker-made states, the first two failing: one innovation
+    variance negative, one zero; their stacked arrays and detections."""
+    states = [init_track_state(random_det(rng), model) for _ in range(n)]
+    states = [predict(s, model) for s in states]
+    states[0].cov[1, 1] = -1e6
+    states[1].cov[0, 0] = -model.measurement_var(states[1].mean)[0]
+    dets = [random_det(rng) for _ in states]
+    return states, dets
+
+
+@pytest.mark.parametrize("full_row", [None, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diagonal_innovation_covariances_need_no_lapack(monkeypatch, dim, full_row):
+    """A batch whose every S is diagonal, failing rows included, is updated
+    without a Cholesky factor or a solve; one full covariance among them
+    sends the batch down the factored route. Either way every row equals
+    the oracle's, bit for bit."""
+    rng = np.random.default_rng(dim)
+    model = MotionModel2D() if dim == 2 else MotionModel3D()
+    states, dets = _diagonal_batch(rng, model, _random_det2 if dim == 2 else _random_det3, 12)
+    if full_row is None:
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg called on a diagonal batch")
+
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+    else:
+        states[full_row] = _random_state(rng, model)
+    out = _results(*update_batch(*_stack(states), model.observations(dets), model))
+    monkeypatch.undo()
+    assert [i for i, o in enumerate(out) if isinstance(o, NumericFailureError)] == [0, 1]
+    for state, det, o in zip(states, dets, out):
+        _assert_same(o, oracles.update, state, det, model)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_innovation_variance_without_finite_reciprocal_fails_quietly():
+    """A diagonal S with a subnormal variance has a Cholesky factor but no
+    finite gain: its row fails as non-finite, as the oracle's solve makes
+    it, and the batch finishes without a floating-point warning."""
+    model = MotionModel3D(Noise3D(**{f: 0.0 for f in Noise3D.__dataclass_fields__}))
+    det = _det3()
+    good = init_track_state(det, MotionModel3D())
+    tiny = State(good.mean, np.diag(np.full(10, 1e-320)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _results(*update_batch(*_stack([good, tiny]), model.observations([det, det]),
+                                     model))
+    assert str(out[1]) == "update produced non-finite values"
+    for state, o in zip([good, tiny], out):
+        _assert_same(o, oracles.update, state, det, model)
 
 
 def test_batched_filter_of_no_states():

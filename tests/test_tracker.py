@@ -855,6 +855,30 @@ def test_step_that_raises_in_a_stage_leaves_every_class_as_it_was():
     assert [a[:3] for a in after] == [b[:3] for b in before]
     assert all(np.array_equal(a[3], b[3]) for a, b in zip(after, before))
 
+
+@pytest.mark.parametrize("gallery, got", [
+    (np.ones((2, 3)), "shape (2, 3)"),
+    (E1, "shape (4,)"),
+    ([E1, [0.0, math.nan, 1.0, 0.0]], "shape (2, 4)"),
+    ([E1, E2[:3]], "ragged or non-numeric rows"),
+])
+def test_assigned_gallery_of_another_shape_is_a_validation_error(gallery, got):
+    """A gallery the caller assigns must hold finite rows of the embedding
+    size; anything else fails the step naming the track and both sizes,
+    and the tracker is left as it was."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    inst.step([_det2(100, 100, embedding=E1)])
+    [track] = inst.tracks
+    track.gallery = gallery
+    with pytest.raises(ValidationError, match=re.escape(
+            f"gallery of track {track.track_id} must hold finite rows of the embedding "
+            f"size 4, got {got}")):
+        inst.step([_det2(101, 100, embedding=E1)])
+    assert inst.frame_index == 1 and track.hits == 1
+    track.gallery = [E1]
+    assert inst.step([_det2(101, 100, embedding=E1)]).stage_matches == (1, 0, 0)
+
+
 def test_one_predict_and_one_update_per_frame(monkeypatch):
     """Every class of an instance shares one filter store: a step makes one
     predict call over all its rows and at most one update call, however

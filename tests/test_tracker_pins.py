@@ -6,7 +6,11 @@ scene with births, deaths and headings near +-pi, and a cluttered 2D re-id
 scene whose coasting tracks die as numeric failures. Each pin is the sha256
 of the emitted rows and ``deleted_ids`` of every frame, followed by the
 "deleting track" warning lines, as recorded on the tracker before its
-filter states were kept in per-class arrays.
+filter states were kept in per-class arrays. A second pin, recorded while
+every update still factored and solved its innovation covariance, is the
+sha256 of the bytes of the filter store (every live mean and covariance)
+after every frame: the emitted boxes are raw observations, so only this pin
+holds the filter to its bits.
 """
 
 from __future__ import annotations
@@ -78,10 +82,10 @@ def _reid_2d(seed=0, n_frames=150):
 
 def _run(spec, caplog, **kwargs):
     """The pin digest of ``spec`` tracked with ``kwargs``, the number of
-    deletions and the "deleting track" warning lines."""
+    deletions, the "deleting track" warning lines and the filter digest."""
     _, det_frames = generate(spec)
     inst = TrackerInstance(spec.mode, camera_id=spec.camera, **kwargs)
-    h = hashlib.sha256()
+    h, filter_bits = hashlib.sha256(), hashlib.sha256()
     deleted = 0
     with caplog.at_level(logging.WARNING, logger="hmot.tracker"):
         for f, dets in enumerate(det_frames):
@@ -89,15 +93,23 @@ def _run(spec, caplog, **kwargs):
             rows = [(em.track_id, em.class_label.value, dataclasses.astuple(em.box), em.score)
                     for em in res.emitted]
             h.update(repr((f, rows, res.deleted_ids)).encode())
+            filter_bits.update(inst._means.tobytes() + inst._covs.tobytes())
             deleted += len(res.deleted_ids)
     warnings = [r.getMessage() for r in caplog.records if "deleting track" in r.getMessage()]
     h.update("\n".join(warnings).encode())
-    return h.hexdigest(), deleted, warnings
+    return h.hexdigest(), deleted, warnings, filter_bits.hexdigest()
 
 
 def _gated(mode):
     return {cls: dataclasses.replace(cfg, mahalanobis_gating=True)
             for cls, cfg in default_class_configs(mode).items()}
+
+
+# The filter digest of each dense 3D run, by gating.
+DENSE_3D_FILTER_DIGESTS = {
+    False: "d8657b405fdec06bc995da380466abeae26ada4b95db63a7ea6fde70281afb61",
+    True: "6fb65462b400d3dbd08e960e2b49f9360376df076de4723c463e346fc1dfb165",
+}
 
 
 @pytest.mark.parametrize("gating, digest", [
@@ -108,9 +120,10 @@ def _gated(mode):
 ])
 def test_dense_3d_pin(caplog, gating, digest):
     kwargs = {"configs": _gated(Mode.D3)} if gating else {}
-    got, n_deleted, warnings = _run(_dense_3d(), caplog, **kwargs)
+    got, n_deleted, warnings, filter_got = _run(_dense_3d(), caplog, **kwargs)
     assert (n_deleted, warnings) == (35, [])
     assert got == digest
+    assert filter_got == DENSE_3D_FILTER_DIGESTS[gating]
 
 
 def test_reid_2d_numeric_failure_pin(caplog):
@@ -118,7 +131,8 @@ def test_reid_2d_numeric_failure_pin(caplog):
     extents". The coasting fix of ROADMAP item 3 (zeroing the size velocity
     of a coasting track whose extent would go non-positive) changes this
     scene's output; that change re-records this pin."""
-    got, n_deleted, warnings = _run(_reid_2d(), caplog)
+    got, n_deleted, warnings, filter_got = _run(_reid_2d(), caplog)
     assert (n_deleted, len(warnings)) == (66, 3)
     assert all(w.endswith("predict produced non-positive box extents") for w in warnings)
     assert got == "1bf988125fadb50df13e366466090a61d590885b37139c7bccaaba63ed1152f6"
+    assert filter_got == "0a8ee777ff19dc78b1f505f0e11d2ad61b64bd221e016ec6afe84c78f9656bc9"
