@@ -361,6 +361,9 @@ def update_batch(
         except np.linalg.LinAlgError:
             singular = _singular_rows(S, HP)
             gain = np.linalg.solve(S, HP)
+        # As on the diagonal route, a row whose solve overflowed is all NaN,
+        # so it fails as non-finite without a floating-point warning.
+        gain[~np.isfinite(gain).all(axis=(1, 2))] = math.nan
     gain = np.swapaxes(gain, 1, 2)  # each cov is symmetric
     means = means + (gain @ y[..., None])[..., 0]
     covs = covs - gain @ S @ np.swapaxes(gain, 1, 2)

@@ -180,7 +180,9 @@ def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -
     """Kernelized center-distance matrix; rows and cols are (n, 3) centers."""
     if len(rows) == 0 or len(cols) == 0:
         return np.zeros((len(rows), len(cols)))
-    d2 = np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
+    d = rows[:, None, :] - cols[None, :, :]
+    sq = d * d  # summed in the order np.sum takes, without its reduction
+    d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
     return -np.expm1(-d2 / (2.0 * sigma * sigma))
 
 
@@ -201,37 +203,50 @@ def gallery_bound(gallery: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:
     return centre, float(np.sqrt(np.max(dist_sq + error)))
 
 
+def ball_admits(bounds: Sequence[tuple[np.ndarray, float]], emb: np.ndarray,
+                gate: float) -> np.ndarray:
+    """(len(bounds), m) mask of the pairs whose cost the gallery balls
+    ``bounds`` (:func:`gallery_bound`) cannot prove above ``gate``, for the
+    embeddings that are the columns of ``emb`` (dim, m). By Cauchy-Schwarz
+    no row g of a ball (c, r) has g.e above c.e + r |e|; that bound is
+    compared with a slack far above rounding, so every pair with a cost
+    <= gate is admitted."""
+    centres = np.stack([centre for centre, _ in bounds])
+    radii = np.array([radius for _, radius in bounds])[:, None]
+    norms = np.sqrt(np.square(emb).sum(axis=0))
+    reach = (np.sqrt(np.square(centres).sum(axis=1))[:, None] + radii) * norms
+    upper = centres @ emb + radii * norms  # >= every sim of the pair
+    return upper >= (1.0 - gate) - 1e-9 * (1.0 + reach)
+
+
 def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]],
-                               embeddings: Sequence[np.ndarray | None],
+                               embeddings: Sequence[np.ndarray | None] | np.ndarray,
                                gate: float | None = None,
                                bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
                                ) -> np.ndarray:
     """Per-track min cosine distance to each detection embedding.
 
-    Pairs where the gallery is empty or the detection has no embedding get
-    +inf (inadmissible). Given a ``gate`` and, per gallery, a ball
-    ``(centre, radius)`` that holds its rows (:func:`gallery_bound`), a pair
-    is left at +inf without computing it when the ball proves its cost above
-    the gate: by Cauchy-Schwarz no row g has g.e above c.e + r |e|. The
-    bound is compared with a slack far above rounding, so every pair with a
-    cost <= gate is computed.
+    ``embeddings`` is a sequence of vectors or None, or an (m, dim) matrix
+    of them stacked, which gives the same bits. Pairs where the gallery is
+    empty or the detection has no embedding get +inf (inadmissible). Given
+    a ``gate`` and, per gallery, a ball ``(centre, radius)`` that holds its
+    rows (:func:`gallery_bound`), a pair is left at +inf without computing
+    it when the ball proves its cost above the gate (:func:`ball_admits`),
+    so every pair with a cost <= gate is computed.
     """
     n, m = len(galleries), len(embeddings)
     costs = np.full((n, m), np.inf)
-    have_emb = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
+    stacked = isinstance(embeddings, np.ndarray)
+    have_emb = (np.arange(m) if stacked else
+                np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp))
     live = [i for i, gallery in enumerate(galleries) if len(gallery)]
     if not len(have_emb) or not live:
         return costs
-    emb = np.stack([embeddings[j] for j in have_emb]).T  # (dim, m')
+    emb = (embeddings if stacked else np.stack([embeddings[j] for j in have_emb])).T  # (dim, m')
     if gate is None or bounds is None:
         cols_of = [None] * len(live)
     else:
-        centres = np.stack([bounds[i][0] for i in live])
-        radii = np.array([bounds[i][1] for i in live])[:, None]
-        norms = np.sqrt(np.square(emb).sum(axis=0))
-        reach = (np.sqrt(np.square(centres).sum(axis=1))[:, None] + radii) * norms
-        upper = centres @ emb + radii * norms  # >= every sim of the pair
-        keep = upper >= (1.0 - gate) - 1e-9 * (1.0 + reach)
+        keep = ball_admits([bounds[i] for i in live], emb, gate)
         cols_of = [cols if len(cols) < len(have_emb) else None
                    for cols in map(np.flatnonzero, keep)]
     for i, cols in zip(live, cols_of):

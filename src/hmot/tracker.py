@@ -13,7 +13,9 @@ detection rows to match, and returns rows of the same arrays.
 the next step's filter; a deleted track keeps the state of the last step it
 lived through. Each stage solves one gated assignment per band of tracks
 over the detections earlier bands left. Stage 1 bands by age, youngest
-first, by appearance distance in 2D and kernelized center distance in 3D.
+first, by appearance distance in 2D and kernelized center distance in 3D;
+in 2D a gallery is multiplied only for the pairs whose cost can change
+the match (see :func:`_appearance_costs`).
 Stage 2 is one band of recently lost tracks on the remaining primary
 detections by enlarged IoU (2D). Stage 3 is one band of all still unmatched
 tracks on the low-score secondary set, which keeps weak objects alive but
@@ -46,6 +48,7 @@ from .kalman import (
 from .kalman import predict_batch as predict
 from .kalman import update_batch as update
 from .metrics import (
+    ball_admits,
     cosine_gallery_dist_matrix,
     gallery_bound,
     gauss_center_dist_matrix,
@@ -124,6 +127,59 @@ def _state_boxes(means: np.ndarray) -> np.ndarray:
     return np.stack([means[:, 0], means[:, 1], w, h], axis=1)
 
 
+def _appearance_costs(
+    galleries: Sequence[Sequence[np.ndarray]],
+    embeddings: Sequence[np.ndarray | None],
+    gate: float,
+    bounds: Sequence[tuple[np.ndarray, float] | None],
+) -> np.ndarray:
+    """The gated appearance costs of ``galleries`` against ``embeddings``,
+    as :func:`cosine_gallery_dist_matrix` gives them with the balls
+    ``bounds``, except for free pairs, whose gallery is not multiplied.
+
+    A pair is free when its row's ball admits no other column, no other
+    row admits its column, and its gallery's newest row g proves it
+    admissible: 1 - g.e <= gate - 1e-9 (1 + |g| |e|), a slack far above
+    rounding. Such a pair gets the cost 1 - g.e. Rows whose ball admits
+    two or more columns are filled first, so a column only they admit by
+    the ball but not by the exact cost is no rival. The admissible pairs
+    are the fill's, and a free pair is alone in its row and its column, so
+    :func:`~hmot.assignment.solve_gated_assignment` matches it without
+    reading its cost; every other pair gets the fill's cost.
+    """
+    have = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
+    live = np.array([i for i, g in enumerate(galleries) if len(g)], dtype=np.intp)
+    if not len(have) or not len(live):
+        return cosine_gallery_dist_matrix(galleries, embeddings, gate, bounds)
+    emb = np.stack([embeddings[j] for j in have])  # (m', dim)
+    costs = np.full((len(galleries), len(embeddings)), np.inf)
+
+    def fill(rows: np.ndarray) -> None:
+        costs[np.ix_(rows, have)] = cosine_gallery_dist_matrix(
+            [galleries[i] for i in rows], emb, gate, [bounds[i] for i in rows])
+
+    admits = ball_admits([bounds[i] for i in live], emb.T, gate)
+    count = admits.sum(axis=1)
+    multi, one = live[count > 1], count == 1
+    lone_rows = admits[one]
+    single, col = live[one], lone_rows.argmax(axis=1)  # the column each admits
+    claims = lone_rows.sum(axis=0)
+    if len(multi):
+        fill(multi)
+        claims += (costs[np.ix_(multi, have)] <= gate).sum(axis=0)
+    free = claims[col] == 1
+    if free.any():
+        g = np.stack([galleries[i][-1] for i in single[free]])
+        e = emb[col[free]]
+        sims = np.einsum("ij,ij->i", g, e)
+        slack = 1e-9 * (1.0 + np.sqrt(np.einsum("ij,ij->i", g, g) * np.einsum("ij,ij->i", e, e)))
+        certified = 1.0 - sims <= gate - slack
+        costs[single[free][certified], have[col[free][certified]]] = 1.0 - sims[certified]
+        free[free] = certified
+    fill(single[~free])
+    return costs
+
+
 def _gated_match(
     tracks: Sequence[Track],
     means: np.ndarray,
@@ -149,9 +205,13 @@ def _gated_match(
     ``use_reid`` is set, otherwise IoU distance over boxes scaled by
     ``enlarge`` with the camera's gate. Given ``bounds``, row i's gallery
     ball (see :func:`~hmot.metrics.cosine_gallery_dist_matrix`), pairs the
-    ball proves above t_a are not computed. With a ``model`` and
-    ``mahalanobis_gating`` on, pairs whose innovation under the covariances
-    ``covs`` lies beyond the 95% chi-square quantile are inadmissible.
+    ball proves above t_a are not computed, and lone pairs whose newest
+    gallery row proves them within t_a are not multiplied by their gallery
+    (:func:`_appearance_costs`); the matches are those of the full fill.
+    With a ``model`` and ``mahalanobis_gating`` on, pairs whose innovation
+    under the covariances ``covs`` lies beyond the 95% chi-square quantile
+    are inadmissible; that test reads only whether a cost is within the
+    gate, never its value.
     """
     means = means[rows]
     if mode is Mode.D3:
@@ -159,10 +219,10 @@ def _gated_match(
         gate = config.max_center_dist
     elif use_reid:
         gate = config.t_a
-        costs = cosine_gallery_dist_matrix(
-            [tracks[i].gallery for i in rows], [dets[j].embedding for j in cols], gate,
-            None if bounds is None else [bounds[i] for i in rows],
-        )
+        galleries = [tracks[i].gallery for i in rows]
+        embeddings = [dets[j].embedding for j in cols]
+        costs = (cosine_gallery_dist_matrix(galleries, embeddings, gate) if bounds is None
+                 else _appearance_costs(galleries, embeddings, gate, [bounds[i] for i in rows]))
     else:
         costs = iou_dist_matrix(_state_boxes(means), [dets[j].box for j in cols],
                                 factor=enlarge)

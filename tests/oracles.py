@@ -83,6 +83,16 @@ def mc_bev_iou(a, b, n_samples: int, rng: np.random.Generator) -> float:
     return n_inter / n_union
 
 
+def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernelized center distances with the squared distance as one
+    ``np.sum`` over the coordinate axis; the library's fill adds the three
+    squares itself and must equal this bit for bit."""
+    if len(rows) == 0 or len(cols) == 0:
+        return np.zeros((len(rows), len(cols)))
+    d2 = np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
+    return -np.expm1(-d2 / (2.0 * sigma * sigma))
+
+
 def min_cost_matching_exhaustive(costs: np.ndarray, gate: float):
     """Reference gated matching by enumerating complete assignments.
 

@@ -641,6 +641,23 @@ def test_innovation_variance_without_finite_reciprocal_fails_quietly():
         _assert_same(o, oracles.update, state, det, model)
 
 
+def test_factored_update_that_overflows_fails_quietly():
+    """A full S whose solve overflows: its row fails as non-finite without
+    a floating-point warning, and every other row equals the oracle's."""
+    model = MotionModel3D(Noise3D(**{f: 0.0 for f in Noise3D.__dataclass_fields__}))
+    det = _det3()
+    good = init_track_state(det, MotionModel3D())
+    cov = np.diag(np.full(10, 1e-320))
+    cov[0, 1] = cov[1, 0] = 1e-321
+    states = [good, State(good.mean, cov), good]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _results(*update_batch(*_stack(states), model.observations([det] * 3), model))
+    assert str(out[1]) == "update produced non-finite values"
+    for k in (0, 2):
+        _assert_same(out[k], oracles.update, good, det, model)
+
+
 def test_batched_filter_of_no_states():
     model = MotionModel3D()
     means, covs, obs = np.empty((0, 10)), np.empty((0, 10, 10)), model.observations([])

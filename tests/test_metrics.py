@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gauss_center_dist_matrix as summed_gauss_matrix
 from oracles import mc_bev_iou, raster_iou_2d
 
 from hmot.assignment import solve_gated_assignment
@@ -338,6 +339,17 @@ def test_gauss_matrix_matches_scalar():
                 gauss_center_dist(a, b, 2.5), abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), m=st.integers(0, 12),
+       scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
+       sigma=st.floats(1e-3, 1e3))
+def test_gauss_matrix_equals_summed_oracle_bit_for_bit(seed, n, m, scale, sigma):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.normal(0, scale, (n, 3)), rng.normal(0, scale, (m, 3))
+    mat = gauss_center_dist_matrix(rows, cols, sigma)
+    assert mat.tobytes() == summed_gauss_matrix(rows, cols, sigma).tobytes()
+
+
 def test_cosine_matrix_matches_scalar_and_flags_missing():
     rng = np.random.default_rng(11)
     galleries = [
@@ -435,6 +447,21 @@ def test_pruned_cosine_fill_keeps_every_admissible_pair(case):
     np.testing.assert_allclose(pruned[admissible], full[admissible], rtol=0, atol=1e-12)
     assert (solve_gated_assignment(pruned, gate).matches
             == solve_gated_assignment(full, gate).matches)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gated_galleries())
+def test_cosine_fill_of_stacked_embeddings_equals_fill_of_vectors(case):
+    """An (m, dim) matrix of embeddings gives the bits of the same
+    embeddings as a sequence, gated by balls or not."""
+    galleries, embeddings, gate = case
+    vectors = [e for e in embeddings if e is not None]
+    bounds = [gallery_bound(g) if len(g) else None for g in galleries]
+    dim = len(vectors[0]) if vectors else 3
+    stacked = np.stack(vectors) if vectors else np.empty((0, dim))
+    for args in ((), (gate, bounds)):
+        mat = cosine_gallery_dist_matrix(galleries, stacked, *args)
+        assert mat.tobytes() == cosine_gallery_dist_matrix(galleries, vectors, *args).tobytes()
 
 
 def test_gallery_bound_holds_every_row():

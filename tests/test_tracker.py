@@ -22,7 +22,7 @@ import hmot
 from hmot.config import default_class_configs
 from hmot.errors import ConfigError, DegenerateBoxError, ValidationError
 from hmot.kalman import MotionModel2D, MotionModel3D, Noise2D, Noise3D, init_track_state
-from hmot.metrics import _corner_arrays
+from hmot.metrics import _corner_arrays, gallery_bound
 from hmot.tracker import (
     CHI2_95,
     STAGE2_MAX_AGE,
@@ -54,6 +54,7 @@ def _unit(v):
 
 E1 = _unit([1, 0, 0, 0])
 E2 = _unit([0, 1, 0, 0])
+E3 = _unit([0, 0, 1, 0])
 E_CLOSE = _unit([1, 0.05, 0, 0])  # cosine distance to E1 about 0.0012
 
 
@@ -222,6 +223,138 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
                              cols=range(1), mode=Mode.D2, camera=Camera.FRONT, model=model)
     assert ungated.matches == [(0, 0)]
+
+
+@st.composite
+def _reid_frames(draw):
+    """Tracks with galleries (matrices, lists or deques; empty, tight, or
+    with an outlier row that loosens the ball) near a few shared
+    appearances, so columns are contested; detections (some without an
+    embedding) near the same appearances; ages over two bands; and a gate
+    drawn at random or within 1e-12 of a pair's certification threshold or
+    of its exact cost."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([4, 8, 64, 512]))
+    protos = rng.normal(size=(3, dim))
+
+    def units(n, noise):
+        v = protos[rng.integers(3, size=n)] + rng.normal(0, noise, (n, dim))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    tracks = []
+    for k in range(draw(st.integers(0, 7))):
+        noise = draw(st.sampled_from([0.01, 0.05, 0.3]))
+        g = units(draw(st.sampled_from([0, 1, 1, 3, 6])), noise)
+        if len(g) > 1 and draw(st.booleans()):
+            g[rng.integers(len(g))] = _unit(rng.normal(size=dim))  # an outlier row
+        kind = draw(st.sampled_from([np.asarray, list, deque]))
+        tracks.append(_track2(k + 1, _det2(100.0 + 40.0 * k, 200.0 + rng.normal(0, 3.0)),
+                              age=int(rng.integers(2))))
+        tracks[-1].gallery = kind(g)
+    dets = [_det2(100.0 + 40.0 * rng.integers(8) + rng.normal(0, 3.0), 200.0,
+                  embedding=None if draw(st.integers(0, 5)) == 0 else e)
+            for e in units(draw(st.integers(0, 7)), draw(st.sampled_from([0.01, 0.05, 0.3])))]
+    gate = draw(st.floats(0.001, 1.0))
+    pairs = [(t, d) for t in tracks if len(t.gallery) for d in dets if d.embedding is not None]
+    if pairs and draw(st.integers(0, 2)):
+        track, det = pairs[draw(st.integers(0, len(pairs) - 1))]
+        g, e = np.asarray(track.gallery[-1]), det.embedding
+        if draw(st.booleans()):  # the newest row's certification threshold
+            gate = 1.0 - g @ e + 1e-9 * (1.0 + np.linalg.norm(g) * np.linalg.norm(e))
+        else:  # the pair's exact cost
+            gate = 1.0 - float(np.max(np.asarray(track.gallery) @ e))
+        gate = float(gate) + draw(st.sampled_from([-1e-12, -3e-13, 0.0, 3e-13, 1e-12]))
+    return tracks, dets, min(max(gate, 1e-6), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_reid_frames(), gating=st.booleans())
+def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
+    """Stage 1 given the gallery balls, which skips the products of free
+    pairs and of pairs the balls rule out, gives the matches and unmatched
+    rows it gives with every pair multiplied."""
+    tracks, dets, gate = case
+    model = MotionModel2D()
+    cfg = dataclasses.replace(PED_2D, t_a=gate, mahalanobis_gating=gating)
+    bounds = [gallery_bound(t.gallery) if len(t.gallery) else None for t in tracks]
+    means = _means(tracks).reshape(-1, model.dim_state)
+    covs = np.array([t.state.cov for t in tracks]).reshape(-1, model.dim_state,
+                                                               model.dim_state)
+    obs = model.observations(dets) if dets else np.empty((0, model.dim_obs))
+
+    def run(bounds):
+        return stage1_cascade(tracks, means, dets, obs, cfg, rows=range(len(tracks)),
+                              cols=range(len(dets)), mode=Mode.D2, camera=Camera.FRONT,
+                              model=model, covs=covs, bounds=bounds)
+
+    assert run(bounds) == run(None)
+
+
+def test_lone_reid_pair_gated_at_its_newest_row_distance():
+    """1 - g.e of the newest row g, as the stage computes it for a lone
+    pair, can round below the pair's exact cost; gated between the two,
+    the pair is still matched as the exact cost says."""
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        base = rng.normal(size=512)
+        g, e = (_unit(base + rng.normal(0, 0.4, 512)) for _ in range(2))
+        track = _track2(1, _det2(100, 100))
+        track.gallery = g[None]
+        det = _det2(100, 100, embedding=e)
+        cfg = dataclasses.replace(PED_2D, t_a=1.0 - np.einsum("ij,ij->i", g[None], e[None])[0])
+        runs = [stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
+                               rows=range(1), cols=range(1), mode=Mode.D2,
+                               camera=Camera.FRONT, bounds=bounds)
+                for bounds in ([gallery_bound(track.gallery)], None)]
+        assert runs[0] == runs[1]
+
+
+def _spy_gallery_rows(monkeypatch):
+    """The number of gallery rows of each call of the tracker's cosine fill."""
+    calls = []
+    fill = hmot.tracker.cosine_gallery_dist_matrix
+
+    def spy(galleries, *args, **kwargs):
+        calls.append(sum(len(g) for g in galleries))
+        return fill(galleries, *args, **kwargs)
+
+    monkeypatch.setattr(hmot.tracker, "cosine_gallery_dist_matrix", spy)
+    return calls
+
+
+def test_lone_reid_pairs_multiply_no_gallery(monkeypatch):
+    """Well-separated tracks, each the only candidate of its detection,
+    are matched by appearance without multiplying any gallery row."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT)
+    inst.step([_det2(100 + 200 * k, 100, embedding=e) for k, e in enumerate((E1, E2, E3))])
+    calls = _spy_gallery_rows(monkeypatch)
+    res = inst.step([_det2(400 - 200 * k, 300, embedding=e) for k, e in enumerate((E3, E2, E1))])
+    assert res.stage_matches == (3, 0, 0)
+    assert calls and sum(calls) == 0
+    assert [t.hits for t in inst.tracks] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("rival", [
+    [_unit([1, 0.02, 0, 0])],
+    # A loose ball that also admits the second detection, which no row of
+    # the gallery is within the gate of: the rival's costs come first.
+    [_unit([1, 0.02, 0, 0]), E3],
+])
+def test_contested_reid_column_gets_exact_costs(monkeypatch, rival):
+    """Two tracks of one band that both admit a detection compete on
+    their exact costs: the one whose older gallery row matches wins,
+    although its newest row is farther than the rival's."""
+    close = _track2(1, _det2(100, 100), gallery=[E1, E_CLOSE])
+    other = _track2(2, _det2(200, 100), gallery=rival)
+    tracks = [close, other]
+    dets = [_det2(150, 100, embedding=E1), _det2(300, 100, embedding=_unit(rival[-1] + E1))]
+    bounds = [gallery_bound(t.gallery) for t in tracks]
+    calls = _spy_gallery_rows(monkeypatch)
+    res = stage1_cascade(tracks, _means(tracks), dets[:len(rival)], _obs(dets[:len(rival)]),
+                         PED_2D, rows=range(2), cols=range(len(rival)), mode=Mode.D2,
+                         camera=Camera.FRONT, bounds=bounds)
+    assert res.matches == [(0, 0)]
+    assert sum(calls) == 2 + len(rival)
 
 
 def test_chi2_table_matches_scipy():
