@@ -220,35 +220,38 @@ def ball_admits(bounds: Sequence[tuple[np.ndarray, float]], emb: np.ndarray,
 
 
 def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]],
-                               embeddings: Sequence[np.ndarray | None] | np.ndarray,
+                               embeddings: Sequence[np.ndarray | None],
                                gate: float | None = None,
                                bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
+                               admits: np.ndarray | None = None,
                                ) -> np.ndarray:
     """Per-track min cosine distance to each detection embedding.
 
-    ``embeddings`` is a sequence of vectors or None, or an (m, dim) matrix
-    of them stacked, which gives the same bits. Pairs where the gallery is
-    empty or the detection has no embedding get +inf (inadmissible). Given
-    a ``gate`` and, per gallery, a ball ``(centre, radius)`` that holds its
-    rows (:func:`gallery_bound`), a pair is left at +inf without computing
-    it when the ball proves its cost above the gate (:func:`ball_admits`),
-    so every pair with a cost <= gate is computed.
+    Pairs where the gallery is empty or the detection has no embedding get
+    +inf (inadmissible). Given a ``gate`` and, per gallery, a ball
+    ``(centre, radius)`` that holds its rows (:func:`gallery_bound`), a pair
+    is left at +inf without computing it when the ball proves its cost above
+    the gate (:func:`ball_admits`), so every pair with a cost <= gate is
+    computed. A caller that already holds that mask passes it as ``admits``
+    instead, (len(galleries), m') over the embeddings that are not None;
+    the pairs it leaves out are +inf.
     """
     n, m = len(galleries), len(embeddings)
     costs = np.full((n, m), np.inf)
-    stacked = isinstance(embeddings, np.ndarray)
-    have_emb = (np.arange(m) if stacked else
-                np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp))
+    have_emb = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
     live = [i for i, gallery in enumerate(galleries) if len(gallery)]
     if not len(have_emb) or not live:
         return costs
-    emb = (embeddings if stacked else np.stack([embeddings[j] for j in have_emb])).T  # (dim, m')
-    if gate is None or bounds is None:
+    emb = np.stack([embeddings[j] for j in have_emb]).T  # (dim, m')
+    if admits is not None:
+        admits = admits[live]
+    elif gate is not None and bounds is not None:
+        admits = ball_admits([bounds[i] for i in live], emb, gate)
+    if admits is None:
         cols_of = [None] * len(live)
     else:
-        keep = ball_admits([bounds[i] for i in live], emb, gate)
         cols_of = [cols if len(cols) < len(have_emb) else None
-                   for cols in map(np.flatnonzero, keep)]
+                   for cols in map(np.flatnonzero, admits)]
     for i, cols in zip(live, cols_of):
         if cols is None:
             costs[i, have_emb] = 1.0 - (np.asarray(galleries[i]) @ emb).max(axis=0)

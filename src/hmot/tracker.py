@@ -145,7 +145,9 @@ def _appearance_costs(
     the ball but not by the exact cost is no rival. The admissible pairs
     are the fill's, and a free pair is alone in its row and its column, so
     :func:`~hmot.assignment.solve_gated_assignment` matches it without
-    reading its cost; every other pair gets the fill's cost.
+    reading its cost; every other pair gets the fill's cost. The fill is
+    given its rows of the ball mask computed here once over the band, the
+    mask the full fill computes, so no bound is computed twice.
     """
     have = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
     live = np.array([i for i, g in enumerate(galleries) if len(g)], dtype=np.intp)
@@ -154,9 +156,9 @@ def _appearance_costs(
     emb = np.stack([embeddings[j] for j in have])  # (m', dim)
     costs = np.full((len(galleries), len(embeddings)), np.inf)
 
-    def fill(rows: np.ndarray) -> None:
+    def fill(rows: np.ndarray, mask: np.ndarray) -> None:
         costs[np.ix_(rows, have)] = cosine_gallery_dist_matrix(
-            [galleries[i] for i in rows], emb, gate, [bounds[i] for i in rows])
+            [galleries[i] for i in rows], emb, admits=mask)
 
     admits = ball_admits([bounds[i] for i in live], emb.T, gate)
     count = admits.sum(axis=1)
@@ -165,7 +167,7 @@ def _appearance_costs(
     single, col = live[one], lone_rows.argmax(axis=1)  # the column each admits
     claims = lone_rows.sum(axis=0)
     if len(multi):
-        fill(multi)
+        fill(multi, admits[count > 1])
         claims += (costs[np.ix_(multi, have)] <= gate).sum(axis=0)
     free = claims[col] == 1
     if free.any():
@@ -176,7 +178,7 @@ def _appearance_costs(
         certified = 1.0 - sims <= gate - slack
         costs[single[free][certified], have[col[free][certified]]] = 1.0 - sims[certified]
         free[free] = certified
-    fill(single[~free])
+    fill(single[~free], lone_rows[~free])
     return costs
 
 

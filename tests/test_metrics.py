@@ -14,6 +14,7 @@ from oracles import mc_bev_iou, raster_iou_2d
 from hmot.assignment import solve_gated_assignment
 from hmot.errors import EmptyGalleryError
 from hmot.metrics import (
+    ball_admits,
     bev_iou,
     cosine_gallery_dist,
     cosine_gallery_dist_matrix,
@@ -450,18 +451,29 @@ def test_pruned_cosine_fill_keeps_every_admissible_pair(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_gated_galleries())
-def test_cosine_fill_of_stacked_embeddings_equals_fill_of_vectors(case):
-    """An (m, dim) matrix of embeddings gives the bits of the same
-    embeddings as a sequence, gated by balls or not."""
+@given(_gated_galleries(), st.integers(0, 2**32 - 1))
+def test_cosine_fill_given_a_mask_computes_only_its_pairs(case, seed):
+    """The ball mask passed as ``admits`` gives the bits of the fill given
+    the gate and the balls; any other mask leaves the pairs outside it at
+    +inf and computes those inside."""
     galleries, embeddings, gate = case
-    vectors = [e for e in embeddings if e is not None]
+    have = [j for j, e in enumerate(embeddings) if e is not None]
+    live = [i for i, g in enumerate(galleries) if len(g)]
     bounds = [gallery_bound(g) if len(g) else None for g in galleries]
-    dim = len(vectors[0]) if vectors else 3
-    stacked = np.stack(vectors) if vectors else np.empty((0, dim))
-    for args in ((), (gate, bounds)):
-        mat = cosine_gallery_dist_matrix(galleries, stacked, *args)
-        assert mat.tobytes() == cosine_gallery_dist_matrix(galleries, vectors, *args).tobytes()
+    mask = np.zeros((len(galleries), len(have)), dtype=bool)
+    if have and live:
+        emb = np.stack([embeddings[j] for j in have]).T
+        mask[live] = ball_admits([bounds[i] for i in live], emb, gate)
+    given_mask = cosine_gallery_dist_matrix(galleries, embeddings, admits=mask)
+    pruned = cosine_gallery_dist_matrix(galleries, embeddings, gate, bounds)
+    assert given_mask.tobytes() == pruned.tobytes()
+    mask = np.random.default_rng(seed).random(mask.shape) < 0.5
+    costs = cosine_gallery_dist_matrix(galleries, embeddings, admits=mask)
+    full = cosine_gallery_dist_matrix(galleries, embeddings)
+    inside = np.zeros(full.shape, dtype=bool)
+    inside[:, have] = mask
+    assert np.all(np.isinf(costs[~inside]))
+    np.testing.assert_allclose(costs[inside], full[inside], rtol=0, atol=1e-12)
 
 
 def test_gallery_bound_holds_every_row():

@@ -12,6 +12,7 @@ import sys
 import time
 from collections import deque
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import hmot
 from hmot.config import default_class_configs
 from hmot.errors import ConfigError, DegenerateBoxError, ValidationError
 from hmot.kalman import MotionModel2D, MotionModel3D, Noise2D, Noise3D, init_track_state
-from hmot.metrics import _corner_arrays, gallery_bound
+from hmot.metrics import _corner_arrays, cosine_gallery_dist_matrix, gallery_bound
 from hmot.tracker import (
     CHI2_95,
     STAGE2_MAX_AGE,
@@ -230,9 +231,9 @@ def _reid_frames(draw):
     """Tracks with galleries (matrices, lists or deques; empty, tight, or
     with an outlier row that loosens the ball) near a few shared
     appearances, so columns are contested; detections (some without an
-    embedding) near the same appearances; ages over two bands; and a gate
-    drawn at random or within 1e-12 of a pair's certification threshold or
-    of its exact cost."""
+    embedding) near the same appearances; ages over two bands; a gate drawn
+    at random or within 1e-12 of a pair's certification threshold or of its
+    exact cost; and whether the gate equals an exact cost."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.sampled_from([4, 8, 64, 512]))
     protos = rng.normal(size=(3, dim))
@@ -254,7 +255,7 @@ def _reid_frames(draw):
     dets = [_det2(100.0 + 40.0 * rng.integers(8) + rng.normal(0, 3.0), 200.0,
                   embedding=None if draw(st.integers(0, 5)) == 0 else e)
             for e in units(draw(st.integers(0, 7)), draw(st.sampled_from([0.01, 0.05, 0.3])))]
-    gate = draw(st.floats(0.001, 1.0))
+    gate, tie = draw(st.floats(0.001, 1.0)), False
     pairs = [(t, d) for t in tracks if len(t.gallery) for d in dets if d.embedding is not None]
     if pairs and draw(st.integers(0, 2)):
         track, det = pairs[draw(st.integers(0, len(pairs) - 1))]
@@ -263,8 +264,10 @@ def _reid_frames(draw):
             gate = 1.0 - g @ e + 1e-9 * (1.0 + np.linalg.norm(g) * np.linalg.norm(e))
         else:  # the pair's exact cost
             gate = 1.0 - float(np.max(np.asarray(track.gallery) @ e))
-        gate = float(gate) + draw(st.sampled_from([-1e-12, -3e-13, 0.0, 3e-13, 1e-12]))
-    return tracks, dets, min(max(gate, 1e-6), 1.0)
+            tie = True
+        offset = draw(st.sampled_from([-1e-12, -3e-13, 0.0, 3e-13, 1e-12]))
+        gate, tie = float(gate) + offset, tie and offset == 0.0
+    return tracks, dets, min(max(gate, 1e-6), 1.0), tie
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,8 +275,11 @@ def _reid_frames(draw):
 def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
     """Stage 1 given the gallery balls, which skips the products of free
     pairs and of pairs the balls rule out, gives the matches and unmatched
-    rows it gives with every pair multiplied."""
-    tracks, dets, gate = case
+    rows that the plain pruned fill gives with the same balls, and those it
+    gives with every pair multiplied. At a gate equal to a pair's exact cost
+    the product's last bit decides, and a product over fewer columns may
+    round it the other way, so there only the pruned fill is the reference."""
+    tracks, dets, gate, tie = case
     model = MotionModel2D()
     cfg = dataclasses.replace(PED_2D, t_a=gate, mahalanobis_gating=gating)
     bounds = [gallery_bound(t.gallery) if len(t.gallery) else None for t in tracks]
@@ -287,7 +293,11 @@ def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
                               cols=range(len(dets)), mode=Mode.D2, camera=Camera.FRONT,
                               model=model, covs=covs, bounds=bounds)
 
-    assert run(bounds) == run(None)
+    result = run(bounds)
+    with mock.patch.object(hmot.tracker, "_appearance_costs", cosine_gallery_dist_matrix):
+        assert result == run(bounds)
+    if not tie:
+        assert result == run(None)
 
 
 def test_lone_reid_pair_gated_at_its_newest_row_distance():
