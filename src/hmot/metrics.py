@@ -173,7 +173,9 @@ def iou_dist_matrix(rows: Sequence[Box2D] | np.ndarray, cols: Sequence[Box2D] | 
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return 1.0 - inter / (area_a + area_b - inter)
+    union = area_a + area_b - inter
+    # Corners rounded onto each other give a zero union: IoU 0, as iou_2d.
+    return 1.0 - np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
@@ -219,43 +221,21 @@ def ball_admits(bounds: Sequence[tuple[np.ndarray, float]], emb: np.ndarray,
     return upper >= (1.0 - gate) - 1e-9 * (1.0 + reach)
 
 
-def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]],
-                               embeddings: Sequence[np.ndarray | None],
-                               gate: float | None = None,
-                               bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
-                               admits: np.ndarray | None = None,
-                               ) -> np.ndarray:
-    """Per-track min cosine distance to each detection embedding.
+def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]], emb: np.ndarray,
+                               admits: np.ndarray | None = None) -> np.ndarray:
+    """(len(galleries), m) min cosine distance of each non-empty gallery to
+    each row of the (m, dim) embedding matrix ``emb``.
 
-    Pairs where the gallery is empty or the detection has no embedding get
-    +inf (inadmissible). Given a ``gate`` and, per gallery, a ball
-    ``(centre, radius)`` that holds its rows (:func:`gallery_bound`), a pair
-    is left at +inf without computing it when the ball proves its cost above
-    the gate (:func:`ball_admits`), so every pair with a cost <= gate is
-    computed. A caller that already holds that mask passes it as ``admits``
-    instead, (len(galleries), m') over the embeddings that are not None;
-    the pairs it leaves out are +inf.
+    Given ``admits``, a (len(galleries), m) mask, only its pairs are
+    computed and the rest are +inf; a row it admits whole is multiplied by
+    the whole matrix, as without a mask, so its bits are the same.
     """
-    n, m = len(galleries), len(embeddings)
-    costs = np.full((n, m), np.inf)
-    have_emb = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
-    live = [i for i, gallery in enumerate(galleries) if len(gallery)]
-    if not len(have_emb) or not live:
-        return costs
-    emb = np.stack([embeddings[j] for j in have_emb]).T  # (dim, m')
-    if admits is not None:
-        admits = admits[live]
-    elif gate is not None and bounds is not None:
-        admits = ball_admits([bounds[i] for i in live], emb, gate)
-    if admits is None:
-        cols_of = [None] * len(live)
-    else:
-        cols_of = [cols if len(cols) < len(have_emb) else None
-                   for cols in map(np.flatnonzero, admits)]
-    for i, cols in zip(live, cols_of):
-        if cols is None:
-            costs[i, have_emb] = 1.0 - (np.asarray(galleries[i]) @ emb).max(axis=0)
+    costs = np.full((len(galleries), len(emb)), np.inf)
+    emb = emb.T  # (dim, m)
+    for i, gallery in enumerate(galleries):
+        cols = None if admits is None else np.flatnonzero(admits[i])
+        if cols is None or len(cols) == emb.shape[1]:
+            costs[i] = 1.0 - (np.asarray(gallery) @ emb).max(axis=0)
         elif len(cols):
-            sims = np.asarray(galleries[i]) @ emb[:, cols]  # (gallery, kept)
-            costs[i, have_emb[cols]] = 1.0 - sims.max(axis=0)
+            costs[i, cols] = 1.0 - (np.asarray(gallery) @ emb[:, cols]).max(axis=0)
     return costs

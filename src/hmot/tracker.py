@@ -131,35 +131,41 @@ def _appearance_costs(
     galleries: Sequence[Sequence[np.ndarray]],
     embeddings: Sequence[np.ndarray | None],
     gate: float,
-    bounds: Sequence[tuple[np.ndarray, float] | None],
+    bounds: Sequence[tuple[np.ndarray, float] | None] | None,
 ) -> np.ndarray:
-    """The gated appearance costs of ``galleries`` against ``embeddings``,
-    as :func:`cosine_gallery_dist_matrix` gives them with the balls
-    ``bounds``, except for free pairs, whose gallery is not multiplied.
+    """The appearance costs of ``galleries`` against ``embeddings``: +inf
+    where the gallery is empty or the detection has no embedding, else the
+    min cosine distance, every one of them without ``bounds``. Given
+    ``bounds`` (row i's gallery ball, or None for an empty gallery), a pair
+    the ball proves above ``gate`` (:func:`ball_admits`) stays +inf, and a
+    free pair gets the cost 1 - g.e of its gallery's newest row g, without
+    a gallery product.
 
     A pair is free when its row's ball admits no other column, no other
-    row admits its column, and its gallery's newest row g proves it
-    admissible: 1 - g.e <= gate - 1e-9 (1 + |g| |e|), a slack far above
-    rounding. Such a pair gets the cost 1 - g.e. Rows whose ball admits
+    row admits its column, and g proves it admissible: 1 - g.e <= gate -
+    1e-9 (1 + |g| |e|), a slack far above rounding. Rows whose ball admits
     two or more columns are filled first, so a column only they admit by
     the ball but not by the exact cost is no rival. The admissible pairs
-    are the fill's, and a free pair is alone in its row and its column, so
-    :func:`~hmot.assignment.solve_gated_assignment` matches it without
-    reading its cost; every other pair gets the fill's cost. The fill is
-    given its rows of the ball mask computed here once over the band, the
-    mask the full fill computes, so no bound is computed twice.
+    are the full fill's, and a free pair is alone in its row and its
+    column, so :func:`~hmot.assignment.solve_gated_assignment` matches it
+    without reading its cost; every other pair gets its exact cost. The
+    mask and the certification are computed once a band, and the fill
+    (:func:`cosine_gallery_dist_matrix`) is given its rows of the mask.
     """
     have = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
     live = np.array([i for i, g in enumerate(galleries) if len(g)], dtype=np.intp)
-    if not len(have) or not len(live):
-        return cosine_gallery_dist_matrix(galleries, embeddings, gate, bounds)
-    emb = np.stack([embeddings[j] for j in have])  # (m', dim)
     costs = np.full((len(galleries), len(embeddings)), np.inf)
+    if not len(have) or not len(live):
+        return costs
+    emb = np.stack([embeddings[j] for j in have])  # (m', dim)
 
-    def fill(rows: np.ndarray, mask: np.ndarray) -> None:
+    def fill(rows: np.ndarray, mask: np.ndarray | None = None) -> None:
         costs[np.ix_(rows, have)] = cosine_gallery_dist_matrix(
-            [galleries[i] for i in rows], emb, admits=mask)
+            [galleries[i] for i in rows], emb, mask)
 
+    if bounds is None:
+        fill(live)
+        return costs
     admits = ball_admits([bounds[i] for i in live], emb.T, gate)
     count = admits.sum(axis=1)
     multi, one = live[count > 1], count == 1
@@ -205,11 +211,11 @@ def _gated_match(
     In 3D the cost is kernelized center distance (gate max_center_dist). In
     2D it is appearance distance against the track gallery (gate t_a) when
     ``use_reid`` is set, otherwise IoU distance over boxes scaled by
-    ``enlarge`` with the camera's gate. Given ``bounds``, row i's gallery
-    ball (see :func:`~hmot.metrics.cosine_gallery_dist_matrix`), pairs the
-    ball proves above t_a are not computed, and lone pairs whose newest
-    gallery row proves them within t_a are not multiplied by their gallery
-    (:func:`_appearance_costs`); the matches are those of the full fill.
+    ``enlarge`` with the camera's gate. The appearance costs come from one
+    :func:`_appearance_costs` call, which, given ``bounds`` (row i's gallery
+    ball, :func:`~hmot.metrics.gallery_bound`), computes no pair the ball
+    proves above t_a and multiplies no gallery for a lone pair its newest
+    row proves within t_a; the matches are those of the full fill.
     With a ``model`` and ``mahalanobis_gating`` on, pairs whose innovation
     under the covariances ``covs`` lies beyond the 95% chi-square quantile
     are inadmissible; that test reads only whether a cost is within the
@@ -223,8 +229,8 @@ def _gated_match(
         gate = config.t_a
         galleries = [tracks[i].gallery for i in rows]
         embeddings = [dets[j].embedding for j in cols]
-        costs = (cosine_gallery_dist_matrix(galleries, embeddings, gate) if bounds is None
-                 else _appearance_costs(galleries, embeddings, gate, [bounds[i] for i in rows]))
+        costs = _appearance_costs(galleries, embeddings, gate,
+                                  None if bounds is None else [bounds[i] for i in rows])
     else:
         costs = iou_dist_matrix(_state_boxes(means), [dets[j].box for j in cols],
                                 factor=enlarge)

@@ -2,9 +2,11 @@
 
 Each routine here recomputes a quantity by a method unrelated to the
 library's own algorithm (rasterization, Monte-Carlo sampling, exhaustive
-permutation search) so agreement is meaningful. The Kalman step is the
-filter written one state at a time with scalar heading wraps; the library's
-stacked filter must equal it bit for bit. The detection-file line at the end
+permutation search) so agreement is meaningful. The cosine gallery fill is
+the one stage 1 used before it owned its pruning; stage 1's appearance
+costs must equal it bit for bit. The Kalman step is the filter written one
+state at a time with scalar heading wraps; the library's stacked filter must
+equal it bit for bit. The detection-file line at the end
 is built as a dict of quantized Python floats and encoded by ``json.dumps``;
 the library's writer, which composes the line as text, must equal it byte
 for byte.
@@ -16,12 +18,14 @@ import dataclasses
 import itertools
 import json
 import math
+from typing import Sequence
 
 import numpy as np
 
 from hmot.errors import NumericFailureError, ValidationError
 from hmot.io import qfloat
 from hmot.kalman import MotionModel
+from hmot.metrics import ball_admits
 from hmot.types import (
     EXTENTS,
     Box2D,
@@ -91,6 +95,48 @@ def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -
         return np.zeros((len(rows), len(cols)))
     d2 = np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
     return -np.expm1(-d2 / (2.0 * sigma * sigma))
+
+
+def cosine_gallery_dist_matrix(galleries: Sequence[Sequence[np.ndarray]],
+                               embeddings: Sequence[np.ndarray | None],
+                               gate: float | None = None,
+                               bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
+                               admits: np.ndarray | None = None,
+                               ) -> np.ndarray:
+    """The cosine gallery fill as it was before stage 1 took over its
+    pruning: per-track min cosine distance to each detection embedding.
+
+    Pairs where the gallery is empty or the detection has no embedding get
+    +inf. Given a ``gate`` and per gallery a ball ``(centre, radius)``
+    (``gallery_bound``), a pair the ball proves above the gate
+    (``ball_admits``) is +inf without computing it, and a row whose ball
+    rules out some columns multiplies only the others. Without ``bounds``
+    every pair is computed. Stage 1's appearance costs must equal this fill
+    bit for bit, except at the pairs it certifies by the newest row alone.
+    """
+    n, m = len(galleries), len(embeddings)
+    costs = np.full((n, m), np.inf)
+    have_emb = np.array([j for j, e in enumerate(embeddings) if e is not None], dtype=np.intp)
+    live = [i for i, gallery in enumerate(galleries) if len(gallery)]
+    if not len(have_emb) or not live:
+        return costs
+    emb = np.stack([embeddings[j] for j in have_emb]).T  # (dim, m')
+    if admits is not None:
+        admits = admits[live]
+    elif gate is not None and bounds is not None:
+        admits = ball_admits([bounds[i] for i in live], emb, gate)
+    if admits is None:
+        cols_of = [None] * len(live)
+    else:
+        cols_of = [cols if len(cols) < len(have_emb) else None
+                   for cols in map(np.flatnonzero, admits)]
+    for i, cols in zip(live, cols_of):
+        if cols is None:
+            costs[i, have_emb] = 1.0 - (np.asarray(galleries[i]) @ emb).max(axis=0)
+        elif len(cols):
+            sims = np.asarray(galleries[i]) @ emb[:, cols]  # (gallery, kept)
+            costs[i, have_emb[cols]] = 1.0 - sims.max(axis=0)
+    return costs
 
 
 def min_cost_matching_exhaustive(costs: np.ndarray, gate: float):

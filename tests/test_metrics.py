@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cosine_gallery_dist_matrix as oracle_fill
 from oracles import gauss_center_dist_matrix as summed_gauss_matrix
 from oracles import mc_bev_iou, raster_iou_2d
 
@@ -27,6 +29,7 @@ from hmot.metrics import (
     iou_dist_matrix,
     nms,
 )
+from hmot.tracker import _appearance_costs
 from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass
 
 
@@ -327,6 +330,21 @@ def test_iou_dist_matrix_empty():
     assert iou_dist_matrix([Box2D(0, 0, 1, 1)], []).shape == (1, 0)
 
 
+def test_iou_dist_matrix_of_boxes_with_coinciding_corners_matches_scalar():
+    """At 1e308 a box's corners round onto each other, so its area and the
+    union of a pair of such boxes are 0: the fill gives the pair IoU 0, as
+    the scalar form does, without dividing 0 by 0."""
+    a = Box2D(1e308, 100, 40, 120)
+    b = Box2D(50, 60, 20, 30)
+    assert a.corners()[0] == a.corners()[2]
+    scalar = [[iou_dist_enlarged(r, c) for c in (a, b)] for r in (a, b)]
+    assert scalar[0][0] == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in ([a, b], np.array([[a.cx, a.cy, a.w, a.h], [b.cx, b.cy, b.w, b.h]])):
+            assert iou_dist_matrix(rows, [a, b]).tolist() == scalar
+
+
 def test_gauss_matrix_matches_scalar():
     rng = np.random.default_rng(10)
     boxes_r = [_rand_box3(rng) for _ in range(6)]
@@ -359,7 +377,7 @@ def test_cosine_matrix_matches_scalar_and_flags_missing():
         [_unit(rng.normal(size=8))],
     ]
     embeddings = [_unit(rng.normal(size=8)), None, _unit(rng.normal(size=8))]
-    mat = cosine_gallery_dist_matrix(galleries, embeddings)
+    mat = _appearance_costs(galleries, embeddings, 1.0, None)
     assert mat.shape == (3, 3)
     assert np.all(np.isinf(mat[1, :]))   # empty gallery row
     assert np.all(np.isinf(mat[:, 1]))   # missing embedding column
@@ -367,6 +385,9 @@ def test_cosine_matrix_matches_scalar_and_flags_missing():
         for j in (0, 2):
             assert mat[i, j] == pytest.approx(
                 cosine_gallery_dist(galleries[i], embeddings[j]), abs=1e-12)
+    kernel = cosine_gallery_dist_matrix([galleries[0], galleries[2]],
+                                        np.stack([embeddings[0], embeddings[2]]))
+    assert kernel.tobytes() == mat[np.ix_([0, 2], [0, 2])].tobytes()
 
 
 @st.composite
@@ -394,9 +415,9 @@ def _galleries_and_embeddings(draw):
 @given(_galleries_and_embeddings())
 def test_cosine_matrix_over_matrix_galleries_equals_deque_galleries(case):
     galleries, embeddings = case
-    mat = cosine_gallery_dist_matrix(galleries, embeddings)
-    ref = cosine_gallery_dist_matrix([deque(np.array(row) for row in g) for g in galleries],
-                                     embeddings)
+    mat = _appearance_costs(galleries, embeddings, 1.0, None)
+    ref = _appearance_costs([deque(np.array(row) for row in g) for g in galleries],
+                            embeddings, 1.0, None)
     assert mat.shape == ref.shape == (len(galleries), len(embeddings))
     assert mat.tobytes() == ref.tobytes()
 
@@ -425,7 +446,7 @@ def _gated_galleries(draw):
     embeddings = [None if draw(st.integers(0, 4)) == 0 else e
                   for e in rows(draw(st.integers(0, 6)))]
     gate = draw(st.floats(0.0, 1.0))
-    full = cosine_gallery_dist_matrix(galleries, embeddings)
+    full = oracle_fill(galleries, embeddings)
     finite = full[np.isfinite(full)]
     if len(finite) and draw(st.booleans()):
         offset = draw(st.sampled_from([-1e-12, -3e-13, 3e-13, 1e-12]))
@@ -433,16 +454,34 @@ def _gated_galleries(draw):
     return galleries, embeddings, gate
 
 
+def _kernel_fill(galleries, embeddings, mask_of=None):
+    """The fill over the non-empty galleries and the embeddings that are
+    not None, as stage 1 calls it, with the other pairs at +inf;
+    ``mask_of(galleries, emb)`` gives its ``admits`` mask."""
+    costs = np.full((len(galleries), len(embeddings)), np.inf)
+    live = [i for i, g in enumerate(galleries) if len(g)]
+    have = [j for j, e in enumerate(embeddings) if e is not None]
+    if live and have:
+        rows, emb = [galleries[i] for i in live], np.stack([embeddings[j] for j in have])
+        admits = None if mask_of is None else mask_of(rows, emb)
+        costs[np.ix_(live, have)] = cosine_gallery_dist_matrix(rows, emb, admits)
+    return costs
+
+
 @settings(max_examples=400, deadline=None)
 @given(_gated_galleries())
 def test_pruned_cosine_fill_keeps_every_admissible_pair(case):
-    """Pruning by gallery balls leaves the admissible pairs, their costs
-    and the gated assignment as the full fill gives them."""
+    """The fill given the mask of the pairs the gallery balls admit leaves
+    the admissible pairs, their costs and the gated assignment as the full
+    fill gives them, with the bits of the pruned reference fill."""
     galleries, embeddings, gate = case
     bounds = [gallery_bound(g) if len(g) else None for g in galleries]
-    full = cosine_gallery_dist_matrix(galleries, embeddings)
-    pruned = cosine_gallery_dist_matrix(galleries, embeddings, gate, bounds)
+    full = _kernel_fill(galleries, embeddings)
+    pruned = _kernel_fill(galleries, embeddings, lambda rows, emb: ball_admits(
+        [gallery_bound(g) for g in rows], emb.T, gate))
     assert pruned.shape == full.shape
+    assert full.tobytes() == oracle_fill(galleries, embeddings).tobytes()
+    assert pruned.tobytes() == oracle_fill(galleries, embeddings, gate, bounds).tobytes()
     admissible = full <= gate
     np.testing.assert_array_equal(pruned <= gate, admissible)
     np.testing.assert_allclose(pruned[admissible], full[admissible], rtol=0, atol=1e-12)
@@ -453,27 +492,45 @@ def test_pruned_cosine_fill_keeps_every_admissible_pair(case):
 @settings(max_examples=300, deadline=None)
 @given(_gated_galleries(), st.integers(0, 2**32 - 1))
 def test_cosine_fill_given_a_mask_computes_only_its_pairs(case, seed):
-    """The ball mask passed as ``admits`` gives the bits of the fill given
-    the gate and the balls; any other mask leaves the pairs outside it at
-    +inf and computes those inside."""
-    galleries, embeddings, gate = case
+    """A mask passed as ``admits`` leaves the pairs outside it at +inf and
+    computes those inside; a row it admits whole keeps the bits of the
+    unmasked fill."""
+    galleries, embeddings, _ = case
     have = [j for j, e in enumerate(embeddings) if e is not None]
     live = [i for i, g in enumerate(galleries) if len(g)]
-    bounds = [gallery_bound(g) if len(g) else None for g in galleries]
-    mask = np.zeros((len(galleries), len(have)), dtype=bool)
-    if have and live:
-        emb = np.stack([embeddings[j] for j in have]).T
-        mask[live] = ball_admits([bounds[i] for i in live], emb, gate)
-    given_mask = cosine_gallery_dist_matrix(galleries, embeddings, admits=mask)
-    pruned = cosine_gallery_dist_matrix(galleries, embeddings, gate, bounds)
-    assert given_mask.tobytes() == pruned.tobytes()
-    mask = np.random.default_rng(seed).random(mask.shape) < 0.5
-    costs = cosine_gallery_dist_matrix(galleries, embeddings, admits=mask)
-    full = cosine_gallery_dist_matrix(galleries, embeddings)
+    rng = np.random.default_rng(seed)
+    mask = rng.random((len(live), len(have))) < rng.choice([0.5, 0.9])
+    costs = _kernel_fill(galleries, embeddings, lambda rows, emb: mask)
+    full = _kernel_fill(galleries, embeddings)
     inside = np.zeros(full.shape, dtype=bool)
-    inside[:, have] = mask
+    inside[np.ix_(live, have)] = mask
     assert np.all(np.isinf(costs[~inside]))
     np.testing.assert_allclose(costs[inside], full[inside], rtol=0, atol=1e-12)
+    whole = [i for i, row in zip(live, mask) if row.all()]
+    assert costs[whole].tobytes() == full[whole].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_gated_galleries())
+def test_appearance_costs_equal_the_reference_fill_except_at_free_pairs(case):
+    """Stage 1's appearance costs without balls are the reference fill's
+    unpruned costs bit for bit, empty galleries and missing embeddings
+    included. With balls they are its pruned costs bit for bit, except at
+    free pairs: admissible, the only pair its ball admits in its row and
+    the only admissible pair in its column, costed by the newest row."""
+    galleries, embeddings, gate = case
+    exact = _appearance_costs(galleries, embeddings, gate, None)
+    assert exact.tobytes() == oracle_fill(galleries, embeddings).tobytes()
+    bounds = [gallery_bound(g) if len(g) else None for g in galleries]
+    costs = _appearance_costs(galleries, embeddings, gate, bounds)
+    ref = oracle_fill(galleries, embeddings, gate, bounds)
+    np.testing.assert_array_equal(costs <= gate, ref <= gate)
+    for i, j in zip(*np.nonzero(costs.view(np.int64) != ref.view(np.int64))):
+        assert ref[i, j] <= gate
+        assert np.count_nonzero(np.isfinite(ref[i])) == 1
+        assert np.count_nonzero(ref[:, j] <= gate) == 1
+        newest = np.asarray(galleries[i][-1])
+        assert costs[i, j] == pytest.approx(1.0 - newest @ embeddings[j], rel=0, abs=1e-12)
 
 
 def test_gallery_bound_holds_every_row():

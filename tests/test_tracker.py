@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cosine_gallery_dist_matrix as oracle_fill
+
 import hmot
 from hmot.config import default_class_configs
 from hmot.errors import ConfigError, DegenerateBoxError, ValidationError
 from hmot.kalman import MotionModel2D, MotionModel3D, Noise2D, Noise3D, init_track_state
-from hmot.metrics import _corner_arrays, cosine_gallery_dist_matrix, gallery_bound
+from hmot.metrics import _corner_arrays, gallery_bound
 from hmot.tracker import (
     CHI2_95,
     STAGE2_MAX_AGE,
@@ -294,7 +296,7 @@ def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
                               model=model, covs=covs, bounds=bounds)
 
     result = run(bounds)
-    with mock.patch.object(hmot.tracker, "_appearance_costs", cosine_gallery_dist_matrix):
+    with mock.patch.object(hmot.tracker, "_appearance_costs", oracle_fill):
         assert result == run(bounds)
     if not tie:
         assert result == run(None)
