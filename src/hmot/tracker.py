@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .metrics import (
     iou_dist_matrix,
 )
 from .types import (
-    EXTENTS,
     Box,
     Camera,
     ClassConfig,
@@ -423,23 +422,6 @@ class _Gallery:
                        embedding)
 
 
-def _coast_failure(x: float, v: float, steps: int) -> int:
-    """The first of ``steps`` constant-velocity predicts that leaves the
-    positive extent ``x`` (rate ``v``) non-positive, or 0 if none does. The
-    sums are rounded once per step, as predict rounds them."""
-    if v >= 0 or x + steps * v > 2.0 * steps * np.finfo(float).eps * x:
-        return 0  # even the rounded sums stay positive
-    done = 0
-    while done < steps:
-        n = min(steps - done, 1 << 16)
-        sums = np.cumsum(np.concatenate(([x], np.full(n, v))))[1:]
-        bad = np.flatnonzero(sums <= 0)
-        if len(bad):
-            return done + int(bad[0]) + 1
-        x, done = float(sums[-1]), done + n
-    return 0
-
-
 class TrackerInstance:
     """Single-stream online tracker for one sequence (in 2D: one camera).
 
@@ -587,15 +569,13 @@ class TrackerInstance:
         return result
 
     def _advance(self, dets_by_class: Mapping[ObjectClass, list[Detection]],
-                 result: FrameResult, before_class: Callable[[int], None] | None = None,
-                 ) -> None:
+                 result: FrameResult) -> None:
         """One frame of the store on ``dets_by_class``: one predict of every
         row, the stages of each class with tracks or detections, one update
         of every matched pair, then, class by class, deletions, matches and
         births into ``result``, and one compaction. Deletions are listed and
         logged per class: predict failures, update failures in pair order,
-        then age-outs; ``before_class(pos)`` runs before those of the class
-        at ``pos`` in ``ObjectClass`` order."""
+        then age-outs."""
         tracks, model = self._tracks, self.model
         where = {"mode": self.mode, "camera": self.camera_id}
         # Until the first embedding arrives, 2D stage 1 gates by IoU.
@@ -644,8 +624,6 @@ class TrackerInstance:
         # the births are appended to these, the births and the class sizes.
         next_tracks, index, born, sizes = [], [], [], [0] * len(self._sizes)
         for pos, cfg, cls_dets, any_live, first, pairs, rest, unmatched in stepped:
-            if before_class is not None:
-                before_class(pos)
             _delete(tracks, predict_failures, starts[pos], starts[pos + 1], result)
             if not (use_reid_now or self._fallback_logged) and any_live and dets_by_class:
                 log.log(logging.WARNING if self.use_reid else logging.INFO,
@@ -700,57 +678,18 @@ class TrackerInstance:
         ``step([])`` would, and return the ids of the tracks deleted in
         them, in the order those calls list them.
 
-        A class whose ``a_max`` is below ``n`` loses every track in the gap,
-        so its tracks are deleted in one pass: each at the frame where it
-        ages out, or, if a predict would leave a box extent non-positive
-        before that, at that frame with the same warning. A track is taken
-        to coast to finite values. The other classes stay in the store,
-        which is predicted once per frame until it has no track left.
+        The store is stepped one empty frame at a time until ``n`` frames
+        have passed or no track is left. A track misses every frame of the
+        gap, so it is gone after at most ``a_max + 1`` of them, and
+        ``a_max`` is at most :data:`~hmot.types.A_MAX_LIMIT`.
         """
         if n < 0:
             raise ValueError(f"cannot skip {n} frames")
-        # Each deletion, keyed by (frame of the gap, class position, order).
-        pending: list[tuple[int, int, int, int, str | None]] = []
-        keep: list[int] = []  # the rows of the classes stepped through the gap
-        starts = list(itertools.accumulate(self._sizes, initial=0))
-        for pos, cls in enumerate(ObjectClass):
-            start, end = starts[pos], starts[pos + 1]
-            if start == end or (a_max := self._config_for(cls).a_max) >= n:
-                keep += range(start, end)
-                continue
-            means = self._means[start:end]
-            rate = means @ (self.model.F - np.eye(self.model.dim_state)).T
-            for k, track in enumerate(self._tracks[start:end]):
-                due = a_max + 1 - track.age_since_update
-                fail = min(filter(None, (_coast_failure(means[k, c], rate[k, c], due)
-                                         for c in EXTENTS[self.model.dim_state])), default=0)
-                if fail:
-                    pending.append((fail, pos, k, track.track_id,
-                                    "predict produced non-positive box extents"))
-                else:
-                    pending.append((due, pos, end - start + k, track.track_id, None))
-            self._sizes[pos] = 0
-        if len(keep) < len(self._tracks):
-            self._tracks = [self._tracks[i] for i in keep]
-            self._means, self._covs = self._means[keep], self._covs[keep]
-        pending.sort(key=lambda d: d[:3])
         gap = FrameResult(self.frame_index)
-        done = 0
-
-        def flush(key: tuple[int, int]) -> None:
-            nonlocal done
-            while done < len(pending) and pending[done][:2] < key:
-                _, _, _, track_id, failure = pending[done]
-                if failure is not None:
-                    log.warning("deleting track %d: %s", track_id, failure)
-                gap.deleted_ids.append(track_id)
-                done += 1
-
-        for frame in range(1, n + 1):
+        for _ in range(n):
             if not self._tracks:
                 break
-            self._advance({}, gap, lambda pos: flush((frame, pos)))
-        flush((n + 1, 0))
+            self._advance({}, gap)
         for track_id in gap.deleted_ids:
             self._galleries.pop(track_id, None)
         self.frame_index += n

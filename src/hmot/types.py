@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -16,6 +17,11 @@ import numpy as np
 from .errors import DegenerateBoxError, ValidationError
 
 EMBEDDING_NORM_TOL = 1e-6
+
+# The largest accepted a_max. A track misses every frame of a gap in the
+# frame numbers, so it is gone after at most a_max + 1 of them. 1000 frames
+# are five 20 s Waymo segments at 10 Hz.
+A_MAX_LIMIT = 1000
 
 
 class ObjectClass(str, enum.Enum):
@@ -174,9 +180,13 @@ class Detection:
                 object.__setattr__(self, "camera_id", Camera(self.camera_id))
             except ValueError:
                 raise ValidationError(f"unknown camera {self.camera_id!r}") from None
-        if isinstance(self.box, Box2D) and self.camera_id is None:
-            raise ValidationError("2D detections require a camera_id")
-        if isinstance(self.box, Box3D) and self.camera_id is not None:
+        if isinstance(self.box, Box2D):
+            if self.camera_id is None:
+                raise ValidationError("2D detections require a camera_id")
+            if not math.isfinite(self.box.w / self.box.h):  # the filter observes w / h
+                raise ValidationError(
+                    f"2D box aspect w/h must be finite, got w={self.box.w}, h={self.box.h}")
+        elif self.camera_id is not None:
             raise ValidationError("3D detections must not carry a camera_id")
         if self.embedding is not None:
             emb = np.ascontiguousarray(self.embedding, dtype=np.float64)
@@ -333,13 +343,17 @@ class ClassConfig:
             # Counts are integers (what operator.index takes), never bools.
             if isinstance(v, bool) or not hasattr(type(v), "__index__") or v < 1:
                 raise ValidationError(f"{name} must be >= 1 and an integer, got {v!r}")
+        if self.a_max > A_MAX_LIMIT:
+            raise ValidationError(f"a_max must be <= {A_MAX_LIMIT}, got {self.a_max!r}")
         for name in ("t_a", "max_iou_dist_front", "max_iou_dist_front_lr",
                      "max_iou_dist_side", "max_center_dist"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValidationError(f"{name} must be in (0, 1], got {v}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be positive and finite, got {self.sigma}")
+        # The kernel divides by 2 sigma^2, which must be a positive normal float.
+        if not (self.sigma > 0 and sys.float_info.min <= 2.0 * self.sigma * self.sigma < math.inf):
+            raise ValidationError(
+                f"sigma must be positive with 2 sigma^2 a normal float, got {self.sigma}")
         for name in ("enlarge_stage2", "enlarge_stage3"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 1.0):

@@ -4,14 +4,19 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hmot
 import oracles
 from hmot.cli import main
 from hmot.config import load_config
@@ -25,7 +30,7 @@ from hmot.io import (
 )
 from hmot.simulation import generate, preset
 from hmot.tracker import TrackerInstance
-from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass
+from hmot.types import A_MAX_LIMIT, Box2D, Box3D, Camera, Detection, ObjectClass
 
 
 def _spec_doc(n_frames=12, seed=0, **extra):
@@ -400,6 +405,71 @@ def test_track_long_frame_gap_is_bounded(tmp_path, capsys):
     out_text = capsys.readouterr().out
     assert "10000001 frames" in out_text
     assert "2 tracks created, 1 deleted" in out_text
+
+
+def _detection_lines(path, frames):
+    """Write an NDJSON detection file of one ``(frame, box2d)`` pedestrian
+    per frame of sequence "s" on the front camera, the box as given."""
+    path.write_text("".join(
+        json.dumps({"sequence_id": "s", "frame": f, "camera": "front",
+                    "detections": [{"class": "pedestrian", "box2d": box, "score": 0.9}]}) + "\n"
+        for f, box in frames))
+
+
+def test_track_huge_a_max_is_rejected_before_a_huge_gap(tmp_path):
+    """An a_max above the limit exits 2 at once, naming its field; the
+    10^9-frame gap after it is never stepped."""
+    dets, cfg = tmp_path / "d.ndjson", tmp_path / "cfg.json"
+    _detection_lines(dets, [(0, [500, 400, 60, 120]), (10 ** 9, [500, 400, 60, 120])])
+    cfg.write_text(json.dumps({"classes": {"pedestrian": {"a_max": 10 ** 12}}}))
+    env = dict(os.environ, PYTHONPATH=str(Path(hmot.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hmot.cli", "track", "--mode", "2d", "--dets", str(dets),
+         "--out", str(tmp_path / "t.csv"), "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert f"config.classes.pedestrian: a_max must be <= {A_MAX_LIMIT}" in proc.stderr
+
+
+def _smallest_sigma():
+    """The smallest sigma whose 2 sigma^2 is a normal float."""
+    s = math.sqrt(sys.float_info.min / 2.0)
+    while 2.0 * s * s < sys.float_info.min:
+        s = math.nextafter(s, math.inf)
+    while 2.0 * (below := math.nextafter(s, 0.0)) * below >= sys.float_info.min:
+        s = below
+    return s
+
+
+def test_track_sigma_floor(tmp_path, capsys):
+    """A sigma whose 2 sigma^2 underflows exits 2 naming its class; at the
+    smallest sigma accepted, one stationary vehicle stays one track, with
+    no numpy warning."""
+    det = Detection(Box3D(5.0, 2.0, 0.5, 1.6, 1.9, 4.5, 0.3), 0.9, ObjectClass.VEHICLE)
+    dets, cfg, out = tmp_path / "d.ndjson", tmp_path / "cfg.json", tmp_path / "t.csv"
+    write_detections(dets, [DetectionFrame("s", f, None, [det]) for f in range(3)])
+    argv = ["track", "--mode", "3d", "--dets", str(dets), "--out", str(out),
+            "--config", str(cfg)]
+    cfg.write_text(json.dumps({"classes": {"vehicle": {"sigma": 1e-200}}}))
+    assert main(argv) == 2
+    assert "config.classes.vehicle: sigma" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"classes": {"vehicle": {"sigma": _smallest_sigma()}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert [(r.frame, r.track_id) for r in read_tracks(out)] == [(0, 1), (1, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("box", [[100, 100, 1e300, 1e-300], [100, 100, 50, 1e-320]])
+def test_track_2d_box_without_finite_aspect_names_its_line(tmp_path, capsys, box):
+    dets = tmp_path / "d.ndjson"
+    _detection_lines(dets, [(0, box)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["track", "--mode", "2d", "--dets", str(dets),
+                     "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_track_malformed_last_line_exits_2_without_output(tmp_path, capsys):

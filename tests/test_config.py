@@ -15,7 +15,7 @@ from hmot.config import (
 )
 from hmot.errors import ConfigError
 from hmot.kalman import Noise2D, Noise3D
-from hmot.types import ClassConfig, Mode, ObjectClass
+from hmot.types import A_MAX_LIMIT, ClassConfig, Mode, ObjectClass
 
 PED = ObjectClass.PEDESTRIAN
 VEH = ObjectClass.VEHICLE
@@ -161,6 +161,14 @@ def test_field_kinds_follow_annotations():
 def test_out_of_range_value_reported_with_path():
     with pytest.raises(ConfigError, match=r"config\.classes\.vehicle"):
         parse_config({"classes": {"vehicle": {"t_s": 2.0}}}, mode=Mode.D2)
+
+
+def test_a_max_limit_is_the_largest_a_max_accepted():
+    cfg = parse_config({"classes": {"pedestrian": {"a_max": A_MAX_LIMIT}}}, mode=Mode.D2)
+    assert cfg.class_configs[PED].a_max == A_MAX_LIMIT
+    with pytest.raises(ConfigError,
+                       match=rf"config\.classes\.pedestrian: a_max must be <= {A_MAX_LIMIT}"):
+        parse_config({"classes": {"pedestrian": {"a_max": A_MAX_LIMIT + 1}}}, mode=Mode.D2)
 
 
 @pytest.mark.parametrize("doc, path", [

@@ -539,6 +539,8 @@ def test_gt_to_rows_and_back():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 box2d = st.builds(Box2D, finite, finite, extent, extent)
+# A 2D detection's box also needs a finite aspect w / h.
+detected_box2d = box2d.filter(lambda b: np.isfinite(b.w / b.h))
 box3d = st.builds(Box3D, finite, finite, finite, extent, extent, extent, finite)
 score = st.floats(min_value=0.0, max_value=1.0)
 label = st.sampled_from(ObjectClass)
@@ -564,7 +566,7 @@ def detections(box, camera, embedding=st.none() | unit_vectors()):
 @st.composite
 def detection_frames(draw):
     camera = draw(st.none() | st.sampled_from(Camera))
-    box = box3d if camera is None else box2d
+    box = box3d if camera is None else detected_box2d
     sequence_id = draw(text)
     frames = sorted(draw(st.sets(st.integers(0, 10**9), max_size=4)))
     return [
@@ -601,7 +603,7 @@ def oracle_frames(draw):
     frames = []
     for sequence_id in draw(st.lists(escaped_text, max_size=3, unique=True)):
         camera = draw(st.none() | st.sampled_from(Camera))
-        box = box3d if camera is None else box2d
+        box = box3d if camera is None else detected_box2d
         embedding = st.none() | unit_vectors() | wide_unit_vectors
         for frame in sorted(draw(st.sets(st.integers(0, 10**9), max_size=3))):
             dets = draw(st.lists(detections(box, camera, embedding), max_size=3))

@@ -37,6 +37,7 @@ from hmot.tracker import (
     stage3_secondary,
 )
 from hmot.types import (
+    A_MAX_LIMIT,
     Box2D,
     Box3D,
     Camera,
@@ -395,14 +396,20 @@ def test_import_hmot_loads_no_scipy(module):
     assert out.strip() == "[]"
 
 
-def test_stage1_work_does_not_grow_with_a_max():
-    cfg = dataclasses.replace(PED_3D, a_max=10 ** 7)
+def test_stage1_work_does_not_grow_with_a_max(monkeypatch):
+    """Stage 1 visits the ages present, not every age up to a_max."""
+    cfg = dataclasses.replace(PED_3D, a_max=A_MAX_LIMIT)
     inst = TrackerInstance(Mode.D3, {cls: cfg for cls in ObjectClass})
     inst.step([_det3(0, 0)])
+    calls = []  # the bands of each stage's cascade
+    real = hmot.tracker._cascade
+    monkeypatch.setattr(hmot.tracker, "_cascade",
+                        lambda *args, **kw: calls.append(args[5]) or real(*args, **kw))
     start = time.perf_counter()
     res = inst.step([_det3(0.1, 0)])
     assert time.perf_counter() - start < 0.25
     assert res.stage_matches == (1, 0, 0)
+    assert calls[0] == [[0]]  # stage 1: one band, the one track's row
 
 
 def _corners_one_at_a_time(boxes, factor):
@@ -1050,9 +1057,10 @@ def test_one_predict_and_one_update_per_frame(monkeypatch):
     assert [t.age_since_update for t in inst.tracks] == [2] * 9
 
 
-def test_skip_past_a_max_deletes_without_predicting(monkeypatch):
-    """A gap longer than every a_max costs no predict, however long."""
-    configs = {cls: dataclasses.replace(cfg, a_max=10 ** 5)
+def test_skip_of_any_gap_predicts_at_most_a_max_plus_one_frames(monkeypatch):
+    """A gap longer than every a_max costs at most a_max + 1 predicts,
+    however long: no track outlives that many empty frames."""
+    configs = {cls: dataclasses.replace(cfg, a_max=A_MAX_LIMIT)
                for cls, cfg in default_class_configs(Mode.D3).items()}
     inst = TrackerInstance(Mode.D3, configs)
     inst.step([_det3(0, 0), _det3(5, 5, cls=ObjectClass.VEHICLE), _det3(9, 9)])
@@ -1063,10 +1071,11 @@ def test_skip_past_a_max_deletes_without_predicting(monkeypatch):
                         lambda *args: calls.append(len(args[0])) or real(*args))
     # Vehicle track 1 and pedestrian tracks 2 and 3; track 3 missed a
     # frame, so it ages out first, then the others in class order.
-    assert inst.skip(10 ** 5 + 5) == [3, 1, 2]
-    assert calls == [] and inst.tracks == [] and inst.frame_index == 10 ** 5 + 7
+    assert inst.skip(10 ** 9) == [3, 1, 2]
+    assert len(calls) <= A_MAX_LIMIT + 1
+    assert inst.tracks == [] and inst.frame_index == 10 ** 9 + 2
     res = inst.step([_det3(0, 0)])
-    assert res.frame == 10 ** 5 + 7 and res.created_ids == [4]
+    assert res.frame == 10 ** 9 + 2 and res.created_ids == [4]
 
 
 def _coasting_scene(a_max):
@@ -1089,12 +1098,13 @@ def _coasting_scene(a_max):
 @pytest.mark.parametrize("a_max", [(1, 2, 3), (3, 30, 8), (40, 2, 12), (20, 20, 20)])
 @pytest.mark.parametrize("gap", [1, 2, 7, 15, 25, 45])
 def test_skip_equals_stepping_empty_frames(caplog, a_max, gap):
-    """Deleted ids, their order, the warnings and everything after the gap
-    are as ``gap`` empty steps give them, whether a class dies in the gap
-    (no predict) or is stepped through it."""
+    """Deleted ids, their order, the warnings, the state bits each deleted
+    track is held with and everything after the gap are as ``gap`` empty
+    steps give them, whether a class dies in the gap or outlives it."""
     runs = []
     for skip in (True, False):
         inst = _coasting_scene(a_max)
+        held = {t.track_id: t for t in inst.tracks}
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="hmot.tracker"):
             if skip:
@@ -1102,10 +1112,11 @@ def test_skip_equals_stepping_empty_frames(caplog, a_max, gap):
             else:
                 deleted = [i for _ in range(gap) for i in inst.step([]).deleted_ids]
         warnings = [r.getMessage() for r in caplog.records]
+        dead = [(held[i].state.mean.tobytes(), held[i].state.cov.tobytes()) for i in deleted]
         res = inst.step([_det2(100, 300, embedding=E1)])
-        runs.append((deleted, warnings, inst.frame_index, res.created_ids, res.stage_matches,
-                     [(t.track_id, t.age_since_update, t.state.mean.tolist())
-                      for t in inst.tracks]))
+        runs.append((deleted, warnings, dead, inst.frame_index, res.created_ids,
+                     res.stage_matches, [(t.track_id, t.age_since_update, t.state.mean.tolist())
+                                         for t in inst.tracks]))
     assert runs[0] == runs[1]
     if gap > max(a_max) >= 20:
         assert runs[0][1]  # every class dies, some tracks by a coasting failure

@@ -129,6 +129,12 @@ def test_detection_requires_camera_for_2d():
     assert det.is_2d
 
 
+@pytest.mark.parametrize("w, h", [(1e300, 1e-300), (50.0, 1e-320)])
+def test_detection_rejects_2d_box_without_finite_aspect(w, h):
+    with pytest.raises(ValidationError, match="aspect"):
+        Detection(Box2D(100.0, 100.0, w, h), 0.9, ObjectClass.PEDESTRIAN, camera_id=Camera.FRONT)
+
+
 def test_detection_forbids_camera_for_3d():
     box = Box3D(0, 0, 0, 1, 1, 1, 0)
     with pytest.raises(ValidationError):
@@ -297,6 +303,9 @@ def test_class_config_rejects_bad_ranges():
         _config(t_a=1.5)
     with pytest.raises(ValidationError):
         _config(sigma=-1.0)
+    for sigma in (1e-200, 1e155):  # 2 sigma^2 underflows, or overflows
+        with pytest.raises(ValidationError, match="sigma"):
+            _config(sigma=sigma)
     with pytest.raises(ValidationError):
         _config(a_max=0)
     with pytest.raises(ValidationError):
