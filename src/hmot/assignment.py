@@ -106,8 +106,9 @@ def solve_gated_assignment(costs: np.ndarray, gate: float) -> AssociationResult:
     if n_rows == 0 or n_cols == 0:
         return AssociationResult([], list(range(n_rows)), list(range(n_cols)))
     admissible = (costs <= gate) & np.isfinite(costs)
-    rows, cols = np.nonzero(admissible)
-    lone = (admissible.sum(axis=1)[rows] == 1) & (admissible.sum(axis=0)[cols] == 1)
+    rows, cols = np.divmod(admissible.ravel().nonzero()[0], n_cols)  # row-major, as np.nonzero
+    lone = ((np.bincount(rows, minlength=n_rows)[rows] == 1)
+            & (np.bincount(cols, minlength=n_cols)[cols] == 1))
     matches = list(zip(rows[lone].tolist(), cols[lone].tolist()))
     if len(matches) < len(rows):
         # Search the other admissible pairs for connected components; node

@@ -1,17 +1,17 @@
 """Online tracking engine.
 
-One store per instance holds the filter states of all its tracks: one array
-of means (N, d) and one of covariances (N, d, d), row i belonging to the
-i-th track, rows grouped by class. Per frame: one batched predict of every
-row; per class, split its detections by score into a primary and a secondary
-set and run a three-stage gated cascade on its rows; one batched update of
-every matched pair; then age out stale tracks, seed new ones from leftover
-primary detections after their class's rows, and compact the store once.
-Each stage takes the whole arrays, the track rows still open and the
-detection rows to match, and returns rows of the same arrays.
-``track.state`` is a view of the track's rows, so edits to it in place reach
-the next step's filter; a deleted track keeps the state of the last step it
-lived through. Each stage solves one gated assignment per band of tracks
+One store per instance holds all its tracks as columns: ids, ages since
+update, hits, scores, means (N, d) and covariances (N, d, d), row i
+belonging to the i-th track, rows grouped by class. Per frame: one batched
+predict of every row; per class, split its detections by score into a
+primary and a secondary set and run a three-stage gated cascade on its rows;
+one batched update of every matched pair; then the new columns of every row
+at once, seed new tracks from leftover primary detections after their
+class's rows, and compact the store once. Each stage takes the whole
+arrays, the track rows still open and the detection rows to match, and
+returns rows of the same arrays. A held ``Track`` reads and writes its row,
+so edits to it reach the next step; a deleted track keeps the values it had
+then. Each stage solves one gated assignment per band of tracks
 over the detections earlier bands left. Stage 1 bands by age, youngest
 first, by appearance distance in 2D and kernelized center distance in 3D;
 in 2D a gallery is multiplied only for the pairs whose cost can change
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -61,7 +62,6 @@ from .types import (
     Detection,
     Mode,
     ObjectClass,
-    State,
     Track,
 )
 
@@ -74,6 +74,9 @@ STAGE2_MAX_AGE = 3
 # 95% quantile of the chi-square distribution by degrees of freedom (the
 # 2D and 3D observation sizes), as scipy.stats.chi2.ppf(0.95, dof) gives it.
 CHI2_95 = {4: 9.487729036781154, 7: 14.067140449340169}
+
+
+_BOX, _SCORE, _CLASS = (operator.attrgetter(f) for f in ("box", "score", "class_label"))
 
 
 class EmittedTrack(NamedTuple):
@@ -220,9 +223,8 @@ def _gated_match(
     are inadmissible; that test reads only whether a cost is within the
     gate, never its value.
     """
-    means = means[rows]
     if mode is Mode.D3:
-        costs = gauss_center_dist_matrix(means[:, :3], obs[cols, :3], config.sigma)
+        costs = gauss_center_dist_matrix(means[rows, :3], obs[cols, :3], config.sigma)
         gate = config.max_center_dist
     elif use_reid:
         gate = config.t_a
@@ -231,7 +233,7 @@ def _gated_match(
         costs = _appearance_costs(galleries, embeddings, gate,
                                   None if bounds is None else [bounds[i] for i in rows])
     else:
-        costs = iou_dist_matrix(_state_boxes(means), [dets[j].box for j in cols],
+        costs = iou_dist_matrix(_state_boxes(means[rows]), [dets[j].box for j in cols],
                                 factor=enlarge)
         if camera is None:
             raise ConfigError("2D IoU gating requires a camera")
@@ -240,7 +242,7 @@ def _gated_match(
         # Only pairs within the cost gate can be matched, so only they are
         # tested. A track without a positive definite S gates out all pairs.
         r, c = np.nonzero(costs <= gate)
-        d2, _ = mahalanobis_sq_pairs(means, covs[rows], obs[cols], r, c, model)
+        d2, _ = mahalanobis_sq_pairs(means[rows], covs[rows], obs[cols], r, c, model)
         far = d2 > CHI2_95[model.dim_obs]
         costs[r[far], c[far]] = INADMISSIBLE
     return solve_gated_assignment(costs, gate)
@@ -283,6 +285,7 @@ def stage1_cascade(
     obs: np.ndarray,
     config: ClassConfig,
     *,
+    ages: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
     mode: Mode | str,
@@ -296,23 +299,28 @@ def stage1_cascade(
     primary detection rows ``cols``; the results are rows too.
 
     Row i of ``means`` (and of ``covs``) is the predicted state of
-    ``tracks[i]``; row j of ``obs`` is the observation of ``dets[j]``, as
-    ``model.observations`` gives it. Visits the ages present among the
-    tracks, youngest first and up to a_max, solving one gated assignment per
-    age band over the detections still unclaimed, so a recently seen track
-    always outranks a long-occluded one competing for the same detection.
-    The cost is the appearance (or, without ``use_reid``, IoU) distance in
-    2D and the kernelized center distance in 3D; see :func:`_gated_match`,
-    which also says how ``bounds`` (row i: ``tracks[i]``'s gallery ball, or
-    None for an empty gallery) prunes the appearance fill.
+    ``tracks[i]`` and ``ages[i]`` its age since update; row j of ``obs`` is
+    the observation of ``dets[j]``, as ``model.observations`` gives it.
+    Visits the ages present among the tracks, youngest first and up to
+    a_max, solving one gated assignment per age band over the detections
+    still unclaimed, so a recently seen track always outranks a
+    long-occluded one competing for the same detection. The cost is the
+    appearance (or, without ``use_reid``, IoU) distance in 2D and the
+    kernelized center distance in 3D; see :func:`_gated_match`, which also
+    says how ``bounds`` (row i: ``tracks[i]``'s gallery ball, or None for an
+    empty gallery) prunes the appearance fill.
     """
-    by_age: dict[int, list[int]] = {}
-    for i in rows:
-        if 0 <= (age := tracks[i].age_since_update) <= config.a_max:
-            by_age.setdefault(age, []).append(i)
+    # The rows in a stable order by age; the bands are its runs of one age
+    # from 0 to a_max.
+    by_age = np.asarray(rows, dtype=np.intp)
+    by_age = by_age[ages[by_age].argsort(kind="stable")]
+    age = ages[by_age]
+    lo, hi = age.searchsorted((0, config.a_max + 1)).tolist()
+    age, by_age = age[lo:hi], by_age.tolist()
+    cuts = [lo, *((age[1:] != age[:-1]).nonzero()[0] + (lo + 1)).tolist(), hi]
     return _cascade(
-        tracks, means, dets, obs, rows, [by_age[age] for age in sorted(by_age)], cols, config,
-        mode, camera, use_reid=use_reid, model=model, covs=covs, bounds=bounds,
+        tracks, means, dets, obs, rows, [by_age[a:b] for a, b in zip(cuts, cuts[1:])], cols,
+        config, mode, camera, use_reid=use_reid, model=model, covs=covs, bounds=bounds,
     )
 
 
@@ -323,6 +331,7 @@ def stage2_relaxed(
     obs: np.ndarray,
     config: ClassConfig,
     *,
+    ages: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
     mode: Mode | str,
@@ -331,7 +340,8 @@ def stage2_relaxed(
     """Second chance for recently lost tracks (age < 3) among ``rows`` on
     leftover primary detections ``cols``; 2D cost is IoU distance with boxes
     enlarged 2x. Arguments and results are as in :func:`stage1_cascade`."""
-    eligible = [i for i in rows if tracks[i].age_since_update < STAGE2_MAX_AGE]
+    eligible = np.asarray(rows, dtype=np.intp)
+    eligible = eligible[ages[eligible] < STAGE2_MAX_AGE].tolist()
     return _cascade(tracks, means, dets, obs, rows, [eligible], cols, config, mode, camera,
                     enlarge=config.enlarge_stage2)
 
@@ -351,19 +361,20 @@ def stage3_secondary(
     """Match still-unmatched tracks ``rows`` against the weak (secondary)
     detections ``cols``; 2D cost is IoU distance with boxes enlarged 3x.
     Secondary detections that stay unmatched are dropped, never turned into
-    tracks. Arguments and results are as in :func:`stage1_cascade`."""
+    tracks. Arguments and results are as in :func:`stage1_cascade`, which
+    ``ages`` this stage does not need."""
     return _cascade(tracks, means, dets, obs, rows, [list(rows)], cols, config, mode, camera,
                     enlarge=config.enlarge_stage3)
 
 
-def _delete(tracks: Sequence[Track], failures: Mapping[int, NumericFailureError],
+def _delete(ids: np.ndarray, failures: Mapping[int, NumericFailureError],
             start: int, stop: int, result: FrameResult) -> None:
     """Log and list as deleted, in order, each track ``failures`` names by
-    its place in ``tracks``, from ``start`` up to ``stop``."""
+    its place in ``ids``, from ``start`` up to ``stop``."""
     for i in sorted(failures):
         if start <= i < stop:
-            log.warning("deleting track %d: %s", tracks[i].track_id, failures[i])
-            result.deleted_ids.append(tracks[i].track_id)
+            log.warning("deleting track %d: %s", ids[i], failures[i])
+            result.deleted_ids.append(int(ids[i]))
 
 
 # A gallery of budget b holds up to b // GALLERY_SPARE (at least one) spare
@@ -422,6 +433,33 @@ class _Gallery:
                        embedding)
 
 
+class _Store:
+    """The columns of an instance's tracks, row i of each belonging to one
+    track: ``ids``, ``ages`` since update, ``hits``, ``scores``, ``means``
+    (N, d) and covariances ``covs`` (N, d, d). ``gen`` counts the times
+    they were replaced; a held :class:`~hmot.types.Track` looks up its row
+    with ``row_of`` once each time. The store holds no track, so a track
+    can refer to it without a reference cycle."""
+
+    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "gen", "_rows")
+
+    def __init__(self, dim: int):
+        self.gen = -1
+        self.replace(*(np.empty(0, dtype=np.int64) for _ in range(3)), np.empty(0),
+                     np.empty((0, dim)), np.empty((0, dim, dim)))
+
+    def replace(self, ids: np.ndarray, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
+                means: np.ndarray, covs: np.ndarray) -> None:
+        self.ids, self.ages, self.hits, self.scores, self.means, self.covs = (
+            ids, ages, hits, scores, means, covs)
+        self.gen, self._rows = self.gen + 1, None
+
+    def row_of(self, track_id: int) -> int:
+        if self._rows is None:
+            self._rows = dict(zip(self.ids.tolist(), range(len(self.ids))))
+        return self._rows[track_id]
+
+
 class TrackerInstance:
     """Single-stream online tracker for one sequence (in 2D: one camera).
 
@@ -459,12 +497,11 @@ class TrackerInstance:
                               f"got {type(noise).__name__}")
         self.model: MotionModel = model_cls(noise)
         self.configs = dict(configs) if configs is not None else default_class_configs(self.mode)
-        # The filter states of the instance: row i of means (N, d) and
-        # covariances (N, d, d) is the state of self._tracks[i]. Rows are
-        # grouped by class in ObjectClass order, self._sizes[k] of the k-th.
-        d = self.model.dim_state
-        self._tracks: list[Track] = []
-        self._means, self._covs = np.empty((0, d)), np.empty((0, d, d))
+        # Row i of the store belongs to self._tracks[i], an object array.
+        # Rows are grouped by class in ObjectClass order, self._sizes[k] of
+        # the k-th.
+        self._store = _Store(self.model.dim_state)
+        self._tracks = np.empty(0, dtype=object)
         self._sizes = [0] * len(ObjectClass)
         self.frame_index = 0
         self.use_stage3 = use_stage3
@@ -480,7 +517,7 @@ class TrackerInstance:
     @property
     def tracks(self) -> list[Track]:
         """The live tracks, grouped by class in ``ObjectClass`` order."""
-        return list(self._tracks)
+        return self._tracks.tolist()
 
     def _config_for(self, label: ObjectClass) -> ClassConfig:
         try:
@@ -572,11 +609,12 @@ class TrackerInstance:
                  result: FrameResult) -> None:
         """One frame of the store on ``dets_by_class``: one predict of every
         row, the stages of each class with tracks or detections, one update
-        of every matched pair, then, class by class, deletions, matches and
-        births into ``result``, and one compaction. Deletions are listed and
-        logged per class: predict failures, update failures in pair order,
-        then age-outs."""
-        tracks, model = self._tracks, self.model
+        of every matched pair, the new columns of every row at once,
+        deletions and births class by class into ``result``, and one
+        compaction. Deletions are listed and logged per class: predict
+        failures, update failures in pair order, then age-outs."""
+        store, tracks, model = self._store, self._tracks, self.model
+        ids = store.ids
         where = {"mode": self.mode, "camera": self.camera_id}
         # Until the first embedding arrives, 2D stage 1 gates by IoU.
         use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
@@ -584,94 +622,138 @@ class TrackerInstance:
         keep_embeddings = self.mode is Mode.D2 and self.use_reid
         # Tracks are rows of the store, detections rows of their class's
         # list; a row whose predict failed is left out of association.
-        means, covs, predict_failures = predict(self._means, self._covs, model)
+        means, covs, predict_failures = predict(store.means, store.covs, model)
         starts = list(itertools.accumulate(self._sizes, initial=0))
         bounds, stepped, matches = None, [], [0, 0, 0]
-        pair_rows: list[int] = []  # the track row of each matched pair, class by class
-        pair_obs = [np.empty((0, model.dim_obs))]
+        # The track row, detection and observation of each matched pair,
+        # class by class; a_max and min_hits by class.
+        pair_rows, pair_dets, pair_obs = [], [], [np.empty((0, model.dim_obs))]
+        a_max, min_hits = [0] * len(ObjectClass), [1] * len(ObjectClass)
         for pos, cls in enumerate(ObjectClass):
             start, end = starts[pos], starts[pos + 1]
             cls_dets = dets_by_class.get(cls, [])
             if start == end and not cls_dets:
                 continue
             cfg = self._config_for(cls)
-            live = [i for i in range(start, end) if i not in predict_failures]
+            a_max[pos], min_hits[pos] = cfg.a_max, cfg.min_hits
+            rows = [i for i in range(start, end) if i not in predict_failures]
             obs = model.observations(cls_dets)
             prim, sec = _split_indices(cls_dets, cfg.t_s)
             if bounds is None and keep_embeddings and use_reid_now and prim:
                 bounds = [self._bound(t) for t in tracks]
-            r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, rows=live, cols=prim,
-                                use_reid=use_reid_now, model=model, covs=covs, bounds=bounds,
-                                **where)
-            r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, rows=r1.unmatched_tracks,
-                                cols=r1.unmatched_detections, **where)
+            r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, ages=store.ages, rows=rows,
+                                cols=prim, use_reid=use_reid_now, model=model, covs=covs,
+                                bounds=bounds, **where)
+            r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, ages=store.ages,
+                                rows=r1.unmatched_tracks, cols=r1.unmatched_detections, **where)
             r3 = (stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=r2.unmatched_tracks,
                                    cols=sec, **where)
                   if self.use_stage3 else AssociationResult([], r2.unmatched_tracks, []))
             matches = [m + len(r.matches) for m, r in zip(matches, (r1, r2, r3))]
-            # pairs holds each matched (track row, detection row).
             pairs = r1.matches + r2.matches + r3.matches
-            stepped.append((pos, cfg, cls_dets, bool(live), len(pair_rows), pairs,
-                            r3.unmatched_tracks, [cls_dets[j] for j in r2.unmatched_detections]))
+            stepped.append((pos, cfg, bool(rows), len(pair_rows), len(pairs),
+                            [cls_dets[j] for j in r2.unmatched_detections]))
             pair_rows += [i for i, _ in pairs]
+            pair_dets += [cls_dets[j] for _, j in pairs]
             pair_obs.append(obs[[j for _, j in pairs]])
         rows = np.array(pair_rows, dtype=np.intp)
         means[rows], covs[rows], failures = update(
             means[rows], covs[rows], np.concatenate(pair_obs), model)
-        failed = {pair_rows[k] for k in failures}
-        emit_pairs: list[tuple[Track, Detection]] = []
-        # The tracks of the next store, their rows in means and covs once
-        # the births are appended to these, the births and the class sizes.
-        next_tracks, index, born, sizes = [], [], [], [0] * len(self._sizes)
-        for pos, cfg, cls_dets, any_live, first, pairs, rest, unmatched in stepped:
-            _delete(tracks, predict_failures, starts[pos], starts[pos + 1], result)
+        # The columns after this frame, in the rows of the store so far: a
+        # track ages by one, and a matched one restarts at age 0 with one
+        # hit more and its detection's score. A track whose filter failed
+        # keeps its values and is deleted, as is one older than its a_max.
+        ages, hits, scores = store.ages + 1, store.hits.copy(), store.scores.copy()
+        ages[rows], hits[rows] = 0, hits[rows] + 1
+        scores[rows] = [det.score for det in pair_dets]
+        limits, needs = np.array([a_max, min_hits]).repeat(self._sizes, axis=1)
+        stale = ages > limits
+        failed = [*predict_failures, *(pair_rows[k] for k in failures)]
+        if failed:
+            ages[failed], hits[failed], scores[failed] = (
+                store.ages[failed], store.hits[failed], store.scores[failed])
+            stale[failed] = False
+        aged = stale.nonzero()[0]
+        aged, aged_ids = aged.tolist(), ids[aged].tolist()
+        # The new tracks, the detection and the class of each.
+        born, seeds, born_at = [], [], []
+        for pos, cfg, any_live, first, n, leftover in stepped:
+            start, end = starts[pos], starts[pos + 1]
+            _delete(ids, predict_failures, start, end, result)
             if not (use_reid_now or self._fallback_logged) and any_live and dets_by_class:
                 log.log(logging.WARNING if self.use_reid else logging.INFO,
                         "no appearance embeddings available; stage-1 association "
                         "falls back to IoU gating")
                 self._fallback_logged = True
             if failures:
-                _delete([tracks[i] for i in pair_rows], failures, first, first + len(pairs),
-                        result)
-            updated = [(tracks[i], cls_dets[j])
-                       for k, (i, j) in enumerate(pairs, first) if k not in failures]
-            for track, det in updated:
-                track.age_since_update, track.hits, track.score = 0, track.hits + 1, det.score
-            for i in rest:
-                track = tracks[i]
-                track.age_since_update += 1
-                if track.age_since_update > cfg.a_max:
-                    result.deleted_ids.append(track.track_id)
-            kept = [i for i in range(starts[pos], starts[pos + 1])
-                    if i not in predict_failures and i not in failed
-                    and tracks[i].age_since_update <= cfg.a_max]
+                _delete(ids[rows], failures, first, first + n, result)
+            result.deleted_ids += [i for row, i in zip(aged, aged_ids) if start <= row < end]
             births = [Track(next(self._id_counter), init_track_state(det, model),
-                            det.class_label, det.score) for det in unmatched]
+                            det.class_label, det.score) for det in leftover]
             result.created_ids += [track.track_id for track in births]
-            for track, det in updated + list(zip(births, unmatched)):
-                if keep_embeddings and det.embedding is not None:
-                    self._add_embedding(track, det.embedding, cfg.gallery_budget)
-                if track.hits >= cfg.min_hits:
-                    emit_pairs.append((track, det))
-            next_tracks += [tracks[i] for i in kept] + births
-            index += kept + [len(means) + len(born) + b for b in range(len(births))]
+            if keep_embeddings:
+                updated = [(tracks[pair_rows[k]], pair_dets[k])
+                           for k in range(first, first + n) if k not in failures]
+                for track, det in updated + list(zip(births, leftover)):
+                    if det.embedding is not None:
+                        self._add_embedding(track, det.embedding, cfg.gallery_budget)
             born += births
-            sizes[pos] = len(kept) + len(births)
-        # Deleted tracks keep the state of the last step they lived
-        # through: rows of an earlier array, which no step writes.
-        if born:
-            means = np.concatenate((means, [t.state.mean for t in born]))
-            covs = np.concatenate((covs, [t.state.cov for t in born]))
-        if index != list(range(len(means))):
-            means, covs = means[index], covs[index]
-        # Each track's state is a view of its rows, so it reads the
-        # current state and edits to it reach the next step's filter.
-        for track, mean, cov in zip(next_tracks, means, covs):
-            track.state = State.trusted(mean, cov)
-        self._tracks, self._means, self._covs, self._sizes = next_tracks, means, covs, sizes
-        result.emitted = [EmittedTrack(t.track_id, det.box, t.score, t.class_label)
-                          for t, det in sorted(emit_pairs, key=lambda pair: pair[0].track_id)]
+            seeds += leftover
+            born_at += [pos] * len(births)
+        born_ids = [track.track_id for track in born]
+        # Emitted, in id order: each track matched with min_hits hits, and
+        # each birth if one hit is enough.
+        shown = np.concatenate((hits[rows] >= needs[rows],
+                                np.array([min_hits[pos] <= 1 for pos in born_at], dtype=bool)))
+        if failures:
+            shown[list(failures)] = False
+        pick = shown.nonzero()[0]
+        keys = np.concatenate((ids[rows], np.array(born_ids, dtype=np.int64)))[pick]
+        order = keys.argsort()
+        dets = list(map((pair_dets + seeds).__getitem__, pick[order].tolist()))
+        # tuple.__new__ builds each row without the named tuple's own
+        # __new__, a Python call per row.
+        result.emitted = list(map(tuple.__new__, itertools.repeat(EmittedTrack), zip(
+            keys[order].tolist(), map(_BOX, dets), map(_SCORE, dets), map(_CLASS, dets))))
         result.stage_matches = tuple(matches)
+        self._commit(ages, hits, scores, means, covs, failed + aged, born, born_at)
+
+    def _commit(self, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
+                means: np.ndarray, covs: np.ndarray, dead: list[int], born: list[Track],
+                born_at: list[int]) -> None:
+        """Make the store these columns, in the rows of the store so far,
+        less the rows ``dead``, with the tracks ``born`` appended to the
+        class at each position of ``born_at``."""
+        # A deleted track keeps these values and the state of the last step
+        # it lived through: rows of an earlier array, which no step writes.
+        tracks = self._tracks
+        if dead:
+            for track, i, age, hit, score in zip(tracks[dead], dead, ages[dead].tolist(),
+                                                 hits[dead].tolist(), scores[dead].tolist()):
+                track._freeze(i, age, hit, score)
+        columns = [tracks, self._store.ids, ages, hits, scores, means, covs]
+        if born:
+            states = [track.state for track in born]
+            columns = [np.concatenate((column, new)) for column, new in zip(columns, (
+                np.array(born, dtype=object), [track.track_id for track in born],
+                np.zeros(len(born), int), np.ones(len(born), int),
+                [track.score for track in born], [state.mean for state in states],
+                [state.cov for state in states]))]
+            for track in born:
+                track._attach(self._store)
+        if dead or born:
+            # Rows in class order; within a class, the tracks kept, then
+            # the births.
+            kept = np.ones(len(columns[0]), dtype=bool)
+            kept[dead] = False
+            classes = np.concatenate((np.arange(len(ObjectClass)).repeat(self._sizes),
+                                      np.array(born_at, dtype=np.intp)))
+            index = kept.nonzero()[0]
+            index = index[classes[index].argsort(kind="stable")]
+            columns = [column[index] for column in columns]
+            self._sizes = np.bincount(classes[index], minlength=len(ObjectClass)).tolist()
+        self._tracks = columns[0]
+        self._store.replace(*columns[1:])
 
     def skip(self, n: int) -> list[int]:
         """Advance over ``n`` frames without detections, as ``n`` calls of
@@ -687,7 +769,7 @@ class TrackerInstance:
             raise ValueError(f"cannot skip {n} frames")
         gap = FrameResult(self.frame_index)
         for _ in range(n):
-            if not self._tracks:
+            if not len(self._tracks):
                 break
             self._advance({}, gap)
         for track_id in gap.deleted_ids:

@@ -1,7 +1,8 @@
 """Shared domain types: boxes, detections, filter states, tracks, per-class config.
 
-All types are plain values. Units: 2D quantities are pixels, 3D quantities are
-meters/radians, velocities are per-frame.
+All types but ``Track`` are plain values; a ``Track`` that a tracker holds
+reads and writes its row of the tracker's store. Units: 2D quantities are
+pixels, 3D quantities are meters/radians, velocities are per-frame.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -194,6 +195,11 @@ class Detection:
                 raise ValidationError(f"embedding must be 1-D, got shape {emb.shape}")
             if not np.all(np.isfinite(emb)):
                 raise ValidationError("embedding contains non-finite values")
+            # A unit vector has no entry above 1; a larger one could
+            # overflow the norm.
+            big = float(np.max(np.abs(emb), initial=0.0))
+            if big > 1.0 + EMBEDDING_NORM_TOL:
+                raise ValidationError(f"embedding must be unit-norm, got an entry of size {big}")
             norm = float(np.linalg.norm(emb))
             if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
                 raise ValidationError(f"embedding must be unit-norm, got |e| = {norm}")
@@ -289,7 +295,23 @@ def box3d_from_state(state: State) -> Box3D:
     return Box3D(cx, cy, cz, h, w, l, theta)
 
 
-@dataclass(eq=False)
+def _column(column: str, own: str, kind: type) -> property:
+    """A ``Track`` field kept in the store column ``column`` while the track
+    is held, else in the slot ``own``."""
+
+    def get(track: "Track"):
+        store = track._store
+        return getattr(track, own) if store is None else kind(getattr(store, column)[track._at()])
+
+    def set_(track: "Track", value) -> None:
+        if track._store is None:
+            setattr(track, own, value)
+        else:
+            getattr(track._store, column)[track._at()] = value
+
+    return property(get, set_)
+
+
 class Track:
     """Identity-bearing track state.
 
@@ -297,15 +319,65 @@ class Track:
     association; it is 0 exactly when the track was associated (or created)
     in the current frame. ``gallery`` is a float64 matrix of the track's last
     ``gallery_budget`` embeddings, oldest row first; only 2D re-id fills it.
+
+    While a tracker holds the track, ``age_since_update``, ``hits``,
+    ``score`` and ``state`` read and write the track's row of the tracker's
+    store (its columns ``ages``, ``hits``, ``scores``, ``means`` and
+    ``covs``; ``row_of`` finds the row of an id and ``gen`` counts the
+    steps): ``state`` is then a view of the rows, and a ``State`` assigned
+    to it is shown until the next step. When the tracker deletes the
+    track, it keeps the values it had then, as a track built directly does.
     """
 
-    track_id: int
-    state: State
-    class_label: ObjectClass
-    score: float
-    age_since_update: int = 0
-    hits: int = 1
-    gallery: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row",
+                 "_age", "_hits", "_score", "_state")
+
+    def __init__(self, track_id: int, state: State, class_label: ObjectClass, score: float,
+                 age_since_update: int = 0, hits: int = 1, gallery: np.ndarray | None = None):
+        self.track_id, self.class_label = track_id, class_label
+        self.gallery = np.empty((0, 0)) if gallery is None else gallery
+        self._store = None
+        self._age, self._hits, self._score, self._state = age_since_update, hits, score, state
+
+    age_since_update = _column("ages", "_age", int)
+    hits = _column("hits", "_hits", int)
+    score = _column("scores", "_score", float)
+
+    @property
+    def state(self) -> State:
+        store = self._store
+        if store is None:
+            return self._state
+        row = self._at()
+        if self._state is not None:
+            return self._state
+        return State.trusted(store.means[row], store.covs[row])
+
+    @state.setter
+    def state(self, state: State) -> None:
+        if self._store is not None:
+            self._at()
+        self._state = state
+
+    def _at(self, row: int | None = None) -> int:
+        """The track's row of its store (``row`` if the caller knows it),
+        looked up once a step; a new step drops an assigned state."""
+        store = self._store
+        if self._gen != store.gen:
+            self._gen, self._state = store.gen, None
+            self._row = store.row_of(self.track_id) if row is None else row
+        return self._row
+
+    def _attach(self, store) -> None:
+        """Let ``store`` hold the track from now on."""
+        self._store, self._gen, self._state = store, None, None
+
+    def _freeze(self, row: int, age: int, hits: int, score: float) -> None:
+        """Keep, from now on, these values and the state the track shows
+        now, in row ``row`` of its store."""
+        self._at(row)
+        self._state = self.state
+        self._store, self._age, self._hits, self._score = None, age, hits, score
 
 
 @dataclass(frozen=True)

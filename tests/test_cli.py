@@ -472,6 +472,21 @@ def test_track_2d_box_without_finite_aspect_names_its_line(tmp_path, capsys, box
     assert "line 1" in capsys.readouterr().err
 
 
+def test_track_embedding_beyond_unit_entries_names_its_line(tmp_path, capsys):
+    """An embedding with an entry above 1 is no unit vector; it is rejected
+    before its norm, which would overflow, is taken."""
+    dets = tmp_path / "d.ndjson"
+    dets.write_text(json.dumps({"sequence_id": "s", "frame": 0, "camera": "front", "detections": [
+        {"class": "pedestrian", "box2d": [500, 400, 60, 120], "score": 0.9,
+         "embedding": [1e300, 1e300, 0]}]}) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["track", "--mode", "2d", "--dets", str(dets),
+                     "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_track_malformed_last_line_exits_2_without_output(tmp_path, capsys):
     _, dets = _simulate(tmp_path)
     lines = dets.read_text().splitlines(keepends=True)

@@ -94,6 +94,11 @@ def _means(tracks):
     return np.array([t.state.mean for t in tracks])
 
 
+def _ages(tracks):
+    """The stage functions' column of track ages since update."""
+    return np.array([t.age_since_update for t in tracks], dtype=np.int64)
+
+
 def _obs(dets):
     """The stage functions' rows of detection observations."""
     return (MotionModel2D if dets[0].is_2d else MotionModel3D).observations(dets)
@@ -136,16 +141,18 @@ def test_split_preserves_order():
 def test_stage1_2d_appearance_match():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(400, 400, embedding=E_CLOSE)  # far away, same appearance
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
 
 
 def test_stage1_2d_appearance_gate():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100, embedding=E2)  # same place, different appearance
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == []
     assert res.unmatched_tracks == [0]
     assert res.unmatched_detections == [0]
@@ -158,7 +165,8 @@ def test_stage1_age_band_priority():
     old = _track2(2, _det2(100, 100), age=2, gallery=[E1])
     det = _det2(100, 100, embedding=E1)
     res = stage1_cascade([young, old], _means([young, old]), [det], _obs([det]), PED_2D,
-                         rows=range(2), cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([young, old]), rows=range(2), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
     assert res.unmatched_tracks == [1]
 
@@ -168,23 +176,26 @@ def test_stage1_second_band_gets_leftovers():
     old = _track2(2, _det2(500, 500), age=2, gallery=[E2])
     dets = [_det2(100, 100, embedding=E1), _det2(500, 500, embedding=E2)]
     res = stage1_cascade([young, old], _means([young, old]), dets, _obs(dets), PED_2D,
-                         rows=range(2), cols=range(2), mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([young, old]), rows=range(2), cols=range(2),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert set(res.matches) == {(0, 0), (1, 1)}
 
 
 def test_stage1_no_embeddings_means_no_reid_matches():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100)  # no embedding
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == []
 
 
 def test_stage1_iou_fallback_without_reid():
     track = _track2(1, _det2(100, 100))
     det = _det2(102, 101)  # heavy overlap
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT, use_reid=False)
+    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT, use_reid=False)
     assert res.matches == [(0, 0)]
 
 
@@ -192,7 +203,8 @@ def test_stage1_iou_fallback_needs_camera():
     track = _track2(1, _det2(100, 100))
     with pytest.raises(ConfigError):
         stage1_cascade([track], _means([track]), [_det2(100, 100)], _obs([_det2(100, 100)]),
-                       PED_2D, rows=range(1), cols=range(1), mode=Mode.D2, camera=None,
+                       PED_2D, ages=_ages([track]), rows=range(1), cols=range(1), mode=Mode.D2,
+                       camera=None,
                        use_reid=False)
 
 
@@ -201,7 +213,7 @@ def test_stage1_3d_center_gate():
     near = _det3(0.3, 0)
     far = _det3(30, 0)
     res = stage1_cascade([track], _means([track]), [near, far], _obs([near, far]), PED_3D,
-                         rows=range(1), cols=range(2), mode=Mode.D3)
+                         ages=_ages([track]), rows=range(1), cols=range(2), mode=Mode.D3)
     assert res.matches == [(0, 0)]
     assert res.unmatched_detections == [1]
 
@@ -211,7 +223,7 @@ def test_stage1_3d_age_priority_beats_distance():
     t_old = _track3(2, _det3(1.0, 0), age=1)
     det = _det3(0.6, 0)  # nearer to the old track
     res = stage1_cascade([t_young, t_old], _means([t_young, t_old]), [det], _obs([det]), PED_3D,
-                         rows=range(2), cols=range(1), mode=Mode.D3)
+                         ages=_ages([t_young, t_old]), rows=range(2), cols=range(1), mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -220,12 +232,14 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     model = MotionModel2D()
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(900, 900, embedding=E1)  # appearance-identical, 1100 px away
-    gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg, rows=range(1),
-                           cols=range(1), mode=Mode.D2, camera=Camera.FRONT, model=model,
+    gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
+                           ages=_ages([track]), rows=range(1), cols=range(1),
+                           mode=Mode.D2, camera=Camera.FRONT, model=model,
                            covs=np.array([track.state.cov]))
     assert gated.matches == []
-    ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                             cols=range(1), mode=Mode.D2, camera=Camera.FRONT, model=model)
+    ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
+                             ages=_ages([track]), rows=range(1), cols=range(1),
+                             mode=Mode.D2, camera=Camera.FRONT, model=model)
     assert ungated.matches == [(0, 0)]
 
 
@@ -292,7 +306,8 @@ def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
     obs = model.observations(dets) if dets else np.empty((0, model.dim_obs))
 
     def run(bounds):
-        return stage1_cascade(tracks, means, dets, obs, cfg, rows=range(len(tracks)),
+        return stage1_cascade(tracks, means, dets, obs, cfg, ages=_ages(tracks),
+                              rows=range(len(tracks)),
                               cols=range(len(dets)), mode=Mode.D2, camera=Camera.FRONT,
                               model=model, covs=covs, bounds=bounds)
 
@@ -316,7 +331,7 @@ def test_lone_reid_pair_gated_at_its_newest_row_distance():
         det = _det2(100, 100, embedding=e)
         cfg = dataclasses.replace(PED_2D, t_a=1.0 - np.einsum("ij,ij->i", g[None], e[None])[0])
         runs = [stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
-                               rows=range(1), cols=range(1), mode=Mode.D2,
+                               ages=_ages([track]), rows=range(1), cols=range(1), mode=Mode.D2,
                                camera=Camera.FRONT, bounds=bounds)
                 for bounds in ([gallery_bound(track.gallery)], None)]
         assert runs[0] == runs[1]
@@ -364,8 +379,8 @@ def test_contested_reid_column_gets_exact_costs(monkeypatch, rival):
     bounds = [gallery_bound(t.gallery) for t in tracks]
     calls = _spy_gallery_rows(monkeypatch)
     res = stage1_cascade(tracks, _means(tracks), dets[:len(rival)], _obs(dets[:len(rival)]),
-                         PED_2D, rows=range(2), cols=range(len(rival)), mode=Mode.D2,
-                         camera=Camera.FRONT, bounds=bounds)
+                         PED_2D, ages=_ages(tracks), rows=range(2), cols=range(len(rival)),
+                         mode=Mode.D2, camera=Camera.FRONT, bounds=bounds)
     assert res.matches == [(0, 0)]
     assert sum(calls) == 2 + len(rival)
 
@@ -450,8 +465,9 @@ def test_iou_corners_of_state_rows_equal_box_objects_bit_for_bit(seed, n, factor
 def test_stage2_matches_by_enlarged_iou():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(111, 100, w=10, h=10)  # 1 px gap: plain IoU 0, enlarged > 0
-    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                         cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(0, 0)]
 
 
@@ -460,7 +476,8 @@ def test_stage2_age_eligibility():
     stale = _track2(2, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE)
     det = _det2(100, 100, w=10, h=10)
     res = stage2_relaxed([stale, fresh], _means([stale, fresh]), [det], _obs([det]), PED_2D,
-                         rows=range(2), cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([stale, fresh]), rows=range(2), cols=range(1),
+                         mode=Mode.D2, camera=Camera.FRONT)
     assert res.matches == [(1, 0)]
     assert 0 in res.unmatched_tracks
 
@@ -468,8 +485,8 @@ def test_stage2_age_eligibility():
 def test_stage2_3d_same_metric_as_stage1():
     track = _track3(1, _det3(0, 0), age=1)
     det = _det3(0.4, 0)
-    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D, rows=range(1),
-                         cols=range(1), mode=Mode.D3)
+    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D,
+                         ages=_ages([track]), rows=range(1), cols=range(1), mode=Mode.D3)
     assert res.matches == [(0, 0)]
 
 
@@ -480,8 +497,9 @@ def test_stage2_3d_same_metric_as_stage1():
 def test_stage3_wider_reach_than_stage2():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(119, 100, w=10, h=10)  # 9 px gap
-    r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                        cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+    r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D,
+                        ages=_ages([track]), rows=range(1), cols=range(1),
+                        mode=Mode.D2, camera=Camera.FRONT)
     r3 = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
                           cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
     # 2x enlargement: IoU dist 0.974, outside the 0.95 gate; 3x: 0.776
@@ -547,6 +565,8 @@ def test_stages_on_class_rows_equal_stages_on_sub_arrays(seed, kind, n_tracks, n
     def run(stage, tracks, means, covs, dets, obs, rows, cols):
         extra = ({"use_reid": kind == "2d-reid", "model": model, "covs": covs}
                  if stage is stage1_cascade else {})
+        if stage is not stage3_secondary:
+            extra["ages"] = _ages(tracks)
         return stage(tracks, means, dets, obs, cfg, rows=rows, cols=cols, **where, **extra)
 
     for stage in (stage1_cascade, stage2_relaxed, stage3_secondary):
@@ -1152,6 +1172,76 @@ def test_held_tracks_follow_the_tracker_and_freeze_when_deleted():
     assert [t.track_id for t in inst.tracks] == [1, 4]
 
 
+def _store_copy(inst):
+    store = inst._store
+    return [c.copy() for c in (store.ids, store.ages, store.hits, store.scores, store.means,
+                               store.covs)]
+
+
+def test_deleted_tracks_freeze_in_full():
+    """A deleted track keeps the age, hits and score it had when it was
+    deleted through later steps. Writing them, or its state's mean, after
+    deletion lands on the track alone: no live track and no store row
+    changes."""
+    inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, use_reid=False)
+    inst.step([_det2(x, 100) for x in (100, 300, 500)])
+    inst.step([_det2(x + 1, 100, score=0.8) for x in (100, 300, 500)])
+    dead = inst.tracks[2]
+    a_max = inst.configs[ObjectClass.PEDESTRIAN].a_max
+    for f in range(a_max + 4):
+        res = inst.step([_det2(102 + f, 100), _det2(302 + f, 100)])
+        if f >= a_max:
+            assert (dead.age_since_update, dead.hits, dead.score) == (a_max + 1, 2, 0.8)
+    assert res.deleted_ids == [] and dead not in inst.tracks
+    store = _store_copy(inst)
+    live = [(t.age_since_update, t.hits, t.score, t.state.mean.copy()) for t in inst.tracks]
+    dead.age_since_update, dead.hits, dead.score = 0, 99, 0.1
+    dead.state.mean[:] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
+    after = [(t.age_since_update, t.hits, t.score, t.state.mean) for t in inst.tracks]
+    assert [a[:3] for a in after] == [b[:3] for b in live]
+    assert all(np.array_equal(a[3], b[3]) for a, b in zip(after, live))
+    inst.step([_det2(110, 100), _det2(310, 100)])
+    assert (dead.age_since_update, dead.hits, dead.score) == (0, 99, 0.1)
+    assert (dead.state.mean == 7.0).all()
+
+
+def test_assigned_state_is_shown_until_the_next_step():
+    """A ``State`` assigned to a live track is what the track shows, but
+    the filter does not see it: the next step predicts from the track's
+    rows, and the track shows those again."""
+    runs = []
+    for assign in (False, True):
+        inst = TrackerInstance(Mode.D3)
+        inst.step([_det3(0, 0)])
+        [track] = inst.tracks
+        if assign:
+            other = State(track.state.mean + 5.0, track.state.cov)
+            track.state = other
+            assert track.state is other
+        inst.step([_det3(0.1, 0)])
+        runs.append(track.state.mean.tobytes())
+        assert np.shares_memory(track.state.mean, inst._store.means)
+    assert runs[0] == runs[1]
+
+
+def test_step_builds_no_state_object_per_track(monkeypatch):
+    """The store is the tracks' state: a step over a 3D frame of 100 live
+    tracks, every one matched, makes no per-track ``State``."""
+    inst = TrackerInstance(Mode.D3)
+    frame = [_det3(3.0 * (k % 10), 3.0 * (k // 10)) for k in range(100)]
+    inst.step(frame)
+    calls = []
+    trusted = State.trusted.__func__
+    monkeypatch.setattr(State, "trusted", classmethod(
+        lambda cls, *args: calls.append(1) or trusted(cls, *args)))
+    res = inst.step([dataclasses.replace(d, box=dataclasses.replace(d.box, cx=d.box.cx + 0.1))
+                     for d in frame])
+    assert res.stage_matches == (100, 0, 0) and not res.created_ids and not res.deleted_ids
+    assert len(res.emitted) == len(inst.tracks) == 100
+    assert calls == []
+
+
 @pytest.mark.parametrize("frame, error, match", [
     # A foreign camera and a class without configuration, in both orders.
     ([_det2(0, 0, camera=Camera.SIDE_LEFT), _det2(0, 0, cls=ObjectClass.CYCLIST)],
@@ -1252,6 +1342,51 @@ def test_lifecycle_invariants_on_random_frames(mode, a_max, frames, weak_frame):
                      for cls, gx, gy, u, emb in weak_frame])
     assert res.created_ids == []
     assert {t.track_id for t in inst.tracks} <= before
+
+
+@settings(max_examples=150, deadline=None)
+@given(mode=st.sampled_from(list(Mode)), a_max=st.integers(1, 3), min_hits=st.integers(1, 3),
+       frames=st.lists(st.one_of(_frame_dets(st.floats(0.2, 1.0)), st.integers(1, 4)),
+                       min_size=1, max_size=10))
+def test_track_fields_follow_the_frame_results(mode, a_max, min_hits, frames):
+    """Each live track's age, hits and score agree with counters kept from
+    the frame results alone, over births, misses, age-outs and gaps (an
+    integer is a gap passed to ``skip``). With min_hits 1, a track starts
+    with one hit in its frame of birth, gains one in each later frame that
+    emits it and is one frame older after every other step; with any
+    min_hits, ``emitted`` is the live tracks of age 0 with min_hits hits,
+    in id order, and the tracks are grouped by class."""
+    configs = {cls: dataclasses.replace(cfg, a_max=a_max, min_hits=min_hits)
+               for cls, cfg in default_class_configs(mode).items()}
+    inst = TrackerInstance(mode, configs, Camera.FRONT if mode is Mode.D2 else None)
+    ages, hits = {}, {}  # by track id, from the results alone
+    for frame in frames:
+        if isinstance(frame, int):
+            for track_id in inst.skip(frame):
+                del ages[track_id], hits[track_id]
+            ages = {i: age + frame for i, age in ages.items()}
+            emitted = []
+        else:
+            res = inst.step([_grid_det(mode, *d) for d in frame])
+            for track_id in res.deleted_ids:
+                del ages[track_id], hits[track_id]
+            emitted = [em.track_id for em in res.emitted]
+            assert emitted == sorted(emitted)
+            ages = {i: 0 if i in emitted else age + 1 for i, age in ages.items()}
+            hits = {i: n + (i in emitted) for i, n in hits.items()}
+            ages.update(dict.fromkeys(res.created_ids, 0))
+            hits.update(dict.fromkeys(res.created_ids, 1))
+        live = {t.track_id: t for t in inst.tracks}
+        assert sorted(live) == sorted(ages)
+        assert emitted == sorted(i for i, t in live.items()
+                                 if t.age_since_update == 0 and t.hits >= min_hits)
+        order = [list(ObjectClass).index(t.class_label) for t in live.values()]
+        assert order == sorted(order)
+        if isinstance(frame, list):
+            assert all(live[em.track_id].score == em.score for em in res.emitted)
+        if min_hits == 1:
+            assert {i: (t.age_since_update, t.hits) for i, t in live.items()} == {
+                i: (ages[i], hits[i]) for i in live}
 
 
 # ---------------------------------------------------------------------------

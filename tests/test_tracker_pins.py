@@ -93,7 +93,7 @@ def _run(spec, caplog, **kwargs):
             rows = [(em.track_id, em.class_label.value, dataclasses.astuple(em.box), em.score)
                     for em in res.emitted]
             h.update(repr((f, rows, res.deleted_ids)).encode())
-            filter_bits.update(inst._means.tobytes() + inst._covs.tobytes())
+            filter_bits.update(inst._store.means.tobytes() + inst._store.covs.tobytes())
             deleted += len(res.deleted_ids)
     warnings = [r.getMessage() for r in caplog.records if "deleting track" in r.getMessage()]
     h.update("\n".join(warnings).encode())
