@@ -34,7 +34,7 @@ from .io import (
 from .metrics import nms
 from .simulation import generate, parse_scenario, preset, PRESETS
 from .tracker import TrackerInstance
-from .types import Box2D, Mode, ObjectClass
+from .types import Mode, ObjectClass
 
 log = logging.getLogger(__name__)
 
@@ -233,12 +233,8 @@ def _cmd_nms_merge(args: argparse.Namespace) -> int:
     for seq, camera, frame in sorted(
         groups, key=lambda k: (k[0], "" if k[1] is None else k[1].value, k[2])
     ):
+        # A frame holds one box kind: a 2D box needs a camera, a 3D box has none.
         dets = groups[(seq, camera, frame)]
-        kinds = {isinstance(d.box, Box2D) for d in dets}
-        if len(kinds) > 1:
-            raise ConfigError(
-                f"sequence {seq!r} frame {frame}: cannot merge 2d and 3d boxes"
-            )
         merged = []
         for cls in ObjectClass:
             merged.extend(nms([d for d in dets if d.class_label is cls], args.iou))

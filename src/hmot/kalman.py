@@ -75,14 +75,23 @@ def wrap_innovation(delta: float) -> float:
     return float(wrap_innovations(np.array([delta], dtype=np.float64))[0])
 
 
+# The largest accepted noise parameter N. With 2D box extents at most H =
+# BOX2D_EXTENT_LIMIT = 1e6, the largest variance formed from them is
+# init_vel_var_ratio * (init_pos_factor * w_p * h)^2 <= N^5 H^2 = 1e42 (3D:
+# N^3 = 1e18): initial, process and measurement variances, and even their
+# squares, stay far below the largest float, 1.8e308.
+NOISE_LIMIT = 1e6
+
+
 def _require_non_negative(noise) -> None:
-    """Reject a negative or non-finite noise parameter: the filters square
-    stds, so a sign error would otherwise pass unnoticed, and an infinite one
-    fails every track's filter step."""
+    """Reject a negative, non-finite or too large noise parameter: the
+    filters square stds, so a sign error would otherwise pass unnoticed,
+    and an infinite or huge one overflows a track's variances."""
     for f in dataclasses.fields(noise):
         value = getattr(noise, f.name)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValidationError(f"{f.name} must be >= 0 and finite, got {value}")
+        if not (math.isfinite(value) and 0 <= value <= NOISE_LIMIT):
+            raise ValidationError(
+                f"{f.name} must be >= 0 and finite, at most {NOISE_LIMIT:g}, got {value}")
 
 
 @dataclass(frozen=True)

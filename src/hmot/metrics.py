@@ -182,10 +182,11 @@ def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -
     """Kernelized center-distance matrix; rows and cols are (n, 3) centers."""
     if len(rows) == 0 or len(cols) == 0:
         return np.zeros((len(rows), len(cols)))
-    d = rows[:, None, :] - cols[None, :, :]
-    sq = d * d  # summed in the order np.sum takes, without its reduction
-    d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
-    return -np.expm1(-d2 / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # beyond the largest float: cost 1.0, the limit
+        d = rows[:, None, :] - cols[None, :, :]
+        sq = d * d  # summed in the order np.sum takes, without its reduction
+        d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+        return -np.expm1(-d2 / (2.0 * sigma * sigma))
 
 
 def gallery_bound(gallery: Sequence[np.ndarray]) -> tuple[np.ndarray, float]:

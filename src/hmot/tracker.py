@@ -1,8 +1,8 @@
 """Online tracking engine.
 
 One store per instance holds all its tracks as columns: ids, ages since
-update, hits, scores, means (N, d) and covariances (N, d, d), row i
-belonging to the i-th track, rows grouped by class. Per frame: one batched
+update, hits, scores, means (N, d), covariances (N, d, d) and galleries,
+row i belonging to the i-th track, rows grouped by class. Per frame: one batched
 predict of every row; per class, split its detections by score into a
 primary and a secondary set and run a three-stage gated cascade on its rows;
 one batched update of every matched pair; then the new columns of every row
@@ -198,8 +198,6 @@ def _gated_match(
     rows: list[int],
     cols: list[int],
     config: ClassConfig,
-    mode: Mode,
-    camera: Camera | None,
     *,
     use_reid: bool = False,
     enlarge: float = 1.0,
@@ -210,10 +208,11 @@ def _gated_match(
     """One gated minimum-cost assignment of the tracks ``rows`` to the
     detections ``cols``, as in :func:`stage1_cascade`.
 
-    In 3D the cost is kernelized center distance (gate max_center_dist). In
-    2D it is appearance distance against the track gallery (gate t_a) when
-    ``use_reid`` is set, otherwise IoU distance over boxes scaled by
-    ``enlarge`` with the camera's gate. The appearance costs come from one
+    The width of ``means`` tells 3D from 2D. In 3D the cost is kernelized
+    center distance (gate max_center_dist). In 2D it is appearance distance
+    against the track gallery (gate t_a) when ``use_reid`` is set, otherwise
+    IoU distance over boxes scaled by ``enlarge`` with the gate of the
+    detections' camera. The appearance costs come from one
     :func:`_appearance_costs` call, which, given ``bounds`` (row i's gallery
     ball, :func:`~hmot.metrics.gallery_bound`), computes no pair the ball
     proves above t_a and multiplies no gallery for a lone pair its newest
@@ -223,7 +222,7 @@ def _gated_match(
     are inadmissible; that test reads only whether a cost is within the
     gate, never its value.
     """
-    if mode is Mode.D3:
+    if means.shape[1] == MotionModel3D.dim_state:
         costs = gauss_center_dist_matrix(means[rows, :3], obs[cols, :3], config.sigma)
         gate = config.max_center_dist
     elif use_reid:
@@ -235,9 +234,7 @@ def _gated_match(
     else:
         costs = iou_dist_matrix(_state_boxes(means[rows]), [dets[j].box for j in cols],
                                 factor=enlarge)
-        if camera is None:
-            raise ConfigError("2D IoU gating requires a camera")
-        gate = config.max_iou_dist_for(camera)
+        gate = config.max_iou_dist_for(dets[cols[0]].camera_id)
     if config.mahalanobis_gating and model is not None:
         # Only pairs within the cost gate can be matched, so only they are
         # tested. A track without a positive definite S gates out all pairs.
@@ -257,21 +254,17 @@ def _cascade(
     bands: Iterable[list[int]],
     cols: Sequence[int],
     config: ClassConfig,
-    mode: Mode | str,
-    camera: Camera | None,
     **match_kwargs,
 ) -> AssociationResult:
     """One :func:`_gated_match` (given ``match_kwargs``) per band of track
     rows, in order, over the rows of ``cols`` earlier bands left unclaimed;
     the unmatched tracks are the rows of ``rows`` no band matched."""
-    mode = Mode(mode)
     matches: list[tuple[int, int]] = []
     remaining = list(cols)
     for band in bands:
         if not band or not remaining:
             continue
-        result = _gated_match(tracks, means, dets, obs, band, remaining, config, mode, camera,
-                              **match_kwargs)
+        result = _gated_match(tracks, means, dets, obs, band, remaining, config, **match_kwargs)
         matches += [(band[r], remaining[c]) for r, c in result.matches]
         remaining = [remaining[c] for c in result.unmatched_detections]
     matched = {i for i, _ in matches}
@@ -288,8 +281,6 @@ def stage1_cascade(
     ages: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
-    mode: Mode | str,
-    camera: Camera | None = None,
     use_reid: bool = True,
     model: MotionModel | None = None,
     covs: np.ndarray | None = None,
@@ -310,17 +301,13 @@ def stage1_cascade(
     says how ``bounds`` (row i: ``tracks[i]``'s gallery ball, or None for an
     empty gallery) prunes the appearance fill.
     """
-    # The rows in a stable order by age; the bands are its runs of one age
-    # from 0 to a_max.
-    by_age = np.asarray(rows, dtype=np.intp)
-    by_age = by_age[ages[by_age].argsort(kind="stable")]
-    age = ages[by_age]
-    lo, hi = age.searchsorted((0, config.a_max + 1)).tolist()
-    age, by_age = age[lo:hi], by_age.tolist()
-    cuts = [lo, *((age[1:] != age[:-1]).nonzero()[0] + (lo + 1)).tolist(), hi]
+    by_age: dict[int, list[int]] = {}
+    for i, age in zip(rows, ages[rows].tolist()):
+        if 0 <= age <= config.a_max:
+            by_age.setdefault(age, []).append(i)
     return _cascade(
-        tracks, means, dets, obs, rows, [by_age[a:b] for a, b in zip(cuts, cuts[1:])], cols,
-        config, mode, camera, use_reid=use_reid, model=model, covs=covs, bounds=bounds,
+        tracks, means, dets, obs, rows, [by_age[age] for age in sorted(by_age)], cols, config,
+        use_reid=use_reid, model=model, covs=covs, bounds=bounds,
     )
 
 
@@ -334,15 +321,12 @@ def stage2_relaxed(
     ages: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
-    mode: Mode | str,
-    camera: Camera | None = None,
 ) -> AssociationResult:
     """Second chance for recently lost tracks (age < 3) among ``rows`` on
     leftover primary detections ``cols``; 2D cost is IoU distance with boxes
     enlarged 2x. Arguments and results are as in :func:`stage1_cascade`."""
-    eligible = np.asarray(rows, dtype=np.intp)
-    eligible = eligible[ages[eligible] < STAGE2_MAX_AGE].tolist()
-    return _cascade(tracks, means, dets, obs, rows, [eligible], cols, config, mode, camera,
+    eligible = [i for i, age in zip(rows, ages[rows].tolist()) if age < STAGE2_MAX_AGE]
+    return _cascade(tracks, means, dets, obs, rows, [eligible], cols, config,
                     enlarge=config.enlarge_stage2)
 
 
@@ -355,15 +339,13 @@ def stage3_secondary(
     *,
     rows: Sequence[int],
     cols: Sequence[int],
-    mode: Mode | str,
-    camera: Camera | None = None,
 ) -> AssociationResult:
     """Match still-unmatched tracks ``rows`` against the weak (secondary)
     detections ``cols``; 2D cost is IoU distance with boxes enlarged 3x.
     Secondary detections that stay unmatched are dropped, never turned into
     tracks. Arguments and results are as in :func:`stage1_cascade`, which
     ``ages`` this stage does not need."""
-    return _cascade(tracks, means, dets, obs, rows, [list(rows)], cols, config, mode, camera,
+    return _cascade(tracks, means, dets, obs, rows, [list(rows)], cols, config,
                     enlarge=config.enlarge_stage3)
 
 
@@ -436,22 +418,24 @@ class _Gallery:
 class _Store:
     """The columns of an instance's tracks, row i of each belonging to one
     track: ``ids``, ``ages`` since update, ``hits``, ``scores``, ``means``
-    (N, d) and covariances ``covs`` (N, d, d). ``gen`` counts the times
-    they were replaced; a held :class:`~hmot.types.Track` looks up its row
-    with ``row_of`` once each time. The store holds no track, so a track
-    can refer to it without a reference cycle."""
+    (N, d), covariances ``covs`` (N, d, d) and ``galleries``, an object
+    array of each track's :class:`_Gallery`, None while it is empty.
+    ``gen`` counts the times they were replaced; a held
+    :class:`~hmot.types.Track` looks up its row with ``row_of`` once each
+    time. The store holds no track, so a track can refer to it without a
+    reference cycle."""
 
-    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "gen", "_rows")
+    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "galleries", "gen", "_rows")
 
     def __init__(self, dim: int):
         self.gen = -1
         self.replace(*(np.empty(0, dtype=np.int64) for _ in range(3)), np.empty(0),
-                     np.empty((0, dim)), np.empty((0, dim, dim)))
+                     np.empty((0, dim)), np.empty((0, dim, dim)), np.empty(0, dtype=object))
 
     def replace(self, ids: np.ndarray, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
-                means: np.ndarray, covs: np.ndarray) -> None:
-        self.ids, self.ages, self.hits, self.scores, self.means, self.covs = (
-            ids, ages, hits, scores, means, covs)
+                means: np.ndarray, covs: np.ndarray, galleries: np.ndarray) -> None:
+        self.ids, self.ages, self.hits, self.scores, self.means, self.covs, self.galleries = (
+            ids, ages, hits, scores, means, covs, galleries)
         self.gen, self._rows = self.gen + 1, None
 
     def row_of(self, track_id: int) -> int:
@@ -511,8 +495,6 @@ class TrackerInstance:
         # arrives, stage 1 falls back to IoU.
         self._embed_dim: int | None = None
         self._fallback_logged = False
-        # The gallery store of each track with embeddings, by track id.
-        self._galleries: dict[int, _Gallery] = {}
 
     @property
     def tracks(self) -> list[Track]:
@@ -560,13 +542,13 @@ class TrackerInstance:
         self._embed_dim = embed_dim
         return by_class
 
-    def _gallery(self, track: Track) -> _Gallery | None:
-        """The store entry of ``track``'s gallery, None while it is empty.
+    def _gallery(self, row: int) -> _Gallery | None:
+        """The store entry of row ``row``'s gallery, None while it is empty.
         A gallery that is not the view the store handed out (one the caller
         assigned: an array, list or deque) is copied into a new entry,
         which is measured exactly, and the track shows its view instead;
         it must hold finite rows of the embedding size."""
-        entry = self._galleries.get(track.track_id)
+        track, entry = self._tracks[row], self._store.galleries[row]
         if entry is None or entry.view is not track.gallery:
             if not len(track.gallery):
                 return None
@@ -580,28 +562,14 @@ class TrackerInstance:
                 raise ValidationError(
                     f"gallery of track {track.track_id} must hold finite rows of the "
                     f"embedding size {self._embed_dim}, got {got}")
-            entry = self._galleries[track.track_id] = _Gallery(rows, len(rows))
+            entry = self._store.galleries[row] = _Gallery(rows, len(rows))
             track.gallery = entry.view
         return entry
-
-    def _bound(self, track: Track) -> tuple[np.ndarray, float] | None:
-        entry = self._gallery(track)
-        return None if entry is None else (entry.centre, entry.radius)
-
-    def _add_embedding(self, track: Track, embedding: np.ndarray, budget: int) -> None:
-        entry = self._gallery(track)
-        if entry is None:
-            entry = self._galleries[track.track_id] = _Gallery(embedding[None], 1)
-        else:
-            entry.append(embedding, budget)
-        track.gallery = entry.view
 
     def step(self, detections: Iterable[Detection]) -> FrameResult:
         dets_by_class = self._by_class(list(detections))
         result = FrameResult(frame=self.frame_index)
         self._advance(dets_by_class, result)
-        for track_id in result.deleted_ids:
-            self._galleries.pop(track_id, None)
         self.frame_index += 1
         return result
 
@@ -610,12 +578,12 @@ class TrackerInstance:
         """One frame of the store on ``dets_by_class``: one predict of every
         row, the stages of each class with tracks or detections, one update
         of every matched pair, the new columns of every row at once,
-        deletions and births class by class into ``result``, and one
-        compaction. Deletions are listed and logged per class: predict
-        failures, update failures in pair order, then age-outs."""
+        deletions class by class into ``result``, then gallery appends and
+        births, and one compaction. Deletions are listed and logged per
+        class: predict failures, update failures in pair order, then
+        age-outs."""
         store, tracks, model = self._store, self._tracks, self.model
         ids = store.ids
-        where = {"mode": self.mode, "camera": self.camera_id}
         # Until the first embedding arrives, 2D stage 1 gates by IoU.
         use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
         # Only 2D re-id reads galleries; only there are embedding sizes checked.
@@ -626,8 +594,10 @@ class TrackerInstance:
         starts = list(itertools.accumulate(self._sizes, initial=0))
         bounds, stepped, matches = None, [], [0, 0, 0]
         # The track row, detection and observation of each matched pair,
-        # class by class; a_max and min_hits by class.
+        # class by class; the detections that seed tracks and the class of
+        # each; a_max and min_hits by class.
         pair_rows, pair_dets, pair_obs = [], [], [np.empty((0, model.dim_obs))]
+        seeds, born_at = [], []
         a_max, min_hits = [0] * len(ObjectClass), [1] * len(ObjectClass)
         for pos, cls in enumerate(ObjectClass):
             start, end = starts[pos], starts[pos + 1]
@@ -640,22 +610,24 @@ class TrackerInstance:
             obs = model.observations(cls_dets)
             prim, sec = _split_indices(cls_dets, cfg.t_s)
             if bounds is None and keep_embeddings and use_reid_now and prim:
-                bounds = [self._bound(t) for t in tracks]
+                bounds = [None if entry is None else (entry.centre, entry.radius)
+                          for entry in map(self._gallery, range(len(tracks)))]
             r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, ages=store.ages, rows=rows,
                                 cols=prim, use_reid=use_reid_now, model=model, covs=covs,
-                                bounds=bounds, **where)
+                                bounds=bounds)
             r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, ages=store.ages,
-                                rows=r1.unmatched_tracks, cols=r1.unmatched_detections, **where)
+                                rows=r1.unmatched_tracks, cols=r1.unmatched_detections)
             r3 = (stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=r2.unmatched_tracks,
-                                   cols=sec, **where)
+                                   cols=sec)
                   if self.use_stage3 else AssociationResult([], r2.unmatched_tracks, []))
             matches = [m + len(r.matches) for m, r in zip(matches, (r1, r2, r3))]
             pairs = r1.matches + r2.matches + r3.matches
-            stepped.append((pos, cfg, bool(rows), len(pair_rows), len(pairs),
-                            [cls_dets[j] for j in r2.unmatched_detections]))
+            stepped.append((pos, bool(rows), len(pair_rows), len(pairs)))
             pair_rows += [i for i, _ in pairs]
             pair_dets += [cls_dets[j] for _, j in pairs]
             pair_obs.append(obs[[j for _, j in pairs]])
+            seeds += [cls_dets[j] for j in r2.unmatched_detections]
+            born_at += [pos] * len(r2.unmatched_detections)
         rows = np.array(pair_rows, dtype=np.intp)
         means[rows], covs[rows], failures = update(
             means[rows], covs[rows], np.concatenate(pair_obs), model)
@@ -675,9 +647,7 @@ class TrackerInstance:
             stale[failed] = False
         aged = stale.nonzero()[0]
         aged, aged_ids = aged.tolist(), ids[aged].tolist()
-        # The new tracks, the detection and the class of each.
-        born, seeds, born_at = [], [], []
-        for pos, cfg, any_live, first, n, leftover in stepped:
+        for pos, any_live, first, n in stepped:
             start, end = starts[pos], starts[pos + 1]
             _delete(ids, predict_failures, start, end, result)
             if not (use_reid_now or self._fallback_logged) and any_live and dets_by_class:
@@ -688,19 +658,23 @@ class TrackerInstance:
             if failures:
                 _delete(ids[rows], failures, first, first + n, result)
             result.deleted_ids += [i for row, i in zip(aged, aged_ids) if start <= row < end]
-            births = [Track(next(self._id_counter), init_track_state(det, model),
-                            det.class_label, det.score) for det in leftover]
-            result.created_ids += [track.track_id for track in births]
-            if keep_embeddings:
-                updated = [(tracks[pair_rows[k]], pair_dets[k])
-                           for k in range(first, first + n) if k not in failures]
-                for track, det in updated + list(zip(births, leftover)):
-                    if det.embedding is not None:
-                        self._add_embedding(track, det.embedding, cfg.gallery_budget)
-            born += births
-            seeds += leftover
-            born_at += [pos] * len(births)
+        if keep_embeddings:
+            for k, (row, det) in enumerate(zip(pair_rows, pair_dets)):
+                if det.embedding is None or k in failures:
+                    continue
+                entry = self._gallery(row)
+                if entry is None:
+                    entry = store.galleries[row] = _Gallery(det.embedding[None], 1)
+                else:
+                    entry.append(det.embedding, self.configs[det.class_label].gallery_budget)
+                tracks[row].gallery = entry.view
+        entries = [_Gallery(det.embedding[None], 1)
+                   if keep_embeddings and det.embedding is not None else None for det in seeds]
+        born = [Track(next(self._id_counter), init_track_state(det, model), det.class_label,
+                      det.score, gallery=None if entry is None else entry.view)
+                for det, entry in zip(seeds, entries)]
         born_ids = [track.track_id for track in born]
+        result.created_ids += born_ids
         # Emitted, in id order: each track matched with min_hits hits, and
         # each birth if one hit is enough.
         shown = np.concatenate((hits[rows] >= needs[rows],
@@ -716,14 +690,14 @@ class TrackerInstance:
         result.emitted = list(map(tuple.__new__, itertools.repeat(EmittedTrack), zip(
             keys[order].tolist(), map(_BOX, dets), map(_SCORE, dets), map(_CLASS, dets))))
         result.stage_matches = tuple(matches)
-        self._commit(ages, hits, scores, means, covs, failed + aged, born, born_at)
+        self._commit(ages, hits, scores, means, covs, failed + aged, born, born_at, entries)
 
     def _commit(self, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
                 means: np.ndarray, covs: np.ndarray, dead: list[int], born: list[Track],
-                born_at: list[int]) -> None:
+                born_at: list[int], entries: list[_Gallery | None]) -> None:
         """Make the store these columns, in the rows of the store so far,
-        less the rows ``dead``, with the tracks ``born`` appended to the
-        class at each position of ``born_at``."""
+        less the rows ``dead``, with the tracks ``born`` and their gallery
+        ``entries`` appended to the class at each position of ``born_at``."""
         # A deleted track keeps these values and the state of the last step
         # it lived through: rows of an earlier array, which no step writes.
         tracks = self._tracks
@@ -731,14 +705,14 @@ class TrackerInstance:
             for track, i, age, hit, score in zip(tracks[dead], dead, ages[dead].tolist(),
                                                  hits[dead].tolist(), scores[dead].tolist()):
                 track._freeze(i, age, hit, score)
-        columns = [tracks, self._store.ids, ages, hits, scores, means, covs]
+        columns = [tracks, self._store.ids, ages, hits, scores, means, covs, self._store.galleries]
         if born:
             states = [track.state for track in born]
             columns = [np.concatenate((column, new)) for column, new in zip(columns, (
                 np.array(born, dtype=object), [track.track_id for track in born],
                 np.zeros(len(born), int), np.ones(len(born), int),
                 [track.score for track in born], [state.mean for state in states],
-                [state.cov for state in states]))]
+                [state.cov for state in states], np.array(entries, dtype=object)))]
             for track in born:
                 track._attach(self._store)
         if dead or born:
@@ -772,7 +746,5 @@ class TrackerInstance:
             if not len(self._tracks):
                 break
             self._advance({}, gap)
-        for track_id in gap.deleted_ids:
-            self._galleries.pop(track_id, None)
         self.frame_index += n
         return gap.deleted_ids

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -23,6 +25,10 @@ EMBEDDING_NORM_TOL = 1e-6
 # frame numbers, so it is gone after at most a_max + 1 of them. 1000 frames
 # are five 20 s Waymo segments at 10 Hz.
 A_MAX_LIMIT = 1000
+
+# The largest accepted 2D box extent w or h, in pixels, far beyond any
+# camera; ``hmot.kalman.NOISE_LIMIT`` says why it keeps the filter finite.
+BOX2D_EXTENT_LIMIT = 1e6
 
 
 class ObjectClass(str, enum.Enum):
@@ -187,6 +193,9 @@ class Detection:
             if not math.isfinite(self.box.w / self.box.h):  # the filter observes w / h
                 raise ValidationError(
                     f"2D box aspect w/h must be finite, got w={self.box.w}, h={self.box.h}")
+            if max(self.box.w, self.box.h) > BOX2D_EXTENT_LIMIT:
+                raise ValidationError(f"2D box extents must be <= {BOX2D_EXTENT_LIMIT:g}, "
+                                      f"got w={self.box.w}, h={self.box.h}")
         elif self.camera_id is not None:
             raise ValidationError("3D detections must not carry a camera_id")
         if self.embedding is not None:
@@ -295,15 +304,33 @@ def box3d_from_state(state: State) -> Box3D:
     return Box3D(cx, cy, cz, h, w, l, theta)
 
 
-def _column(column: str, own: str, kind: type) -> property:
-    """A ``Track`` field kept in the store column ``column`` while the track
-    is held, else in the slot ``own``."""
+def _checked(name: str, value, kind: type):
+    """``value`` as a ``kind``, never from a bool: an int is what
+    ``operator.index`` takes within int64, a float a finite real."""
+    try:
+        number = operator.index(value) if kind is int else (
+            float(value) if isinstance(value, numbers.Real) else math.nan)
+    except (TypeError, OverflowError):
+        number = math.nan
+    if not isinstance(value, bool) and (
+            -2**63 <= number < 2**63 if kind is int else math.isfinite(number)):
+        return number
+    what = "an integer within int64" if kind is int else "a finite real number"
+    raise ValidationError(f"Track.{name} must be {what}, got {value!r}")
+
+
+def _column(name: str, column: str, kind: type) -> property:
+    """The ``Track`` field ``name``, kept in the store column ``column``
+    while the track is held, else in the slot ``_name``. A write that
+    :func:`_checked` rejects raises and changes nothing."""
+    own = "_" + name
 
     def get(track: "Track"):
         store = track._store
         return getattr(track, own) if store is None else kind(getattr(store, column)[track._at()])
 
     def set_(track: "Track", value) -> None:
+        value = _checked(name, value, kind)
         if track._store is None:
             setattr(track, own, value)
         else:
@@ -330,18 +357,18 @@ class Track:
     """
 
     __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row",
-                 "_age", "_hits", "_score", "_state")
+                 "_age_since_update", "_hits", "_score", "_state")
 
     def __init__(self, track_id: int, state: State, class_label: ObjectClass, score: float,
                  age_since_update: int = 0, hits: int = 1, gallery: np.ndarray | None = None):
         self.track_id, self.class_label = track_id, class_label
         self.gallery = np.empty((0, 0)) if gallery is None else gallery
-        self._store = None
-        self._age, self._hits, self._score, self._state = age_since_update, hits, score, state
+        self._store, self._state = None, state
+        self.age_since_update, self.hits, self.score = age_since_update, hits, score
 
-    age_since_update = _column("ages", "_age", int)
-    hits = _column("hits", "_hits", int)
-    score = _column("scores", "_score", float)
+    age_since_update = _column("age_since_update", "ages", int)
+    hits = _column("hits", "hits", int)
+    score = _column("score", "scores", float)
 
     @property
     def state(self) -> State:
@@ -377,7 +404,7 @@ class Track:
         now, in row ``row`` of its store."""
         self._at(row)
         self._state = self.state
-        self._store, self._age, self._hits, self._score = None, age, hits, score
+        self._store, self._age_since_update, self._hits, self._score = None, age, hits, score
 
 
 @dataclass(frozen=True)
@@ -433,9 +460,4 @@ class ClassConfig:
                     f"enlargement factors must be >= 1 and finite, got {name}={v}")
 
     def max_iou_dist_for(self, camera: Camera) -> float:
-        group = camera.group
-        if group == "front":
-            return self.max_iou_dist_front
-        if group == "front_lr":
-            return self.max_iou_dist_front_lr
-        return self.max_iou_dist_side
+        return getattr(self, f"max_iou_dist_{camera.group}")

@@ -472,6 +472,33 @@ def test_track_2d_box_without_finite_aspect_names_its_line(tmp_path, capsys, box
     assert "line 1" in capsys.readouterr().err
 
 
+def test_track_2d_box_beyond_the_extent_ceiling_names_its_line(tmp_path, capsys):
+    """A box whose h^2 would overflow the initial variance is rejected by
+    the reader, which names its line, before numpy can warn."""
+    dets = tmp_path / "d.ndjson"
+    _detection_lines(dets, [(0, [100, 100, 50, 80]), (1, [100, 100, 1e300, 1e300])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["track", "--mode", "2d", "--dets", str(dets),
+                     "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "line 2: bad detection: 2D box extents must be <= 1e+06" in capsys.readouterr().err
+
+
+def test_track_noise_beyond_the_ceiling_names_its_field(tmp_path, capsys):
+    """A noise term whose square would overflow a variance is rejected by
+    the loader, which names its field, before numpy can warn."""
+    dets, cfg = tmp_path / "d.ndjson", tmp_path / "cfg.json"
+    _detection_lines(dets, [(0, [100, 100, 50, 80])])
+    cfg.write_text(json.dumps({"kalman": {"noise_2d": {"w_p": 1e300}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["track", "--mode", "2d", "--dets", str(dets),
+                     "--out", str(tmp_path / "t.csv"), "--config", str(cfg)])
+    assert code == 2
+    assert "config.kalman.noise_2d: w_p must be" in capsys.readouterr().err
+
+
 def test_track_embedding_beyond_unit_entries_names_its_line(tmp_path, capsys):
     """An embedding with an entry above 1 is no unit vector; it is rejected
     before its norm, which would overflow, is taken."""
@@ -683,6 +710,33 @@ def test_nms_merge_3d(tmp_path):
                  "--out", str(out)]) == 0
     kept = read_detections(out)[0].detections
     assert sorted(d.score for d in kept) == [0.7, 0.9]
+
+
+@pytest.mark.parametrize("camera, boxes, message", [
+    ("front", ("box2d", "box3d"), "3D detections must not carry a camera_id"),
+    (None, ("box3d", "box2d"), "2D detections require a camera_id"),
+])
+def test_nms_merge_of_mixed_box_kinds(tmp_path, capsys, camera, boxes, message):
+    """A 2D box needs its line's camera and a 3D box has none, so a line
+    that mixes the kinds is rejected naming the line, and a 2D and a 3D
+    file merge into frames of one kind each."""
+    values = {"box2d": [100, 100, 10, 20], "box3d": [5, 0, 0.5, 1.7, 0.6, 0.8, 0]}
+    mixed, out = tmp_path / "mixed.ndjson", tmp_path / "m.ndjson"
+    mixed.write_text(json.dumps({"sequence_id": "s", "frame": 0, "camera": camera, "detections": [
+        {"class": "pedestrian", "score": 0.9, key: values[key]} for key in boxes]}) + "\n")
+    assert main(["nms-merge", "--dets", str(mixed), "--out", str(out)]) == 2
+    assert f"line 1: bad detection: {message}" in capsys.readouterr().err
+    files = []
+    for key in boxes:
+        files.append(tmp_path / f"{key}.ndjson")
+        files[-1].write_text(json.dumps({
+            "sequence_id": "s", "frame": 0, "camera": "front" if key == "box2d" else None,
+            "detections": [{"class": "pedestrian", "score": 0.9, key: values[key]}]}) + "\n")
+    assert main(["nms-merge", "--dets", *map(str, files), "--out", str(out)]) == 0
+    frames = read_detections(out)
+    assert sorted(fr.camera is None for fr in frames) == [False, True]
+    assert all(len(fr.detections) == 1 and fr.detections[0].is_2d == (fr.camera is not None)
+               for fr in frames)
 
 
 def test_nms_merge_output_equals_the_json_dumps_oracle(tmp_path):

@@ -183,6 +183,12 @@ def test_non_finite_number_rejected_with_path(doc, path):
         parse_config(doc, mode=Mode.D3)
 
 
+@pytest.mark.parametrize("mode", ["4d", 2])
+def test_bad_mode_rejected_with_path(mode):
+    with pytest.raises(ConfigError, match=rf"^config\.mode: expected '2d' or '3d', got {mode!r}$"):
+        parse_config({"mode": mode})
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"kalman": {"noise_2d": {"w_p": -0.5}}}, r"config\.kalman\.noise_2d: w_p must be >= 0"),
     ({"kalman": {"noise_3d": {"pos_meas_std": -1}}},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -28,7 +29,7 @@ from hmot.io import (
     write_tracks,
 )
 from hmot.simulation import generate, preset
-from hmot.types import Box2D, Box3D, Camera, Detection, Mode, ObjectClass
+from hmot.types import BOX2D_EXTENT_LIMIT, Box2D, Box3D, Camera, Detection, Mode, ObjectClass
 
 
 def _det2(cx=100.0, cy=200.0, score=0.8, embedding=None):
@@ -279,6 +280,34 @@ def _frame_with(det_json):
     good = '{"sequence_id":"s","frame":0,"camera":"front","detections":[]}'
     return (good + '\n{"sequence_id":"s","frame":1,"camera":"front","detections":['
             + det_json + "]}\n")
+
+
+_PED = '{"class":"pedestrian","score":0.5,"box2d":[100,100,10,20]}'
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"sequence_id":"s","frame":1,"camera":"front","detections":[3]}',
+     "detection entry must be an object"),
+    ('{"sequence_id":"s","frame":1,"camera":"front","detections":'
+     '[{"score":0.5,"box2d":[100,100,10,20]}]}', "detection needs 'class' and 'score'"),
+    ('{"sequence_id":"s","frame":1,"camera":"front","detections":'
+     '[{"class":"pedestrian","box2d":[100,100,10,20]}]}', "detection needs 'class' and 'score'"),
+    ('[' + _PED + ']', "each line must be a JSON object"),
+    ('{"sequence_id":5,"frame":1,"camera":"front","detections":[]}',
+     "sequence_id must be a string"),
+    ('{"sequence_id":"s","frame":1.0,"camera":"front","detections":[]}',
+     "frame must be an integer"),
+    ('{"sequence_id":"s","frame":true,"camera":"front","detections":[]}',
+     "frame must be an integer"),
+    ('{"sequence_id":"s","frame":1,"camera":"front","detections":' + _PED + '}',
+     "detections must be a list"),
+])
+def test_reader_rejects_malformed_records_naming_the_line(tmp_path, line, message):
+    path = tmp_path / "d.ndjson"
+    path.write_text('{"sequence_id":"s","frame":0,"camera":"front","detections":[]}\n'
+                    + line + "\n")
+    with pytest.raises(DataFormatError, match=f"^{re.escape('line 2: ' + message)}$"):
+        read_detections(path)
 
 
 def test_read_detections_rejects_boolean_box_value(tmp_path):
@@ -539,8 +568,11 @@ def test_gt_to_rows_and_back():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 box2d = st.builds(Box2D, finite, finite, extent, extent)
-# A 2D detection's box also needs a finite aspect w / h.
-detected_box2d = box2d.filter(lambda b: np.isfinite(b.w / b.h))
+# A 2D detection's box also needs extents up to BOX2D_EXTENT_LIMIT and a
+# finite aspect w / h.
+detected_extent = st.floats(min_value=0.0, exclude_min=True, max_value=BOX2D_EXTENT_LIMIT)
+detected_box2d = st.builds(Box2D, finite, finite, detected_extent, detected_extent).filter(
+    lambda b: np.isfinite(b.w / b.h))
 box3d = st.builds(Box3D, finite, finite, finite, extent, extent, extent, finite)
 score = st.floats(min_value=0.0, max_value=1.0)
 label = st.sampled_from(ObjectClass)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from hmot.errors import NumericFailureError, ValidationError
 from hmot.kalman import (
+    NOISE_LIMIT,
     MotionModel2D,
     MotionModel3D,
     Noise2D,
@@ -26,7 +27,16 @@ from hmot.kalman import (
     wrap_innovation,
     wrap_innovations,
 )
-from hmot.types import Box2D, Box3D, Camera, Detection, ObjectClass, State, normalize_heading
+from hmot.types import (
+    BOX2D_EXTENT_LIMIT,
+    Box2D,
+    Box3D,
+    Camera,
+    Detection,
+    ObjectClass,
+    State,
+    normalize_heading,
+)
 
 
 def _det2(cx=100.0, cy=200.0, w=30.0, h=60.0, score=0.9):
@@ -698,3 +708,29 @@ def test_one_batch_over_blocks_equals_one_batch_per_block(dim, sizes, seed, brok
         shifted = {a + k: (type(exc), str(exc)) for a, (_, _, failures) in zip(starts, blocks)
                    for k, exc in failures.items()}
         assert {k: (type(exc), str(exc)) for k, exc in whole_failures.items()} == shifted
+
+
+def test_noise_and_extent_ceilings_keep_the_variances_finite():
+    """With every noise parameter at NOISE_LIMIT and a 2D box of extents
+    BOX2D_EXTENT_LIMIT, the initial, process and measurement variances and
+    their squares are finite, without a warning; a parameter or an extent
+    just above its ceiling is rejected."""
+    top, big = NOISE_LIMIT, BOX2D_EXTENT_LIMIT
+    cases = [
+        (MotionModel2D(Noise2D(**{f: top for f in Noise2D.__dataclass_fields__})),
+         Detection(Box2D(0.0, 0.0, big, big), 0.9, ObjectClass.PEDESTRIAN, Camera.FRONT)),
+        (MotionModel3D(Noise3D(**{f: top for f in Noise3D.__dataclass_fields__})),
+         Detection(Box3D(0.0, 0.0, 0.0, 1.8, 0.7, 0.9, 0.0), 0.9, ObjectClass.PEDESTRIAN)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, det in cases:
+            state = init_track_state(det, model)
+            for var in (np.diag(state.cov), model.process_var(state.mean),
+                        model.measurement_var(state.mean)):
+                assert np.isfinite(np.square(var)).all()
+    with pytest.raises(ValidationError, match="w_p must be >= 0 and finite, at most 1e"):
+        Noise2D(w_p=math.nextafter(top, math.inf))
+    with pytest.raises(ValidationError, match="2D box extents must be <= 1e"):
+        Detection(Box2D(0.0, 0.0, 1.0, math.nextafter(big, math.inf)), 0.9,
+                  ObjectClass.PEDESTRIAN, Camera.FRONT)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import deque
 
@@ -541,3 +542,14 @@ def test_gallery_bound_holds_every_row():
         assert np.all(np.linalg.norm(rows - centre, axis=1) <= radius)
     centre, radius = gallery_bound(np.ones((1, 4)))
     assert radius < 1e-6 and centre.tolist() == [1.0] * 4
+
+
+def test_gauss_kernel_is_quiet_at_the_sigma_floor():
+    """Just above the sigma floor, centres 10 m apart give d2 / (2 sigma^2)
+    beyond the largest float; the cost is the kernel's limit, 1.0, and no
+    warning is raised."""
+    sigma = 1.0000001 * math.sqrt(sys.float_info.min / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = gauss_center_dist_matrix(np.zeros((1, 3)), np.array([[10.0, 0.0, 0.0]]), sigma)
+    assert costs.tolist() == [[1.0]]

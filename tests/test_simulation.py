@@ -1,6 +1,7 @@
 """Tests for the synthetic scenario generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -427,6 +428,22 @@ def test_parse_scenario_rejects_bad_mode_and_camera():
         parse_scenario(_doc(mode="4d"))
     with pytest.raises(ConfigError, match="spec.camera"):
         parse_scenario(_doc(camera="rear"))
+
+
+def _with_object(**entry):
+    return _doc(objects=[{**_doc()["objects"][0], **entry}])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "spec: expected a JSON object"),
+    (_doc(objects={"obj_id": 1}), "spec.objects: expected a list"),
+    (_doc(objects=[3]), "spec.objects[0]: expected an object"),
+    (_with_object(speed=2), "spec.objects[0]: unknown key 'speed'"),
+    (_doc(embed_dim=-1), "spec: embed_dim must be >= 0"),
+])
+def test_parse_scenario_rejects_each_shape_with_its_path(doc, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_scenario(doc)
 
 
 def test_parse_scenario_type_errors_carry_paths():

@@ -142,8 +142,7 @@ def test_stage1_2d_appearance_match():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(400, 400, embedding=E_CLOSE)  # far away, same appearance
     res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == [(0, 0)]
 
 
@@ -151,8 +150,7 @@ def test_stage1_2d_appearance_gate():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100, embedding=E2)  # same place, different appearance
     res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == []
     assert res.unmatched_tracks == [0]
     assert res.unmatched_detections == [0]
@@ -165,8 +163,7 @@ def test_stage1_age_band_priority():
     old = _track2(2, _det2(100, 100), age=2, gallery=[E1])
     det = _det2(100, 100, embedding=E1)
     res = stage1_cascade([young, old], _means([young, old]), [det], _obs([det]), PED_2D,
-                         ages=_ages([young, old]), rows=range(2), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([young, old]), rows=range(2), cols=range(1))
     assert res.matches == [(0, 0)]
     assert res.unmatched_tracks == [1]
 
@@ -176,8 +173,7 @@ def test_stage1_second_band_gets_leftovers():
     old = _track2(2, _det2(500, 500), age=2, gallery=[E2])
     dets = [_det2(100, 100, embedding=E1), _det2(500, 500, embedding=E2)]
     res = stage1_cascade([young, old], _means([young, old]), dets, _obs(dets), PED_2D,
-                         ages=_ages([young, old]), rows=range(2), cols=range(2),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([young, old]), rows=range(2), cols=range(2))
     assert set(res.matches) == {(0, 0), (1, 1)}
 
 
@@ -185,8 +181,7 @@ def test_stage1_no_embeddings_means_no_reid_matches():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100)  # no embedding
     res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == []
 
 
@@ -194,18 +189,8 @@ def test_stage1_iou_fallback_without_reid():
     track = _track2(1, _det2(100, 100))
     det = _det2(102, 101)  # heavy overlap
     res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT, use_reid=False)
+                         ages=_ages([track]), rows=range(1), cols=range(1), use_reid=False)
     assert res.matches == [(0, 0)]
-
-
-def test_stage1_iou_fallback_needs_camera():
-    track = _track2(1, _det2(100, 100))
-    with pytest.raises(ConfigError):
-        stage1_cascade([track], _means([track]), [_det2(100, 100)], _obs([_det2(100, 100)]),
-                       PED_2D, ages=_ages([track]), rows=range(1), cols=range(1), mode=Mode.D2,
-                       camera=None,
-                       use_reid=False)
 
 
 def test_stage1_3d_center_gate():
@@ -213,7 +198,7 @@ def test_stage1_3d_center_gate():
     near = _det3(0.3, 0)
     far = _det3(30, 0)
     res = stage1_cascade([track], _means([track]), [near, far], _obs([near, far]), PED_3D,
-                         ages=_ages([track]), rows=range(1), cols=range(2), mode=Mode.D3)
+                         ages=_ages([track]), rows=range(1), cols=range(2))
     assert res.matches == [(0, 0)]
     assert res.unmatched_detections == [1]
 
@@ -223,7 +208,7 @@ def test_stage1_3d_age_priority_beats_distance():
     t_old = _track3(2, _det3(1.0, 0), age=1)
     det = _det3(0.6, 0)  # nearer to the old track
     res = stage1_cascade([t_young, t_old], _means([t_young, t_old]), [det], _obs([det]), PED_3D,
-                         ages=_ages([t_young, t_old]), rows=range(2), cols=range(1), mode=Mode.D3)
+                         ages=_ages([t_young, t_old]), rows=range(2), cols=range(1))
     assert res.matches == [(0, 0)]
 
 
@@ -233,13 +218,11 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(900, 900, embedding=E1)  # appearance-identical, 1100 px away
     gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
-                           ages=_ages([track]), rows=range(1), cols=range(1),
-                           mode=Mode.D2, camera=Camera.FRONT, model=model,
+                           ages=_ages([track]), rows=range(1), cols=range(1), model=model,
                            covs=np.array([track.state.cov]))
     assert gated.matches == []
     ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                             ages=_ages([track]), rows=range(1), cols=range(1),
-                             mode=Mode.D2, camera=Camera.FRONT, model=model)
+                             ages=_ages([track]), rows=range(1), cols=range(1), model=model)
     assert ungated.matches == [(0, 0)]
 
 
@@ -308,8 +291,7 @@ def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
     def run(bounds):
         return stage1_cascade(tracks, means, dets, obs, cfg, ages=_ages(tracks),
                               rows=range(len(tracks)),
-                              cols=range(len(dets)), mode=Mode.D2, camera=Camera.FRONT,
-                              model=model, covs=covs, bounds=bounds)
+                              cols=range(len(dets)), model=model, covs=covs, bounds=bounds)
 
     result = run(bounds)
     with mock.patch.object(hmot.tracker, "_appearance_costs", oracle_fill):
@@ -331,8 +313,8 @@ def test_lone_reid_pair_gated_at_its_newest_row_distance():
         det = _det2(100, 100, embedding=e)
         cfg = dataclasses.replace(PED_2D, t_a=1.0 - np.einsum("ij,ij->i", g[None], e[None])[0])
         runs = [stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
-                               ages=_ages([track]), rows=range(1), cols=range(1), mode=Mode.D2,
-                               camera=Camera.FRONT, bounds=bounds)
+                               ages=_ages([track]), rows=range(1), cols=range(1),
+                               bounds=bounds)
                 for bounds in ([gallery_bound(track.gallery)], None)]
         assert runs[0] == runs[1]
 
@@ -380,7 +362,7 @@ def test_contested_reid_column_gets_exact_costs(monkeypatch, rival):
     calls = _spy_gallery_rows(monkeypatch)
     res = stage1_cascade(tracks, _means(tracks), dets[:len(rival)], _obs(dets[:len(rival)]),
                          PED_2D, ages=_ages(tracks), rows=range(2), cols=range(len(rival)),
-                         mode=Mode.D2, camera=Camera.FRONT, bounds=bounds)
+                         bounds=bounds)
     assert res.matches == [(0, 0)]
     assert sum(calls) == 2 + len(rival)
 
@@ -466,8 +448,7 @@ def test_stage2_matches_by_enlarged_iou():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(111, 100, w=10, h=10)  # 1 px gap: plain IoU 0, enlarged > 0
     res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == [(0, 0)]
 
 
@@ -476,8 +457,7 @@ def test_stage2_age_eligibility():
     stale = _track2(2, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE)
     det = _det2(100, 100, w=10, h=10)
     res = stage2_relaxed([stale, fresh], _means([stale, fresh]), [det], _obs([det]), PED_2D,
-                         ages=_ages([stale, fresh]), rows=range(2), cols=range(1),
-                         mode=Mode.D2, camera=Camera.FRONT)
+                         ages=_ages([stale, fresh]), rows=range(2), cols=range(1))
     assert res.matches == [(1, 0)]
     assert 0 in res.unmatched_tracks
 
@@ -486,7 +466,7 @@ def test_stage2_3d_same_metric_as_stage1():
     track = _track3(1, _det3(0, 0), age=1)
     det = _det3(0.4, 0)
     res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D,
-                         ages=_ages([track]), rows=range(1), cols=range(1), mode=Mode.D3)
+                         ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == [(0, 0)]
 
 
@@ -498,10 +478,9 @@ def test_stage3_wider_reach_than_stage2():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(119, 100, w=10, h=10)  # 9 px gap
     r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D,
-                        ages=_ages([track]), rows=range(1), cols=range(1),
-                        mode=Mode.D2, camera=Camera.FRONT)
+                        ages=_ages([track]), rows=range(1), cols=range(1))
     r3 = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
-                          cols=range(1), mode=Mode.D2, camera=Camera.FRONT)
+                          cols=range(1))
     # 2x enlargement: IoU dist 0.974, outside the 0.95 gate; 3x: 0.776
     assert r2.matches == []
     assert r3.matches == [(0, 0)]
@@ -511,7 +490,7 @@ def test_stage3_3d():
     track = _track3(1, _det3(0, 0), age=3)
     det = _det3(0.5, 0, score=0.3)
     res = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_3D, rows=range(1),
-                           cols=range(1), mode=Mode.D3)
+                           cols=range(1))
     assert res.matches == [(0, 0)]
 
 
@@ -560,14 +539,13 @@ def test_stages_on_class_rows_equal_stages_on_sub_arrays(seed, kind, n_tracks, n
     R = [int(i) for i in rng.permutation(n_tracks)[:rng.integers(n_tracks + 1)]]
     C = [int(j) for j in rng.permutation(n_dets)[:rng.integers(n_dets + 1)]]
     cfg = dataclasses.replace(PED_3D if kind == "3d" else PED_2D, mahalanobis_gating=gating)
-    where = {"mode": Mode.D3} if kind == "3d" else {"mode": Mode.D2, "camera": Camera.FRONT}
 
     def run(stage, tracks, means, covs, dets, obs, rows, cols):
         extra = ({"use_reid": kind == "2d-reid", "model": model, "covs": covs}
                  if stage is stage1_cascade else {})
         if stage is not stage3_secondary:
             extra["ages"] = _ages(tracks)
-        return stage(tracks, means, dets, obs, cfg, rows=rows, cols=cols, **where, **extra)
+        return stage(tracks, means, dets, obs, cfg, rows=rows, cols=cols, **extra)
 
     for stage in (stage1_cascade, stage2_relaxed, stage3_secondary):
         whole = run(stage, tracks, means, covs, dets, obs, R, C)
@@ -1204,6 +1182,34 @@ def test_deleted_tracks_freeze_in_full():
     inst.step([_det2(110, 100), _det2(310, 100)])
     assert (dead.age_since_update, dead.hits, dead.score) == (0, 99, 0.1)
     assert (dead.state.mean == 7.0).all()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hits", 2.5), ("hits", True), ("score", math.nan), ("age_since_update", 2**70)])
+def test_track_write_outside_its_domain_is_rejected(field, value):
+    """A count that is not an int64 integer (a bool included) or a score
+    that is not a finite real is a ValidationError naming the field, on a
+    live, a deleted and a directly built track alike; nothing changes."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0), _det3(20, 0)])
+    live, dead = inst.tracks
+    for _ in range(inst.configs[ObjectClass.PEDESTRIAN].a_max + 1):
+        inst.step([_det3(0, 0)])
+    assert inst.tracks == [live]
+    store = _store_copy(inst)
+    for track in (live, dead, _track3(9, _det3(5, 0))):
+        before = getattr(track, field)
+        with pytest.raises(ValidationError, match=rf"^Track\.{field} must be "):
+            setattr(track, field, value)
+        assert getattr(track, field) == before
+    assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
+
+
+def test_skip_of_a_negative_gap_is_rejected():
+    inst = TrackerInstance(Mode.D3)
+    with pytest.raises(ValueError, match="^cannot skip -1 frames$"):
+        inst.skip(-1)
+    assert inst.frame_index == 0
 
 
 def test_assigned_state_is_shown_until_the_next_step():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -340,3 +341,22 @@ def test_class_config_defaults():
     assert cfg.enlarge_stage2 == 2.0
     assert cfg.enlarge_stage3 == 3.0
     assert cfg.mahalanobis_gating is False
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"box": "box"}, "box must be Box2D or Box3D, got str"),
+    ({"camera_id": "rear"}, "unknown camera 'rear'"),
+    ({"embedding": np.eye(2)}, "embedding must be 1-D, got shape (2, 2)"),
+    ({"embedding": [1.0, math.nan]}, "embedding contains non-finite values"),
+    ({"embedding": [0.7, 0.0]}, "embedding must be unit-norm, got |e| = 0.7"),
+])
+def test_detection_rejects_each_field_with_its_message(kwargs, message):
+    fields = {"box": Box2D(100.0, 100.0, 10.0, 20.0), "score": 0.9,
+              "class_label": ObjectClass.PEDESTRIAN, "camera_id": Camera.FRONT, **kwargs}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Detection(**fields)
+
+
+def test_detection_takes_a_camera_by_name():
+    det = Detection(Box2D(100.0, 100.0, 10.0, 20.0), 0.9, "pedestrian", camera_id="side_left")
+    assert det.camera_id is Camera.SIDE_LEFT and det.class_label is ObjectClass.PEDESTRIAN
