@@ -168,8 +168,9 @@ def iou_dist_matrix(rows: Sequence[Box2D] | np.ndarray, cols: Sequence[Box2D] | 
         return np.zeros((len(rows), len(cols)))
     a = _corner_arrays(rows, factor)[:, None, :]
     b = _corner_arrays(cols, factor)[None, :, :]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    with np.errstate(over="ignore"):  # boxes beyond the float range apart: -inf, no overlap
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])

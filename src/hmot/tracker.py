@@ -7,12 +7,12 @@ predict of every row; per class, split its detections by score into a
 primary and a secondary set and run a three-stage gated cascade on its rows;
 one batched update of every matched pair; then the new columns of every row
 at once, seed new tracks from leftover primary detections after their
-class's rows, and compact the store once. Each stage takes the whole
-arrays, the track rows still open and the detection rows to match, and
-returns rows of the same arrays. A held ``Track`` reads and writes its row,
-so edits to it reach the next step; a deleted track keeps the values it had
-then. Each stage solves one gated assignment per band of tracks
-over the detections earlier bands left. Stage 1 bands by age, youngest
+class's rows, and compact the store once. Each stage takes whole columns
+of the store (never a ``Track``), the track rows still open and the
+detection rows to match, and returns rows of the same arrays. A held
+``Track`` reads and writes its row, so edits to it reach the next step; a
+deleted track keeps the values it had then. Each stage solves one gated
+assignment per band of tracks over the detections earlier bands left. Stage 1 bands by age, youngest
 first, by appearance distance in 2D and kernelized center distance in 3D;
 in 2D a gallery is multiplied only for the pairs whose cost can change
 the match (see :func:`_appearance_costs`).
@@ -190,29 +190,30 @@ def _appearance_costs(
     return costs
 
 
-def _gated_match(
-    tracks: Sequence[Track],
+def _cascade(
     means: np.ndarray,
     dets: Sequence[Detection],
     obs: np.ndarray,
-    rows: list[int],
-    cols: list[int],
+    rows: Sequence[int],
+    bands: Iterable[list[int]],
+    cols: Sequence[int],
     config: ClassConfig,
     *,
-    use_reid: bool = False,
+    galleries: Sequence[Sequence[np.ndarray]] | None = None,
+    bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
     enlarge: float = 1.0,
     model: MotionModel | None = None,
     covs: np.ndarray | None = None,
-    bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
 ) -> AssociationResult:
-    """One gated minimum-cost assignment of the tracks ``rows`` to the
-    detections ``cols``, as in :func:`stage1_cascade`.
+    """One gated minimum-cost assignment per band of track rows, in order,
+    over the rows of ``cols`` earlier bands left unclaimed; the unmatched
+    tracks are the rows of ``rows`` no band matched.
 
     The width of ``means`` tells 3D from 2D. In 3D the cost is kernelized
     center distance (gate max_center_dist). In 2D it is appearance distance
-    against the track gallery (gate t_a) when ``use_reid`` is set, otherwise
-    IoU distance over boxes scaled by ``enlarge`` with the gate of the
-    detections' camera. The appearance costs come from one
+    against ``galleries`` (gate t_a) when they are given, otherwise IoU
+    distance over boxes scaled by ``enlarge`` with the gate of the
+    detections' camera. The appearance costs of a band come from one
     :func:`_appearance_costs` call, which, given ``bounds`` (row i's gallery
     ball, :func:`~hmot.metrics.gallery_bound`), computes no pair the ball
     proves above t_a and multiplies no gallery for a lone pair its newest
@@ -222,49 +223,31 @@ def _gated_match(
     are inadmissible; that test reads only whether a cost is within the
     gate, never its value.
     """
-    if means.shape[1] == MotionModel3D.dim_state:
-        costs = gauss_center_dist_matrix(means[rows, :3], obs[cols, :3], config.sigma)
-        gate = config.max_center_dist
-    elif use_reid:
-        gate = config.t_a
-        galleries = [tracks[i].gallery for i in rows]
-        embeddings = [dets[j].embedding for j in cols]
-        costs = _appearance_costs(galleries, embeddings, gate,
-                                  None if bounds is None else [bounds[i] for i in rows])
-    else:
-        costs = iou_dist_matrix(_state_boxes(means[rows]), [dets[j].box for j in cols],
-                                factor=enlarge)
-        gate = config.max_iou_dist_for(dets[cols[0]].camera_id)
-    if config.mahalanobis_gating and model is not None:
-        # Only pairs within the cost gate can be matched, so only they are
-        # tested. A track without a positive definite S gates out all pairs.
-        r, c = np.nonzero(costs <= gate)
-        d2, _ = mahalanobis_sq_pairs(means[rows], covs[rows], obs[cols], r, c, model)
-        far = d2 > CHI2_95[model.dim_obs]
-        costs[r[far], c[far]] = INADMISSIBLE
-    return solve_gated_assignment(costs, gate)
-
-
-def _cascade(
-    tracks: Sequence[Track],
-    means: np.ndarray,
-    dets: Sequence[Detection],
-    obs: np.ndarray,
-    rows: Sequence[int],
-    bands: Iterable[list[int]],
-    cols: Sequence[int],
-    config: ClassConfig,
-    **match_kwargs,
-) -> AssociationResult:
-    """One :func:`_gated_match` (given ``match_kwargs``) per band of track
-    rows, in order, over the rows of ``cols`` earlier bands left unclaimed;
-    the unmatched tracks are the rows of ``rows`` no band matched."""
     matches: list[tuple[int, int]] = []
     remaining = list(cols)
     for band in bands:
         if not band or not remaining:
             continue
-        result = _gated_match(tracks, means, dets, obs, band, remaining, config, **match_kwargs)
+        if means.shape[1] == MotionModel3D.dim_state:
+            costs = gauss_center_dist_matrix(means[band, :3], obs[remaining, :3], config.sigma)
+            gate = config.max_center_dist
+        elif galleries is not None:
+            gate = config.t_a
+            costs = _appearance_costs([galleries[i] for i in band],
+                                      [dets[j].embedding for j in remaining], gate,
+                                      None if bounds is None else [bounds[i] for i in band])
+        else:
+            costs = iou_dist_matrix(_state_boxes(means[band]), [dets[j].box for j in remaining],
+                                    factor=enlarge)
+            gate = config.max_iou_dist_for(dets[remaining[0]].camera_id)
+        if config.mahalanobis_gating and model is not None:
+            # Only pairs within the cost gate can be matched, so only they are
+            # tested. A track without a positive definite S gates out all pairs.
+            r, c = np.nonzero(costs <= gate)
+            d2, _ = mahalanobis_sq_pairs(means[band], covs[band], obs[remaining], r, c, model)
+            far = d2 > CHI2_95[model.dim_obs]
+            costs[r[far], c[far]] = INADMISSIBLE
+        result = solve_gated_assignment(costs, gate)
         matches += [(band[r], remaining[c]) for r, c in result.matches]
         remaining = [remaining[c] for c in result.unmatched_detections]
     matched = {i for i, _ in matches}
@@ -272,7 +255,6 @@ def _cascade(
 
 
 def stage1_cascade(
-    tracks: Sequence[Track],
     means: np.ndarray,
     dets: Sequence[Detection],
     obs: np.ndarray,
@@ -281,38 +263,35 @@ def stage1_cascade(
     ages: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
-    use_reid: bool = True,
     model: MotionModel | None = None,
     covs: np.ndarray | None = None,
+    galleries: Sequence[Sequence[np.ndarray]] | None = None,
     bounds: Sequence[tuple[np.ndarray, float] | None] | None = None,
 ) -> AssociationResult:
     """Age-ordered association of the track rows ``rows`` against the
     primary detection rows ``cols``; the results are rows too.
 
-    Row i of ``means`` (and of ``covs``) is the predicted state of
-    ``tracks[i]`` and ``ages[i]`` its age since update; row j of ``obs`` is
-    the observation of ``dets[j]``, as ``model.observations`` gives it.
-    Visits the ages present among the tracks, youngest first and up to
-    a_max, solving one gated assignment per age band over the detections
-    still unclaimed, so a recently seen track always outranks a
-    long-occluded one competing for the same detection. The cost is the
-    appearance (or, without ``use_reid``, IoU) distance in 2D and the
-    kernelized center distance in 3D; see :func:`_gated_match`, which also
-    says how ``bounds`` (row i: ``tracks[i]``'s gallery ball, or None for an
-    empty gallery) prunes the appearance fill.
+    Row i of ``means`` (and of ``covs``) is the predicted state of track
+    row i, ``ages[i]`` its age since update and ``galleries[i]`` its gallery
+    rows; row j of ``obs`` is the observation of ``dets[j]``, as
+    ``model.observations`` gives it. Visits the ages present among the
+    tracks, youngest first and up to a_max, solving one gated assignment
+    per age band over the detections still unclaimed, so a recently seen
+    track always outranks a long-occluded one competing for the same
+    detection. The cost is the appearance (or, without ``galleries``, IoU)
+    distance in 2D and the kernelized center distance in 3D; see
+    :func:`_cascade`, which also says how ``bounds`` (row i: its gallery
+    ball, or None for an empty gallery) prunes the appearance fill.
     """
     by_age: dict[int, list[int]] = {}
     for i, age in zip(rows, ages[rows].tolist()):
         if 0 <= age <= config.a_max:
             by_age.setdefault(age, []).append(i)
-    return _cascade(
-        tracks, means, dets, obs, rows, [by_age[age] for age in sorted(by_age)], cols, config,
-        use_reid=use_reid, model=model, covs=covs, bounds=bounds,
-    )
+    return _cascade(means, dets, obs, rows, [by_age[age] for age in sorted(by_age)], cols,
+                    config, galleries=galleries, bounds=bounds, model=model, covs=covs)
 
 
 def stage2_relaxed(
-    tracks: Sequence[Track],
     means: np.ndarray,
     dets: Sequence[Detection],
     obs: np.ndarray,
@@ -326,12 +305,11 @@ def stage2_relaxed(
     leftover primary detections ``cols``; 2D cost is IoU distance with boxes
     enlarged 2x. Arguments and results are as in :func:`stage1_cascade`."""
     eligible = [i for i, age in zip(rows, ages[rows].tolist()) if age < STAGE2_MAX_AGE]
-    return _cascade(tracks, means, dets, obs, rows, [eligible], cols, config,
+    return _cascade(means, dets, obs, rows, [eligible], cols, config,
                     enlarge=config.enlarge_stage2)
 
 
 def stage3_secondary(
-    tracks: Sequence[Track],
     means: np.ndarray,
     dets: Sequence[Detection],
     obs: np.ndarray,
@@ -345,7 +323,7 @@ def stage3_secondary(
     Secondary detections that stay unmatched are dropped, never turned into
     tracks. Arguments and results are as in :func:`stage1_cascade`, which
     ``ages`` this stage does not need."""
-    return _cascade(tracks, means, dets, obs, rows, [list(rows)], cols, config,
+    return _cascade(means, dets, obs, rows, [list(rows)], cols, config,
                     enlarge=config.enlarge_stage3)
 
 
@@ -584,15 +562,16 @@ class TrackerInstance:
         age-outs."""
         store, tracks, model = self._store, self._tracks, self.model
         ids = store.ids
-        # Until the first embedding arrives, 2D stage 1 gates by IoU.
-        use_reid_now = self.mode is Mode.D3 or self._embed_dim is not None
-        # Only 2D re-id reads galleries; only there are embedding sizes checked.
-        keep_embeddings = self.mode is Mode.D2 and self.use_reid
+        # Only 2D re-id sets an embedding size, once the first embedding
+        # arrives; only then are galleries kept and read, and until then 2D
+        # stage 1 gates by IoU.
+        reid = self._embed_dim is not None
         # Tracks are rows of the store, detections rows of their class's
         # list; a row whose predict failed is left out of association.
         means, covs, predict_failures = predict(store.means, store.covs, model)
         starts = list(itertools.accumulate(self._sizes, initial=0))
-        bounds, stepped, matches = None, [], [0, 0, 0]
+        galleries = bounds = None
+        stepped, matches = [], [0, 0, 0]
         # The track row, detection and observation of each matched pair,
         # class by class; the detections that seed tracks and the class of
         # each; a_max and min_hits by class.
@@ -609,16 +588,16 @@ class TrackerInstance:
             rows = [i for i in range(start, end) if i not in predict_failures]
             obs = model.observations(cls_dets)
             prim, sec = _split_indices(cls_dets, cfg.t_s)
-            if bounds is None and keep_embeddings and use_reid_now and prim:
+            if galleries is None and reid and prim:
+                kept = list(map(self._gallery, range(len(tracks))))
+                galleries = [() if entry is None else entry.view for entry in kept]
                 bounds = [None if entry is None else (entry.centre, entry.radius)
-                          for entry in map(self._gallery, range(len(tracks)))]
-            r1 = stage1_cascade(tracks, means, cls_dets, obs, cfg, ages=store.ages, rows=rows,
-                                cols=prim, use_reid=use_reid_now, model=model, covs=covs,
-                                bounds=bounds)
-            r2 = stage2_relaxed(tracks, means, cls_dets, obs, cfg, ages=store.ages,
+                          for entry in kept]
+            r1 = stage1_cascade(means, cls_dets, obs, cfg, ages=store.ages, rows=rows, cols=prim,
+                                model=model, covs=covs, galleries=galleries, bounds=bounds)
+            r2 = stage2_relaxed(means, cls_dets, obs, cfg, ages=store.ages,
                                 rows=r1.unmatched_tracks, cols=r1.unmatched_detections)
-            r3 = (stage3_secondary(tracks, means, cls_dets, obs, cfg, rows=r2.unmatched_tracks,
-                                   cols=sec)
+            r3 = (stage3_secondary(means, cls_dets, obs, cfg, rows=r2.unmatched_tracks, cols=sec)
                   if self.use_stage3 else AssociationResult([], r2.unmatched_tracks, []))
             matches = [m + len(r.matches) for m, r in zip(matches, (r1, r2, r3))]
             pairs = r1.matches + r2.matches + r3.matches
@@ -650,7 +629,8 @@ class TrackerInstance:
         for pos, any_live, first, n in stepped:
             start, end = starts[pos], starts[pos + 1]
             _delete(ids, predict_failures, start, end, result)
-            if not (use_reid_now or self._fallback_logged) and any_live and dets_by_class:
+            if (not (reid or self._fallback_logged) and self.mode is Mode.D2 and any_live
+                    and dets_by_class):
                 log.log(logging.WARNING if self.use_reid else logging.INFO,
                         "no appearance embeddings available; stage-1 association "
                         "falls back to IoU gating")
@@ -658,7 +638,7 @@ class TrackerInstance:
             if failures:
                 _delete(ids[rows], failures, first, first + n, result)
             result.deleted_ids += [i for row, i in zip(aged, aged_ids) if start <= row < end]
-        if keep_embeddings:
+        if reid:
             for k, (row, det) in enumerate(zip(pair_rows, pair_dets)):
                 if det.embedding is None or k in failures:
                     continue
@@ -669,7 +649,7 @@ class TrackerInstance:
                     entry.append(det.embedding, self.configs[det.class_label].gallery_budget)
                 tracks[row].gallery = entry.view
         entries = [_Gallery(det.embedding[None], 1)
-                   if keep_embeddings and det.embedding is not None else None for det in seeds]
+                   if reid and det.embedding is not None else None for det in seeds]
         born = [Track(next(self._id_counter), init_track_state(det, model), det.class_label,
                       det.score, gallery=None if entry is None else entry.view)
                 for det, entry in zip(seeds, entries)]

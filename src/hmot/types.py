@@ -30,6 +30,10 @@ A_MAX_LIMIT = 1000
 # camera; ``hmot.kalman.NOISE_LIMIT`` says why it keeps the filter finite.
 BOX2D_EXTENT_LIMIT = 1e6
 
+# The largest accepted box enlargement of stages 2 and 3; an enlarged box's
+# area stays far inside the float range for any extent the filter reaches.
+ENLARGE_LIMIT = 100.0
+
 
 class ObjectClass(str, enum.Enum):
     VEHICLE = "vehicle"
@@ -75,11 +79,9 @@ def normalize_heading(theta: float) -> float:
     if -math.pi <= theta < math.pi:
         return theta
     wrapped = (theta + math.pi) % (2.0 * math.pi) - math.pi
-    # float modulo can graze the boundary from either side
+    # The remainder lies in [0, 2*pi], so only pi itself is out of range.
     if wrapped >= math.pi:
         wrapped -= 2.0 * math.pi
-    elif wrapped < -math.pi:
-        wrapped += 2.0 * math.pi
     return wrapped
 
 
@@ -304,33 +306,39 @@ def box3d_from_state(state: State) -> Box3D:
     return Box3D(cx, cy, cz, h, w, l, theta)
 
 
-def _checked(name: str, value, kind: type):
-    """``value`` as a ``kind``, never from a bool: an int is what
-    ``operator.index`` takes within int64, a float a finite real."""
+def _checked(name: str, value, domain: range | type):
+    """``value`` as a number of ``domain``, never from a bool: of a range,
+    an int that ``operator.index`` takes within it; of ``float``, a finite
+    real."""
     try:
-        number = operator.index(value) if kind is int else (
-            float(value) if isinstance(value, numbers.Real) else math.nan)
+        if domain is float:
+            number = float(value) if isinstance(value, numbers.Real) else math.nan
+            valid = math.isfinite(number)
+        else:
+            number = operator.index(value)
+            valid = number in domain
     except (TypeError, OverflowError):
-        number = math.nan
-    if not isinstance(value, bool) and (
-            -2**63 <= number < 2**63 if kind is int else math.isfinite(number)):
+        valid = False
+    if valid and not isinstance(value, bool):
         return number
-    what = "an integer within int64" if kind is int else "a finite real number"
+    what = ("a finite real number" if domain is float
+            else f"an integer in {domain.start}..{domain.stop - 1}")
     raise ValidationError(f"Track.{name} must be {what}, got {value!r}")
 
 
-def _column(name: str, column: str, kind: type) -> property:
+def _column(name: str, column: str, domain: range | type) -> property:
     """The ``Track`` field ``name``, kept in the store column ``column``
     while the track is held, else in the slot ``_name``. A write that
     :func:`_checked` rejects raises and changes nothing."""
     own = "_" + name
+    kind = float if domain is float else int
 
     def get(track: "Track"):
         store = track._store
         return getattr(track, own) if store is None else kind(getattr(store, column)[track._at()])
 
     def set_(track: "Track", value) -> None:
-        value = _checked(name, value, kind)
+        value = _checked(name, value, domain)
         if track._store is None:
             setattr(track, own, value)
         else:
@@ -366,8 +374,10 @@ class Track:
         self._store, self._state = None, state
         self.age_since_update, self.hits, self.score = age_since_update, hits, score
 
-    age_since_update = _column("age_since_update", "ages", int)
-    hits = _column("hits", "hits", int)
+    # Bounded so that a step's age + 1 and hits + 1 stay within int64: any
+    # age above A_MAX_LIMIT is past every a_max.
+    age_since_update = _column("age_since_update", "ages", range(A_MAX_LIMIT + 2))
+    hits = _column("hits", "hits", range(2**62 + 1))
     score = _column("score", "scores", float)
 
     @property
@@ -455,9 +465,9 @@ class ClassConfig:
                 f"sigma must be positive with 2 sigma^2 a normal float, got {self.sigma}")
         for name in ("enlarge_stage2", "enlarge_stage3"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 1.0):
+            if not 1.0 <= v <= ENLARGE_LIMIT:
                 raise ValidationError(
-                    f"enlargement factors must be >= 1 and finite, got {name}={v}")
+                    f"enlargement factors must be in [1, {ENLARGE_LIMIT:g}], got {name}={v}")
 
     def max_iou_dist_for(self, camera: Camera) -> float:
         return getattr(self, f"max_iou_dist_{camera.group}")

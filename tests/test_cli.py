@@ -1,20 +1,25 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hmot
 import oracles
@@ -70,6 +75,18 @@ def _csv_report(captured_out):
 
 # ---------------------------------------------------------------------------
 # Usage errors
+
+
+@pytest.mark.parametrize("name, level", [
+    ("debug", logging.DEBUG), ("LOUD", logging.WARNING), ("basic_format", logging.WARNING)])
+def test_hmot_log_names_a_level_or_falls_back_to_warning(monkeypatch, name, level):
+    """``HMOT_LOG`` names a logging level; any other name, or a name of the
+    logging module that is no level, gives WARNING."""
+    levels = []
+    monkeypatch.setenv("HMOT_LOG", name)
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    assert main([]) == 1
+    assert levels == [level]
 
 
 def test_no_command_prints_usage(capsys):
@@ -497,6 +514,108 @@ def test_track_noise_beyond_the_ceiling_names_its_field(tmp_path, capsys):
                      "--out", str(tmp_path / "t.csv"), "--config", str(cfg)])
     assert code == 2
     assert "config.kalman.noise_2d: w_p must be" in capsys.readouterr().err
+
+
+# The extremes of ROADMAP item 15's table: values whose square or ratio
+# overflows, that underflow to a subnormal or to 0, and the ceilings and
+# floors themselves.
+_BIG = [1e6, 1e6 * (1 + 2**-52), 1e150, 1e300, 1e308]
+_TINY = [1e-150, 1e-300, 1e-320, 5e-324, 0.0]
+
+
+@st.composite
+def _track_inputs(draw):
+    """A mode, the lines of a detection file of that mode's box kind (one
+    embedding size throughout), and a config document. Each value is
+    ordinary, or one time in ``odds`` an extreme one."""
+
+    def value(ordinary, extremes, odds=16):
+        return draw(st.sampled_from(extremes) if draw(st.integers(1, odds)) == 1 else ordinary)
+
+    def position():
+        return value(st.floats(0.0, 1000.0), [-1e308, -1e300, *_BIG, *_TINY])
+
+    def extent():
+        return value(st.floats(1.0, 200.0), [-5.0, *_BIG, *_TINY])
+
+    def embedding():
+        angle = draw(st.floats(0.0, 0.5))
+        return value(st.sampled_from([None, [math.cos(angle), math.sin(angle), 0.0]]),
+                     [[1e300, 1e300, 0.0], [0.0, 0.0, 0.0], [5e-324, 1.0, 0.0],
+                      [1e-160, 1.0, 1e-160]])
+
+    mode = draw(st.sampled_from(["2d", "3d"]))
+    lines, frame = [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        dets = []
+        for _ in range(draw(st.integers(0, 3))):
+            box = ([position(), position(), extent(), extent()] if mode == "2d" else
+                   [position(), position(), position(), extent(), extent(), extent(),
+                    value(st.floats(-4.0, 4.0), [-1e308, *_BIG, *_TINY])])
+            dets.append({"class": draw(st.sampled_from(["pedestrian", "vehicle", "cyclist"])),
+                         f"box{mode}": box,
+                         "score": value(st.floats(0.0, 1.0), [5e-324, 1.0 + 2**-52, 1.5]),
+                         "embedding": embedding()})
+        lines.append(json.dumps({"sequence_id": "s", "frame": frame,
+                                 "camera": "front" if mode == "2d" else None,
+                                 "detections": dets}))
+        frame += value(st.sampled_from([1, 2]), [1000, 10 ** 9])
+    fields = {
+        "sigma": (st.floats(0.5, 5.0), [1e-200, _smallest_sigma(), 1e150, 1e300]),
+        "a_max": (st.integers(1, 5), [A_MAX_LIMIT, A_MAX_LIMIT + 1, 10 ** 12]),
+        "t_s": (st.floats(0.1, 1.0), [5e-324, 0.0]),
+        "t_a": (st.floats(0.05, 1.0), [5e-324, 1e-300]),
+        "max_center_dist": (st.floats(0.1, 1.0), [5e-324, 1e-300]),
+        "gallery_budget": (st.integers(1, 10), [10 ** 9, 0]),
+        "enlarge_stage2": (st.floats(1.0, 4.0), [1e300, 1e308]),
+        "mahalanobis_gating": (st.booleans(), [True]),
+    }
+    noise = (st.floats(0.0, 1.0), [1e6, 1e6 * (1 + 2**-52), 1e300, 5e-324])
+    noise_fields = {"noise_2d": ("w_p", "w_v", "aspect_meas_std"),
+                    "noise_3d": ("pos_proc_std", "pos_meas_std", "heading_meas_std")}
+    doc = {"classes": {cls: {k: value(*v, odds=6) for k, v in fields.items()
+                             if draw(st.integers(0, 2)) == 0}
+                       for cls in draw(st.sets(st.sampled_from(["pedestrian", "vehicle"])))},
+           "kalman": {kind: {k: value(*noise, odds=6) for k in names
+                             if draw(st.integers(0, 2)) == 0}
+                      for kind, names in noise_fields.items()}}
+    return mode, lines, doc
+
+
+def _box2d_line(frame, *boxes):
+    return json.dumps({"sequence_id": "s", "frame": frame, "camera": "front", "detections": [
+        {"class": "pedestrian", "box2d": box, "score": 0.9} for box in boxes]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_track_inputs())
+# Boxes so far apart that their corner gap overflows; stage 2 boxes
+# enlarged so far that their area overflows.
+@example(case=("2d", [_box2d_line(0, [-1e308, 100, 50, 80]),
+                      _box2d_line(1, [1e308, 100, 50, 80])], {}))
+@example(case=("2d", [_box2d_line(0, [100, 100, 50, 80]), _box2d_line(1, [400, 100, 50, 80])],
+               {"classes": {"pedestrian": {"enlarge_stage2": 1e300}}}))
+def test_track_over_ordinary_and_extreme_inputs(case):
+    """``hmot track`` on any mix of ordinary and extreme values exits 0 or
+    2 without a warning; its output values are finite, and an exit-2
+    message names the line or the config field at fault."""
+    mode, lines, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        dets, cfg, out = (Path(tmp) / name for name in ("d.ndjson", "cfg.json", "t.csv"))
+        dets.write_text("".join(line + "\n" for line in lines))
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(["track", "--mode", mode, "--dets", str(dets), "--out", str(out),
+                         "--config", str(cfg)])
+        assert code in (0, 2)
+        if code == 2:
+            assert re.search(r"\bline \d+: |\bconfig\.\w+", err.getvalue()), err.getvalue()
+        else:
+            rows = list(csv.reader(out.read_text().splitlines()))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row[4:])
 
 
 def test_track_embedding_beyond_unit_entries_names_its_line(tmp_path, capsys):

@@ -52,6 +52,11 @@ def mota_05_fixture():
     return gt, hyp
 
 
+def test_frame_object_takes_a_class_by_name():
+    obj = FrameObject(1, Box2D(0.0, 0.0, 10.0, 20.0), "cyclist")
+    assert obj.class_label is ObjectClass.CYCLIST
+
+
 def test_perfect_tracking_2d():
     gt = _frames([[_obj2(1, 0.0), _obj2(2, 50.0)] for _ in range(5)])
     hyp = _frames([[_obj2(9, 0.0), _obj2(8, 50.0)] for _ in range(5)])

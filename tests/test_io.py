@@ -469,6 +469,14 @@ def test_track_header_only_reads_empty(tmp_path):
     assert read_tracks(path) == []
 
 
+def test_track_blank_row_is_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    write_tracks(path, _rows2(), Mode.D2)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    assert read_tracks(path) == _rows2()
+
+
 def test_track_unrecognized_header(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("id,frame,x,y\n")

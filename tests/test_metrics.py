@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import sys
 import warnings
@@ -170,6 +171,16 @@ def test_gauss_rejects_bad_sigma():
 def test_bev_iou_identical():
     b = Box3D(0, 0, 0, 2, 2, 4, 0.7)
     assert bev_iou(b, b) == pytest.approx(1.0)
+
+
+def test_bev_iou_of_footprints_whose_area_underflows(caplog):
+    """w = l = 1e-200 is a valid box whose footprint area w * l underflows
+    to 0: the IoU is 0, with a warning in the log."""
+    tiny = Box3D(0, 0, 0, 1, 1e-200, 1e-200, 0)
+    with caplog.at_level(logging.WARNING, logger="hmot.metrics"):
+        assert bev_iou(tiny, Box3D(0, 0, 0, 2, 2, 4, 0)) == 0.0
+    assert [r.getMessage() for r in caplog.records] == [
+        "bev_iou on degenerate rectangle (areas 0, 8)"]
 
 
 def test_bev_iou_axis_aligned_matches_2d():

@@ -65,6 +65,11 @@ def test_object_spec_coerces_to_float_tuples():
     assert obj.velocity == (1.0, 2.0)
 
 
+def test_object_spec_takes_a_class_by_name():
+    obj = ObjectSpec(obj_id=1, class_label="vehicle", init=[100, 200, 50, 160], velocity=[1, 2])
+    assert obj.class_label is ObjectClass.VEHICLE
+
+
 def test_spec_requires_camera_in_2d():
     with pytest.raises(ValueError):
         _spec2([_walker()], camera=None)

@@ -99,6 +99,11 @@ def _ages(tracks):
     return np.array([t.age_since_update for t in tracks], dtype=np.int64)
 
 
+def _galleries(tracks):
+    """Stage 1's rows of track galleries."""
+    return [t.gallery for t in tracks]
+
+
 def _obs(dets):
     """The stage functions' rows of detection observations."""
     return (MotionModel2D if dets[0].is_2d else MotionModel3D).observations(dets)
@@ -141,16 +146,18 @@ def test_split_preserves_order():
 def test_stage1_2d_appearance_match():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(400, 400, embedding=E_CLOSE)  # far away, same appearance
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1))
+    res = stage1_cascade(_means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         galleries=_galleries([track]))
     assert res.matches == [(0, 0)]
 
 
 def test_stage1_2d_appearance_gate():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100, embedding=E2)  # same place, different appearance
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1))
+    res = stage1_cascade(_means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         galleries=_galleries([track]))
     assert res.matches == []
     assert res.unmatched_tracks == [0]
     assert res.unmatched_detections == [0]
@@ -162,8 +169,9 @@ def test_stage1_age_band_priority():
     young = _track2(1, _det2(100, 100), age=0, gallery=[E_CLOSE])
     old = _track2(2, _det2(100, 100), age=2, gallery=[E1])
     det = _det2(100, 100, embedding=E1)
-    res = stage1_cascade([young, old], _means([young, old]), [det], _obs([det]), PED_2D,
-                         ages=_ages([young, old]), rows=range(2), cols=range(1))
+    res = stage1_cascade(_means([young, old]), [det], _obs([det]), PED_2D,
+                         ages=_ages([young, old]), rows=range(2), cols=range(1),
+                         galleries=_galleries([young, old]))
     assert res.matches == [(0, 0)]
     assert res.unmatched_tracks == [1]
 
@@ -172,24 +180,26 @@ def test_stage1_second_band_gets_leftovers():
     young = _track2(1, _det2(100, 100), age=0, gallery=[E1])
     old = _track2(2, _det2(500, 500), age=2, gallery=[E2])
     dets = [_det2(100, 100, embedding=E1), _det2(500, 500, embedding=E2)]
-    res = stage1_cascade([young, old], _means([young, old]), dets, _obs(dets), PED_2D,
-                         ages=_ages([young, old]), rows=range(2), cols=range(2))
+    res = stage1_cascade(_means([young, old]), dets, _obs(dets), PED_2D,
+                         ages=_ages([young, old]), rows=range(2), cols=range(2),
+                         galleries=_galleries([young, old]))
     assert set(res.matches) == {(0, 0), (1, 1)}
 
 
 def test_stage1_no_embeddings_means_no_reid_matches():
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(100, 100)  # no embedding
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1))
+    res = stage1_cascade(_means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1),
+                         galleries=_galleries([track]))
     assert res.matches == []
 
 
 def test_stage1_iou_fallback_without_reid():
     track = _track2(1, _det2(100, 100))
     det = _det2(102, 101)  # heavy overlap
-    res = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                         ages=_ages([track]), rows=range(1), cols=range(1), use_reid=False)
+    res = stage1_cascade(_means([track]), [det], _obs([det]), PED_2D,
+                         ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == [(0, 0)]
 
 
@@ -197,7 +207,7 @@ def test_stage1_3d_center_gate():
     track = _track3(1, _det3(0, 0))
     near = _det3(0.3, 0)
     far = _det3(30, 0)
-    res = stage1_cascade([track], _means([track]), [near, far], _obs([near, far]), PED_3D,
+    res = stage1_cascade(_means([track]), [near, far], _obs([near, far]), PED_3D,
                          ages=_ages([track]), rows=range(1), cols=range(2))
     assert res.matches == [(0, 0)]
     assert res.unmatched_detections == [1]
@@ -207,7 +217,7 @@ def test_stage1_3d_age_priority_beats_distance():
     t_young = _track3(1, _det3(0, 0), age=0)
     t_old = _track3(2, _det3(1.0, 0), age=1)
     det = _det3(0.6, 0)  # nearer to the old track
-    res = stage1_cascade([t_young, t_old], _means([t_young, t_old]), [det], _obs([det]), PED_3D,
+    res = stage1_cascade(_means([t_young, t_old]), [det], _obs([det]), PED_3D,
                          ages=_ages([t_young, t_old]), rows=range(2), cols=range(1))
     assert res.matches == [(0, 0)]
 
@@ -217,12 +227,13 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     model = MotionModel2D()
     track = _track2(1, _det2(100, 100), gallery=[E1])
     det = _det2(900, 900, embedding=E1)  # appearance-identical, 1100 px away
-    gated = stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
+    gated = stage1_cascade(_means([track]), [det], _obs([det]), cfg,
                            ages=_ages([track]), rows=range(1), cols=range(1), model=model,
-                           covs=np.array([track.state.cov]))
+                           covs=np.array([track.state.cov]), galleries=_galleries([track]))
     assert gated.matches == []
-    ungated = stage1_cascade([track], _means([track]), [det], _obs([det]), PED_2D,
-                             ages=_ages([track]), rows=range(1), cols=range(1), model=model)
+    ungated = stage1_cascade(_means([track]), [det], _obs([det]), PED_2D,
+                             ages=_ages([track]), rows=range(1), cols=range(1), model=model,
+                             galleries=_galleries([track]))
     assert ungated.matches == [(0, 0)]
 
 
@@ -289,9 +300,9 @@ def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
     obs = model.observations(dets) if dets else np.empty((0, model.dim_obs))
 
     def run(bounds):
-        return stage1_cascade(tracks, means, dets, obs, cfg, ages=_ages(tracks),
-                              rows=range(len(tracks)),
-                              cols=range(len(dets)), model=model, covs=covs, bounds=bounds)
+        return stage1_cascade(means, dets, obs, cfg, ages=_ages(tracks),
+                              rows=range(len(tracks)), cols=range(len(dets)), model=model,
+                              covs=covs, galleries=_galleries(tracks), bounds=bounds)
 
     result = run(bounds)
     with mock.patch.object(hmot.tracker, "_appearance_costs", oracle_fill):
@@ -312,9 +323,9 @@ def test_lone_reid_pair_gated_at_its_newest_row_distance():
         track.gallery = g[None]
         det = _det2(100, 100, embedding=e)
         cfg = dataclasses.replace(PED_2D, t_a=1.0 - np.einsum("ij,ij->i", g[None], e[None])[0])
-        runs = [stage1_cascade([track], _means([track]), [det], _obs([det]), cfg,
+        runs = [stage1_cascade(_means([track]), [det], _obs([det]), cfg,
                                ages=_ages([track]), rows=range(1), cols=range(1),
-                               bounds=bounds)
+                               galleries=_galleries([track]), bounds=bounds)
                 for bounds in ([gallery_bound(track.gallery)], None)]
         assert runs[0] == runs[1]
 
@@ -360,9 +371,9 @@ def test_contested_reid_column_gets_exact_costs(monkeypatch, rival):
     dets = [_det2(150, 100, embedding=E1), _det2(300, 100, embedding=_unit(rival[-1] + E1))]
     bounds = [gallery_bound(t.gallery) for t in tracks]
     calls = _spy_gallery_rows(monkeypatch)
-    res = stage1_cascade(tracks, _means(tracks), dets[:len(rival)], _obs(dets[:len(rival)]),
+    res = stage1_cascade(_means(tracks), dets[:len(rival)], _obs(dets[:len(rival)]),
                          PED_2D, ages=_ages(tracks), rows=range(2), cols=range(len(rival)),
-                         bounds=bounds)
+                         galleries=_galleries(tracks), bounds=bounds)
     assert res.matches == [(0, 0)]
     assert sum(calls) == 2 + len(rival)
 
@@ -401,7 +412,7 @@ def test_stage1_work_does_not_grow_with_a_max(monkeypatch):
     calls = []  # the bands of each stage's cascade
     real = hmot.tracker._cascade
     monkeypatch.setattr(hmot.tracker, "_cascade",
-                        lambda *args, **kw: calls.append(args[5]) or real(*args, **kw))
+                        lambda *args, **kw: calls.append(args[4]) or real(*args, **kw))
     start = time.perf_counter()
     res = inst.step([_det3(0.1, 0)])
     assert time.perf_counter() - start < 0.25
@@ -447,7 +458,7 @@ def test_iou_corners_of_state_rows_equal_box_objects_bit_for_bit(seed, n, factor
 def test_stage2_matches_by_enlarged_iou():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(111, 100, w=10, h=10)  # 1 px gap: plain IoU 0, enlarged > 0
-    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D,
+    res = stage2_relaxed(_means([track]), [det], _obs([det]), PED_2D,
                          ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == [(0, 0)]
 
@@ -456,7 +467,7 @@ def test_stage2_age_eligibility():
     fresh = _track2(1, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE - 1)
     stale = _track2(2, _det2(100, 100, w=10, h=10), age=STAGE2_MAX_AGE)
     det = _det2(100, 100, w=10, h=10)
-    res = stage2_relaxed([stale, fresh], _means([stale, fresh]), [det], _obs([det]), PED_2D,
+    res = stage2_relaxed(_means([stale, fresh]), [det], _obs([det]), PED_2D,
                          ages=_ages([stale, fresh]), rows=range(2), cols=range(1))
     assert res.matches == [(1, 0)]
     assert 0 in res.unmatched_tracks
@@ -465,7 +476,7 @@ def test_stage2_age_eligibility():
 def test_stage2_3d_same_metric_as_stage1():
     track = _track3(1, _det3(0, 0), age=1)
     det = _det3(0.4, 0)
-    res = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_3D,
+    res = stage2_relaxed(_means([track]), [det], _obs([det]), PED_3D,
                          ages=_ages([track]), rows=range(1), cols=range(1))
     assert res.matches == [(0, 0)]
 
@@ -477,9 +488,9 @@ def test_stage2_3d_same_metric_as_stage1():
 def test_stage3_wider_reach_than_stage2():
     track = _track2(1, _det2(100, 100, w=10, h=10))
     det = _det2(119, 100, w=10, h=10)  # 9 px gap
-    r2 = stage2_relaxed([track], _means([track]), [det], _obs([det]), PED_2D,
+    r2 = stage2_relaxed(_means([track]), [det], _obs([det]), PED_2D,
                         ages=_ages([track]), rows=range(1), cols=range(1))
-    r3 = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_2D, rows=range(1),
+    r3 = stage3_secondary(_means([track]), [det], _obs([det]), PED_2D, rows=range(1),
                           cols=range(1))
     # 2x enlargement: IoU dist 0.974, outside the 0.95 gate; 3x: 0.776
     assert r2.matches == []
@@ -489,7 +500,7 @@ def test_stage3_wider_reach_than_stage2():
 def test_stage3_3d():
     track = _track3(1, _det3(0, 0), age=3)
     det = _det3(0.5, 0, score=0.3)
-    res = stage3_secondary([track], _means([track]), [det], _obs([det]), PED_3D, rows=range(1),
+    res = stage3_secondary(_means([track]), [det], _obs([det]), PED_3D, rows=range(1),
                            cols=range(1))
     assert res.matches == [(0, 0)]
 
@@ -541,11 +552,12 @@ def test_stages_on_class_rows_equal_stages_on_sub_arrays(seed, kind, n_tracks, n
     cfg = dataclasses.replace(PED_3D if kind == "3d" else PED_2D, mahalanobis_gating=gating)
 
     def run(stage, tracks, means, covs, dets, obs, rows, cols):
-        extra = ({"use_reid": kind == "2d-reid", "model": model, "covs": covs}
+        extra = ({"galleries": _galleries(tracks) if kind == "2d-reid" else None,
+                  "model": model, "covs": covs}
                  if stage is stage1_cascade else {})
         if stage is not stage3_secondary:
             extra["ages"] = _ages(tracks)
-        return stage(tracks, means, dets, obs, cfg, rows=rows, cols=cols, **extra)
+        return stage(means, dets, obs, cfg, rows=rows, cols=cols, **extra)
 
     for stage in (stage1_cascade, stage2_relaxed, stage3_secondary):
         whole = run(stage, tracks, means, covs, dets, obs, R, C)
@@ -1203,6 +1215,38 @@ def test_track_write_outside_its_domain_is_rejected(field, value):
             setattr(track, field, value)
         assert getattr(track, field) == before
     assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("age_since_update", 2**63 - 1), ("age_since_update", -5),
+    ("age_since_update", A_MAX_LIMIT + 2), ("hits", 2**63 - 1), ("hits", -1), ("hits", 2**62 + 1)])
+def test_track_counts_outside_their_range_are_rejected(field, value):
+    """An age outside 0..A_MAX_LIMIT + 1 or a hit count outside 0..2**62,
+    which a step's + 1 could wrap or which could keep a track past its
+    a_max, is a ValidationError naming the field, on a held track and in
+    the constructor; the store is unchanged."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0)])
+    [track] = inst.tracks
+    store = _store_copy(inst)
+    with pytest.raises(ValidationError, match=rf"^Track\.{field} must be an integer in 0\.\."):
+        setattr(track, field, value)
+    assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
+    with pytest.raises(ValidationError, match=rf"^Track\.{field} must be an integer in 0\.\."):
+        Track(9, track.state, ObjectClass.PEDESTRIAN, 0.9, **{field: value})
+
+
+def test_track_counts_at_their_limits_step_without_wrapping():
+    """A held track aged A_MAX_LIMIT + 1 dies on the next frame it misses,
+    and one with 2**62 hits counts one more on its next match."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0), _det3(20, 0)])
+    near, far = inst.tracks
+    near.hits, far.age_since_update = 2**62, A_MAX_LIMIT + 1
+    res = inst.step([_det3(0.1, 0)])
+    assert res.deleted_ids == [far.track_id]
+    assert (near.hits, near.age_since_update) == (2**62 + 1, 0)
+    assert far.age_since_update == A_MAX_LIMIT + 2
 
 
 def test_skip_of_a_negative_gap_is_rejected():

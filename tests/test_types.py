@@ -81,6 +81,12 @@ def test_box2d_rejects_degenerate(w, h):
         Box2D(0.0, 0.0, w, h)
 
 
+@pytest.mark.parametrize("h,w,l", [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, 0.0)])
+def test_box3d_rejects_degenerate(h, w, l):
+    with pytest.raises(DegenerateBoxError, match=r"^Box3D needs h, w, l > 0, got "):
+        Box3D(0.0, 0.0, 0.0, h, w, l, 0.0)
+
+
 def test_box2d_rejects_non_finite():
     with pytest.raises(ValidationError):
         Box2D(float("inf"), 0.0, 1.0, 1.0)
@@ -278,6 +284,10 @@ def test_box_from_degenerate_state_raises():
     mean[3] = 10.0
     with pytest.raises(DegenerateBoxError):
         box2d_from_state(State(mean, np.eye(8)))
+    mean = np.zeros(10)
+    mean[3:6] = (1.5, 0.0, 4.5)
+    with pytest.raises(DegenerateBoxError, match=r"^state yields degenerate box \(h=1\.5, w=0"):
+        box3d_from_state(State(mean, np.eye(10)))
 
 
 def _config(**kw):
