@@ -100,7 +100,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
                 st.deleted += len(inst.skip(gap))
                 result = inst.step(fr.detections)
             except (ConfigError, ValidationError) as exc:
-                raise type(exc)(f"sequence {fr.sequence_id!r} frame {fr.frame}: {exc}") from None
+                raise type(exc)(f"line {fr.line}: sequence {fr.sequence_id!r} "
+                                f"frame {fr.frame}: {exc}") from None
             st.frames += 1 + gap
             st.stage_matches = tuple(map(sum, zip(st.stage_matches, result.stage_matches)))
             st.created += len(result.created_ids)

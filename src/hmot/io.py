@@ -13,7 +13,7 @@ import csv
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
@@ -70,12 +70,15 @@ def _output(path: str | Path, newline: str) -> Iterator[TextIO]:
 
 @dataclass
 class DetectionFrame:
-    """All detections of one (sequence, camera, frame)."""
+    """All detections of one (sequence, camera, frame). ``line`` is the
+    1-based line the frame was read from, None for a frame not read from
+    a file; it takes no part in equality and is not written."""
 
     sequence_id: str
     frame: int
     camera: Camera | None
     detections: list[Detection]
+    line: int | None = field(default=None, compare=False)
 
 
 _DET_KEYS = {"class", *_BOX_KEYS.values(), "score", "embedding", "src_gt"}
@@ -216,7 +219,7 @@ def iter_detections(path: str | Path) -> Iterator[DetectionFrame]:
             if not isinstance(dets_raw, list):
                 raise DataFormatError("detections must be a list", lineno)
             dets = [_parse_detection(d, camera, lineno) for d in dets_raw]
-            yield DetectionFrame(seq, frame, camera, dets)
+            yield DetectionFrame(seq, frame, camera, dets, lineno)
 
 
 def read_detections(path: str | Path) -> list[DetectionFrame]:

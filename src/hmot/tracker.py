@@ -1,25 +1,26 @@
 """Online tracking engine.
 
-One store per instance holds all its tracks as columns: ids, ages since
-update, hits, scores, means (N, d), covariances (N, d, d) and galleries,
-row i belonging to the i-th track, rows grouped by class. Per frame: one batched
-predict of every row; per class, split its detections by score into a
-primary and a secondary set and run a three-stage gated cascade on its rows;
-one batched update of every matched pair; then the new columns of every row
-at once, seed new tracks from leftover primary detections after their
-class's rows, and compact the store once. Each stage takes whole columns
-of the store (never a ``Track``), the track rows still open and the
-detection rows to match, and returns rows of the same arrays. A held
-``Track`` reads and writes its row, so edits to it reach the next step; a
-deleted track keeps the values it had then. Each stage solves one gated
-assignment per band of tracks over the detections earlier bands left. Stage 1 bands by age, youngest
-first, by appearance distance in 2D and kernelized center distance in 3D;
-in 2D a gallery is multiplied only for the pairs whose cost can change
-the match (see :func:`_appearance_costs`).
-Stage 2 is one band of recently lost tracks on the remaining primary
-detections by enlarged IoU (2D). Stage 3 is one band of all still unmatched
-tracks on the low-score secondary set, which keeps weak objects alive but
-never seeds a track.
+One store per instance (a :class:`hmot.types._Store`) holds all its tracks
+as columns: ids, ages since update, hits, scores, means (N, d), covariances
+(N, d, d) and galleries, row i belonging to the i-th track, rows grouped by
+class. Per frame: one batched predict of every row; per class, split its
+detections by score into a primary and a secondary set and run a
+three-stage gated cascade on its rows; one batched update of every matched
+pair; then the new columns of every row at once, seed new tracks from
+leftover primary detections after their class's rows, and compact the
+store once. Each stage takes whole columns of the store (never a
+``Track``), the track rows still open and the detection rows to match, and
+returns rows of the same arrays. A held ``Track`` reads and writes its row,
+so edits to it reach the next step; a track is born with a one-row store of
+its own, whose row joins the instance's, and dies with a copy of its row.
+Each stage solves one gated assignment per band of tracks over the
+detections earlier bands left. Stage 1 bands by age, youngest first, by
+appearance distance in 2D and kernelized center distance in 3D; in 2D a
+gallery is multiplied only for the pairs whose cost can change the match
+(see :func:`_appearance_costs`). Stage 2 is one band of recently lost
+tracks on the remaining primary detections by enlarged IoU (2D). Stage 3 is
+one band of all still unmatched tracks on the low-score secondary set,
+which keeps weak objects alive but never seeds a track.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .types import (
     Mode,
     ObjectClass,
     Track,
+    _Store,
 )
 
 log = logging.getLogger(__name__)
@@ -393,35 +395,6 @@ class _Gallery:
                        embedding)
 
 
-class _Store:
-    """The columns of an instance's tracks, row i of each belonging to one
-    track: ``ids``, ``ages`` since update, ``hits``, ``scores``, ``means``
-    (N, d), covariances ``covs`` (N, d, d) and ``galleries``, an object
-    array of each track's :class:`_Gallery`, None while it is empty.
-    ``gen`` counts the times they were replaced; a held
-    :class:`~hmot.types.Track` looks up its row with ``row_of`` once each
-    time. The store holds no track, so a track can refer to it without a
-    reference cycle."""
-
-    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "galleries", "gen", "_rows")
-
-    def __init__(self, dim: int):
-        self.gen = -1
-        self.replace(*(np.empty(0, dtype=np.int64) for _ in range(3)), np.empty(0),
-                     np.empty((0, dim)), np.empty((0, dim, dim)), np.empty(0, dtype=object))
-
-    def replace(self, ids: np.ndarray, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
-                means: np.ndarray, covs: np.ndarray, galleries: np.ndarray) -> None:
-        self.ids, self.ages, self.hits, self.scores, self.means, self.covs, self.galleries = (
-            ids, ages, hits, scores, means, covs, galleries)
-        self.gen, self._rows = self.gen + 1, None
-
-    def row_of(self, track_id: int) -> int:
-        if self._rows is None:
-            self._rows = dict(zip(self.ids.tolist(), range(len(self.ids))))
-        return self._rows[track_id]
-
-
 class TrackerInstance:
     """Single-stream online tracker for one sequence (in 2D: one camera).
 
@@ -462,7 +435,9 @@ class TrackerInstance:
         # Row i of the store belongs to self._tracks[i], an object array.
         # Rows are grouped by class in ObjectClass order, self._sizes[k] of
         # the k-th.
-        self._store = _Store(self.model.dim_state)
+        dim = self.model.dim_state
+        self._store = _Store(*(np.empty(0, dtype=np.int64) for _ in range(3)), np.empty(0),
+                             np.empty((0, dim)), np.empty((0, dim, dim)), np.empty(0, dtype=object))
         self._tracks = np.empty(0, dtype=object)
         self._sizes = [0] * len(ObjectClass)
         self.frame_index = 0
@@ -648,11 +623,12 @@ class TrackerInstance:
                 else:
                     entry.append(det.embedding, self.configs[det.class_label].gallery_budget)
                 tracks[row].gallery = entry.view
-        entries = [_Gallery(det.embedding[None], 1)
-                   if reid and det.embedding is not None else None for det in seeds]
         born = [Track(next(self._id_counter), init_track_state(det, model), det.class_label,
-                      det.score, gallery=None if entry is None else entry.view)
-                for det, entry in zip(seeds, entries)]
+                      det.score) for det in seeds]
+        for track, det in zip(born, seeds):
+            if reid and det.embedding is not None:
+                entry = track._store.galleries[0] = _Gallery(det.embedding[None], 1)
+                track.gallery = entry.view
         born_ids = [track.track_id for track in born]
         result.created_ids += born_ids
         # Emitted, in id order: each track matched with min_hits hits, and
@@ -670,31 +646,29 @@ class TrackerInstance:
         result.emitted = list(map(tuple.__new__, itertools.repeat(EmittedTrack), zip(
             keys[order].tolist(), map(_BOX, dets), map(_SCORE, dets), map(_CLASS, dets))))
         result.stage_matches = tuple(matches)
-        self._commit(ages, hits, scores, means, covs, failed + aged, born, born_at, entries)
+        self._commit(ages, hits, scores, means, covs, failed + aged, born, born_at)
 
     def _commit(self, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
                 means: np.ndarray, covs: np.ndarray, dead: list[int], born: list[Track],
-                born_at: list[int], entries: list[_Gallery | None]) -> None:
+                born_at: list[int]) -> None:
         """Make the store these columns, in the rows of the store so far,
-        less the rows ``dead``, with the tracks ``born`` and their gallery
-        ``entries`` appended to the class at each position of ``born_at``."""
+        less the rows ``dead``, with the one-row stores of the tracks
+        ``born`` appended to the class at each position of ``born_at``."""
         # A deleted track keeps these values and the state of the last step
-        # it lived through: rows of an earlier array, which no step writes.
-        tracks = self._tracks
+        # it lived through, copied into a one-row store of its own.
+        store, tracks = self._store, self._tracks
         if dead:
             for track, i, age, hit, score in zip(tracks[dead], dead, ages[dead].tolist(),
                                                  hits[dead].tolist(), scores[dead].tolist()):
-                track._freeze(i, age, hit, score)
-        columns = [tracks, self._store.ids, ages, hits, scores, means, covs, self._store.galleries]
+                track._attach(_Store.one(track.track_id, age, hit, score, store.means[i],
+                                         store.covs[i], store.galleries[i]), 0)
+        columns = [tracks, store.ids, ages, hits, scores, means, covs, store.galleries]
         if born:
-            states = [track.state for track in born]
-            columns = [np.concatenate((column, new)) for column, new in zip(columns, (
-                np.array(born, dtype=object), [track.track_id for track in born],
-                np.zeros(len(born), int), np.ones(len(born), int),
-                [track.score for track in born], [state.mean for state in states],
-                [state.cov for state in states], np.array(entries, dtype=object)))]
+            columns = [np.concatenate((tracks, np.array(born, dtype=object))), *(
+                np.concatenate([column, *(getattr(track._store, name) for track in born)])
+                for column, name in zip(columns[1:], _Store.__slots__))]
             for track in born:
-                track._attach(self._store)
+                track._attach(store)
         if dead or born:
             # Rows in class order; within a class, the tracks kept, then
             # the births.
@@ -707,7 +681,7 @@ class TrackerInstance:
             columns = [column[index] for column in columns]
             self._sizes = np.bincount(classes[index], minlength=len(ObjectClass)).tolist()
         self._tracks = columns[0]
-        self._store.replace(*columns[1:])
+        store.replace(*columns[1:])
 
     def skip(self, n: int) -> list[int]:
         """Advance over ``n`` frames without detections, as ``n`` calls of

@@ -1,8 +1,9 @@
 """Shared domain types: boxes, detections, filter states, tracks, per-class config.
 
-All types but ``Track`` are plain values; a ``Track`` that a tracker holds
-reads and writes its row of the tracker's store. Units: 2D quantities are
-pixels, 3D quantities are meters/radians, velocities are per-frame.
+All types but ``Track`` are plain values. A ``Track`` reads and writes one
+row of a store of track columns: the tracker's while the tracker holds it,
+else a one-row store of its own. Units: 2D quantities are pixels, 3D
+quantities are meters/radians, velocities are per-frame.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ EMBEDDING_NORM_TOL = 1e-6
 # are five 20 s Waymo segments at 10 Hz.
 A_MAX_LIMIT = 1000
 
-# The largest accepted 2D box extent w or h, in pixels, far beyond any
-# camera; ``hmot.kalman.NOISE_LIMIT`` says why it keeps the filter finite.
+# The largest accepted 2D box extent w or h, and centre |cx| or |cy|, in
+# pixels, far beyond any camera; ``hmot.kalman.NOISE_LIMIT`` says why it
+# keeps the filter finite. Within it a box's corners stay apart from its
+# centre, so its area and IoU are those of its extents.
 BOX2D_EXTENT_LIMIT = 1e6
 
 # The largest accepted box enlargement of stages 2 and 3; an enlarged box's
@@ -198,6 +201,9 @@ class Detection:
             if max(self.box.w, self.box.h) > BOX2D_EXTENT_LIMIT:
                 raise ValidationError(f"2D box extents must be <= {BOX2D_EXTENT_LIMIT:g}, "
                                       f"got w={self.box.w}, h={self.box.h}")
+            if max(abs(self.box.cx), abs(self.box.cy)) > BOX2D_EXTENT_LIMIT:
+                raise ValidationError(f"2D box centre must be within +-{BOX2D_EXTENT_LIMIT:g}, "
+                                      f"got cx={self.box.cx}, cy={self.box.cy}")
         elif self.camera_id is not None:
             raise ValidationError("3D detections must not carry a camera_id")
         if self.embedding is not None:
@@ -326,23 +332,57 @@ def _checked(name: str, value, domain: range | type):
     raise ValidationError(f"Track.{name} must be {what}, got {value!r}")
 
 
+class _Store:
+    """Tracks as columns, named by the first slots, row i of each belonging
+    to one track: ``ids``, ``ages`` since update, ``hits``, ``scores``,
+    ``means`` (N, d), covariances ``covs`` (N, d, d) and ``galleries``, an
+    object array of each track's gallery entry, None while it is empty.
+    ``gen`` counts the times they were replaced; a :class:`Track` looks up
+    its row with ``row_of`` once each time. The store holds no track, so a
+    track can refer to it without a reference cycle."""
+
+    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "galleries", "gen", "_rows")
+
+    def __init__(self, *columns: np.ndarray):
+        self.gen = -1
+        self.replace(*columns)
+
+    def replace(self, ids: np.ndarray, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
+                means: np.ndarray, covs: np.ndarray, galleries: np.ndarray) -> None:
+        self.ids, self.ages, self.hits, self.scores, self.means, self.covs, self.galleries = (
+            ids, ages, hits, scores, means, covs, galleries)
+        self.gen, self._rows = self.gen + 1, None
+
+    @classmethod
+    def one(cls, track_id: int, age: int, hits: int, score: float, mean: np.ndarray,
+            cov: np.ndarray, entry=None) -> "_Store":
+        """A store of one row: these values, copies of ``mean`` and ``cov``,
+        and the gallery entry ``entry``."""
+        return cls(np.array([track_id]), np.array([age]), np.array([hits]), np.array([score]),
+                   mean[None].copy(), cov[None].copy(), np.array([entry], dtype=object))
+
+    def row_of(self, track_id: int) -> int:
+        if self._rows is None:
+            self._rows = dict(zip(self.ids.tolist(), range(len(self.ids))))
+        return self._rows[track_id]
+
+
+# The domains of a track's counts. Bounded so that a step's age + 1 and
+# hits + 1 stay within int64: any age above A_MAX_LIMIT is past every a_max.
+_AGES, _HITS = range(A_MAX_LIMIT + 2), range(2**62 + 1)
+
+
 def _column(name: str, column: str, domain: range | type) -> property:
-    """The ``Track`` field ``name``, kept in the store column ``column``
-    while the track is held, else in the slot ``_name``. A write that
-    :func:`_checked` rejects raises and changes nothing."""
-    own = "_" + name
+    """The ``Track`` field ``name``, kept in the store column ``column``. A
+    write that :func:`_checked` rejects raises and changes nothing."""
     kind = float if domain is float else int
 
     def get(track: "Track"):
-        store = track._store
-        return getattr(track, own) if store is None else kind(getattr(store, column)[track._at()])
+        return kind(getattr(track._store, column)[track._at()])
 
     def set_(track: "Track", value) -> None:
         value = _checked(name, value, domain)
-        if track._store is None:
-            setattr(track, own, value)
-        else:
-            getattr(track._store, column)[track._at()] = value
+        getattr(track._store, column)[track._at()] = value
 
     return property(get, set_)
 
@@ -355,66 +395,54 @@ class Track:
     in the current frame. ``gallery`` is a float64 matrix of the track's last
     ``gallery_budget`` embeddings, oldest row first; only 2D re-id fills it.
 
-    While a tracker holds the track, ``age_since_update``, ``hits``,
-    ``score`` and ``state`` read and write the track's row of the tracker's
-    store (its columns ``ages``, ``hits``, ``scores``, ``means`` and
-    ``covs``; ``row_of`` finds the row of an id and ``gen`` counts the
-    steps): ``state`` is then a view of the rows, and a ``State`` assigned
-    to it is shown until the next step. When the tracker deletes the
-    track, it keeps the values it had then, as a track built directly does.
+    ``age_since_update``, ``hits``, ``score`` and ``state`` read and write
+    the track's row of a store: the tracker's while it holds the track,
+    else a one-row store of the track's own. ``state`` is a view of the
+    row, and a ``State`` assigned to it is shown until the store's next
+    step. A track built directly owns a copy of its ``State``; a track the
+    tracker deletes owns a copy of its row, with the values it had then.
     """
 
-    __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row",
-                 "_age_since_update", "_hits", "_score", "_state")
+    __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row", "_state")
 
     def __init__(self, track_id: int, state: State, class_label: ObjectClass, score: float,
                  age_since_update: int = 0, hits: int = 1, gallery: np.ndarray | None = None):
+        if not isinstance(state, State):
+            raise ValidationError(f"Track.state must be a State, got {type(state).__name__}")
         self.track_id, self.class_label = track_id, class_label
         self.gallery = np.empty((0, 0)) if gallery is None else gallery
-        self._store, self._state = None, state
-        self.age_since_update, self.hits, self.score = age_since_update, hits, score
+        self._attach(_Store.one(track_id, _checked("age_since_update", age_since_update, _AGES),
+                                _checked("hits", hits, _HITS), _checked("score", score, float),
+                                state.mean, state.cov), 0)
 
-    # Bounded so that a step's age + 1 and hits + 1 stay within int64: any
-    # age above A_MAX_LIMIT is past every a_max.
-    age_since_update = _column("age_since_update", "ages", range(A_MAX_LIMIT + 2))
-    hits = _column("hits", "hits", range(2**62 + 1))
+    age_since_update = _column("age_since_update", "ages", _AGES)
+    hits = _column("hits", "hits", _HITS)
     score = _column("score", "scores", float)
 
     @property
     def state(self) -> State:
-        store = self._store
-        if store is None:
-            return self._state
         row = self._at()
-        if self._state is not None:
-            return self._state
-        return State.trusted(store.means[row], store.covs[row])
+        return self._state or State.trusted(self._store.means[row], self._store.covs[row])
 
     @state.setter
     def state(self, state: State) -> None:
-        if self._store is not None:
-            self._at()
+        self._at()
         self._state = state
 
-    def _at(self, row: int | None = None) -> int:
-        """The track's row of its store (``row`` if the caller knows it),
-        looked up once a step; a new step drops an assigned state."""
+    def _at(self) -> int:
+        """The track's row of its store, looked up once a step; a new step
+        drops an assigned state."""
         store = self._store
         if self._gen != store.gen:
             self._gen, self._state = store.gen, None
-            self._row = store.row_of(self.track_id) if row is None else row
+            self._row = store.row_of(self.track_id)
         return self._row
 
-    def _attach(self, store) -> None:
-        """Let ``store`` hold the track from now on."""
-        self._store, self._gen, self._state = store, None, None
-
-    def _freeze(self, row: int, age: int, hits: int, score: float) -> None:
-        """Keep, from now on, these values and the state the track shows
-        now, in row ``row`` of its store."""
-        self._at(row)
-        self._state = self.state
-        self._store, self._age_since_update, self._hits, self._score = None, age, hits, score
+    def _attach(self, store: _Store, row: int | None = None) -> None:
+        """Let ``store`` hold the track from now on, at ``row`` if given,
+        else at the row of its id."""
+        self._store, self._state, self._row = store, None, row
+        self._gen = None if row is None else store.gen
 
 
 @dataclass(frozen=True)

@@ -502,6 +502,19 @@ def test_track_2d_box_beyond_the_extent_ceiling_names_its_line(tmp_path, capsys)
     assert "line 2: bad detection: 2D box extents must be <= 1e+06" in capsys.readouterr().err
 
 
+def test_track_2d_box_centre_beyond_the_ceiling_names_its_line(tmp_path, capsys):
+    """A box centred so far out that its corners round onto its centre has
+    no area; the reader rejects it, naming its line, instead of seeding a
+    track from it every frame."""
+    dets = tmp_path / "d.ndjson"
+    _detection_lines(dets, [(f, [-1e308, -1e308, 1, 1]) for f in range(3)])
+    out = tmp_path / "t.csv"
+    code = main(["track", "--mode", "2d", "--dets", str(dets), "--out", str(out)])
+    assert code == 2
+    assert "line 1: bad detection: 2D box centre must be within +-1e+06" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_track_noise_beyond_the_ceiling_names_its_field(tmp_path, capsys):
     """A noise term whose square would overflow a variance is rejected by
     the loader, which names its field, before numpy can warn."""
@@ -521,43 +534,48 @@ def test_track_noise_beyond_the_ceiling_names_its_field(tmp_path, capsys):
 # floors themselves.
 _BIG = [1e6, 1e6 * (1 + 2**-52), 1e150, 1e300, 1e308]
 _TINY = [1e-150, 1e-300, 1e-320, 5e-324, 0.0]
+# A 2D centre at the ceiling, and one ulp beyond it, on either side.
+_CENTRES = [s * c for s in (-1, 1) for c in (1e6, math.nextafter(1e6, math.inf))]
 
 
 @st.composite
 def _track_inputs(draw):
-    """A mode, the lines of a detection file of that mode's box kind (one
-    embedding size throughout), and a config document. Each value is
-    ordinary, or one time in ``odds`` an extreme one."""
+    """A mode, the lines of a detection file, and a config document. Each
+    value is ordinary, or one time in ``odds`` an extreme one: a line's box
+    kind is the mode's or the other, and an embedding is of the file's
+    size or the other."""
 
     def value(ordinary, extremes, odds=16):
         return draw(st.sampled_from(extremes) if draw(st.integers(1, odds)) == 1 else ordinary)
 
     def position():
-        return value(st.floats(0.0, 1000.0), [-1e308, -1e300, *_BIG, *_TINY])
+        return value(st.floats(0.0, 1000.0), [-1e308, -1e300, *_BIG, *_TINY, *_CENTRES])
 
     def extent():
         return value(st.floats(1.0, 200.0), [-5.0, *_BIG, *_TINY])
 
     def embedding():
         angle = draw(st.floats(0.0, 0.5))
-        return value(st.sampled_from([None, [math.cos(angle), math.sin(angle), 0.0]]),
+        unit = [math.cos(angle), math.sin(angle)]
+        return value(st.sampled_from([None, unit + [0.0] * (size - 2)]),
                      [[1e300, 1e300, 0.0], [0.0, 0.0, 0.0], [5e-324, 1.0, 0.0],
-                      [1e-160, 1.0, 1e-160]])
+                      [1e-160, 1.0, 1e-160], unit + [0.0] * (5 - size)])
 
     mode = draw(st.sampled_from(["2d", "3d"]))
+    size = draw(st.sampled_from([3, 4]))
     lines, frame = [], 0
     for _ in range(draw(st.integers(1, 5))):
-        dets = []
+        kind, dets = value(st.just(mode), ["3d" if mode == "2d" else "2d"]), []
         for _ in range(draw(st.integers(0, 3))):
-            box = ([position(), position(), extent(), extent()] if mode == "2d" else
+            box = ([position(), position(), extent(), extent()] if kind == "2d" else
                    [position(), position(), position(), extent(), extent(), extent(),
                     value(st.floats(-4.0, 4.0), [-1e308, *_BIG, *_TINY])])
             dets.append({"class": draw(st.sampled_from(["pedestrian", "vehicle", "cyclist"])),
-                         f"box{mode}": box,
+                         f"box{kind}": box,
                          "score": value(st.floats(0.0, 1.0), [5e-324, 1.0 + 2**-52, 1.5]),
                          "embedding": embedding()})
         lines.append(json.dumps({"sequence_id": "s", "frame": frame,
-                                 "camera": "front" if mode == "2d" else None,
+                                 "camera": "front" if kind == "2d" else None,
                                  "detections": dets}))
         frame += value(st.sampled_from([1, 2]), [1000, 10 ** 9])
     fields = {
@@ -673,6 +691,22 @@ def test_track_mixed_embedding_sizes_exits_2(tmp_path, capsys):
     assert "sequence 's' frame 1: embedding size 4" in err
     assert "size 8" in err
     assert not out.exists()
+
+
+def test_track_tracker_errors_name_their_line(tmp_path, capsys):
+    """A tracker's ConfigError or ValidationError names the line of the
+    frame it was raised on, as the reader's errors do."""
+    dets = tmp_path / "d.ndjson"
+    dets.write_text("\n" + "".join(json.dumps({
+        "sequence_id": "s", "frame": f, "camera": "front", "detections": [
+            {"class": "pedestrian", "box2d": [500, 400, 60, 120], "score": 0.9,
+             "embedding": [dim ** -0.5] * dim}]}) + "\n" for f, dim in enumerate((8, 4))))
+    out = tmp_path / "t.csv"
+    for mode, message in [("3d", "line 2: sequence 's' frame 0: 3D tracking does not take"),
+                          ("2d", "line 3: sequence 's' frame 1: embedding size 4 differs")]:
+        assert main(["track", "--mode", mode, "--dets", str(dets), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_track_3d_ignores_embeddings_of_mixed_sizes(tmp_path, capsys):

@@ -576,11 +576,12 @@ def test_gt_to_rows_and_back():
 finite = st.floats(allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 box2d = st.builds(Box2D, finite, finite, extent, extent)
-# A 2D detection's box also needs extents up to BOX2D_EXTENT_LIMIT and a
-# finite aspect w / h.
+# A 2D detection's box also needs extents up to BOX2D_EXTENT_LIMIT, a
+# centre within it and a finite aspect w / h.
+detected_centre = st.floats(-BOX2D_EXTENT_LIMIT, BOX2D_EXTENT_LIMIT)
 detected_extent = st.floats(min_value=0.0, exclude_min=True, max_value=BOX2D_EXTENT_LIMIT)
-detected_box2d = st.builds(Box2D, finite, finite, detected_extent, detected_extent).filter(
-    lambda b: np.isfinite(b.w / b.h))
+detected_box2d = st.builds(Box2D, detected_centre, detected_centre, detected_extent,
+                           detected_extent).filter(lambda b: np.isfinite(b.w / b.h))
 box3d = st.builds(Box3D, finite, finite, finite, extent, extent, extent, finite)
 score = st.floats(min_value=0.0, max_value=1.0)
 label = st.sampled_from(ObjectClass)

@@ -357,6 +357,16 @@ def test_iou_dist_matrix_of_boxes_with_coinciding_corners_matches_scalar():
             assert iou_dist_matrix(rows, [a, b]).tolist() == scalar
 
 
+def test_iou_dist_matrix_of_boxes_whose_corner_gap_overflows():
+    """Boxes centred at -1e308 and +1e308 have a corner gap beyond the float
+    range; the fill gives them no overlap, without an overflow warning. A
+    detection cannot be centred there, but a ``Box2D`` can."""
+    a, b = Box2D(-1e308, 100, 50, 80), Box2D(1e308, 100, 50, 80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert iou_dist_matrix([a, b], [b, a]).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
 def test_gauss_matrix_matches_scalar():
     rng = np.random.default_rng(10)
     boxes_r = [_rand_box3(rng) for _ in range(6)]

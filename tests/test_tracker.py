@@ -1196,6 +1196,40 @@ def test_deleted_tracks_freeze_in_full():
     assert (dead.state.mean == 7.0).all()
 
 
+def test_deleted_track_holds_only_its_own_row():
+    """A track deleted by age-out shares no memory with the store's means
+    and covariances of the step it died in: it holds a copy of its own row,
+    the state of the last step it lived through, with the age, hits and
+    score it had at deletion."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0), _det3(20, 0)])
+    inst.step([_det3(0.1, 0), _det3(20.1, 0, score=0.7)])
+    dead = inst.tracks[1]
+    a_max = inst.configs[ObjectClass.PEDESTRIAN].a_max
+    for _ in range(a_max):
+        inst.step([_det3(0.1, 0)])
+    mean, cov = dead.state.mean.copy(), dead.state.cov.copy()
+    means, covs = inst._store.means, inst._store.covs
+    assert inst.step([_det3(0.1, 0)]).deleted_ids == [dead.track_id]
+    for column in (means, covs, inst._store.means, inst._store.covs):
+        assert not np.shares_memory(dead.state.mean, column)
+        assert not np.shares_memory(dead.state.cov, column)
+    assert np.array_equal(dead.state.mean, mean) and np.array_equal(dead.state.cov, cov)
+    assert (dead.age_since_update, dead.hits, dead.score) == (a_max + 1, 2, 0.7)
+
+
+def test_built_track_owns_a_copy_of_its_state():
+    """``Track(state=s)`` copies ``s``: an edit of ``s`` afterwards does not
+    reach the track. Anything but a ``State`` is a ValidationError naming
+    ``Track.state``."""
+    state = State(np.arange(10.0) + 1.0, np.eye(10))
+    track = Track(1, state, ObjectClass.PEDESTRIAN, 0.9)
+    state.mean[0] = -5.0
+    assert track.state.mean[0] == 1.0 and not np.shares_memory(track.state.mean, state.mean)
+    with pytest.raises(ValidationError, match=r"^Track\.state must be a State, got tuple$"):
+        Track(2, (state.mean, state.cov), ObjectClass.PEDESTRIAN, 0.9)
+
+
 @pytest.mark.parametrize("field, value", [
     ("hits", 2.5), ("hits", True), ("score", math.nan), ("age_since_update", 2**70)])
 def test_track_write_outside_its_domain_is_rejected(field, value):
