@@ -143,7 +143,7 @@ def _dist_matrix(
         return iou_dist_matrix([o.box for o in gt], [o.box for o in hyp])
     gc = np.array([[o.box.cx, o.box.cy, o.box.cz] for o in gt]).reshape(len(gt), 3)
     hc = np.array([[o.box.cx, o.box.cy, o.box.cz] for o in hyp]).reshape(len(hyp), 3)
-    return np.linalg.norm(gc[:, None, :] - hc[None, :, :], axis=-1)
+    return np.sqrt(np.square(gc[:, None, :] - hc[None, :, :]).sum(axis=-1))
 
 
 def evaluate(

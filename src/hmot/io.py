@@ -321,6 +321,8 @@ def read_tracks(path: str | Path) -> list[TrackRow]:
                 label = ObjectClass(record[3])
                 values = [float(v) for v in record[4:-1]]
                 score = float(record[-1])
+                if not 0.0 <= score <= 1.0:  # a NaN fails too
+                    raise ValueError(f"score must be in [0, 1], got {score}")
                 box: Box = kind(*values)
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad track row: {exc}", lineno) from None

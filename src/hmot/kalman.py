@@ -6,24 +6,20 @@ across near and far objects. 3D noise is a fixed diagonal in metric units.
 The emitted box of an updated track is the raw observation; the filtered
 mean only drives prediction and association.
 
-The filter is ``predict_batch``, ``update_batch`` and
-``mahalanobis_sq_pairs``. Each runs one stacked computation over means
-(N, d) and covariances (N, d, d), with observations (N, k) from the
-model's ``observations``. It returns new arrays and the
-``NumericFailureError`` of each row that failed, by row; a failed row
-holds no usable state. The tracker keeps the states of all its tracks in
-one such pair of arrays between frames, with one predict and one update
-call a frame. ``predict``, ``update`` and ``mahalanobis_sq`` are the scalar
-API: one row of the batched functions, raising that row's failure.
-
-``update_batch`` needs no LAPACK call when every innovation covariance S of
-the batch is diagonal, as the tracker's are: P0, Q and R are diagonal, F
-couples each observed component only with its own velocity, and H selects
-the first k components, so the observed block of P stays diagonal with
-exact zeros. A row then fails where a diagonal entry of S is <= 0, as its
-Cholesky factor does, and its gain is HP times the reciprocal variances,
-which is how the solve with k > 1 right-hand sides computes it, bit for
-bit. Any other batch is factored and solved.
+P0, Q and R are diagonal and F moves each position by its own velocity
+only, so every covariance is a diagonal plus one position-velocity term per
+moving axis, kept as a filter row (:func:`~hmot.types.pack_covs`): the
+per-axis form of the alpha-beta filter. ``predict_batch``, ``update_batch``
+and ``mahalanobis_sq_pairs`` run elementwise over means (N, d) and filter
+rows, with observations (N, k) from the model's ``observations``, and
+return new arrays and the ``NumericFailureError`` of each row that failed,
+by row; a failed row holds no usable state. Each innovation covariance S
+is diagonal: a row fails where a variance of S is <= 0, as its Cholesky
+factor would, and no matrix is factored. The results equal the dense
+filter's (``F P F^T + Q``, a Cholesky solve, the covariance symmetrised)
+bit for bit. ``predict``, ``update`` and ``mahalanobis_sq`` are the scalar
+API: one ``State`` as one row, raising its failure; a covariance outside
+the pattern is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -47,6 +43,8 @@ from .types import (
     IX_THETA_3D,
     Detection,
     State,
+    pack_covs,
+    unpack_covs,
 )
 
 
@@ -136,9 +134,7 @@ class MotionModel2D:
 
     def __init__(self, noise: Noise2D | None = None):
         self.noise = noise or Noise2D()
-        self.F = np.eye(self.dim_state)
-        for i in range(self.dim_obs):
-            self.F[i, self.dim_obs + i] = 1.0
+        self.F = np.eye(self.dim_state) + np.eye(self.dim_state, k=self.dim_obs)
         self.H = np.eye(self.dim_obs, self.dim_state)
 
     @staticmethod
@@ -190,22 +186,13 @@ class MotionModel3D:
 
     def __init__(self, noise: Noise3D | None = None):
         self.noise = noise or Noise3D()
-        self.F = np.eye(self.dim_state)
-        for i in range(3):
-            self.F[i, 7 + i] = 1.0
+        self.F = np.eye(self.dim_state) + np.eye(self.dim_state, k=self.dim_obs)
         self.H = np.eye(self.dim_obs, self.dim_state)
         n = self.noise
-        self._q = np.square([
-            n.pos_proc_std, n.pos_proc_std, n.pos_proc_std,
-            n.size_proc_std, n.size_proc_std, n.size_proc_std,
-            n.heading_proc_std,
-            n.vel_proc_std, n.vel_proc_std, n.vel_proc_std,
-        ])
-        self._r = np.square([
-            n.pos_meas_std, n.pos_meas_std, n.pos_meas_std,
-            n.size_meas_std, n.size_meas_std, n.size_meas_std,
-            n.heading_meas_std,
-        ])
+        self._q = np.square(np.repeat([n.pos_proc_std, n.size_proc_std, n.heading_proc_std,
+                                       n.vel_proc_std], [3, 3, 1, 3]))
+        self._r = np.square(np.repeat([n.pos_meas_std, n.size_meas_std, n.heading_meas_std],
+                                      [3, 3, 1]))
 
     @staticmethod
     def observations(dets: Sequence[Detection]) -> np.ndarray:
@@ -224,14 +211,9 @@ class MotionModel3D:
         return self._r
 
     def initial_state(self, obs: np.ndarray) -> State:
-        n = self.noise
-        mean = np.concatenate([obs, np.zeros(3)])
-        pos_var = n.pos_meas_std ** 2
-        variances = np.concatenate([
-            self._r,
-            np.full(3, n.init_vel_var_ratio * pos_var),
-        ])
-        return State(mean, np.diag(variances))
+        velocity_var = self.noise.init_vel_var_ratio * self.noise.pos_meas_std ** 2
+        return State(np.concatenate([obs, np.zeros(3)]),
+                     np.diag(np.concatenate([self._r, np.full(3, velocity_var)])))
 
 
 MotionModel = MotionModel2D | MotionModel3D
@@ -242,25 +224,16 @@ def init_track_state(det: Detection, model: MotionModel) -> State:
     return model.initial_state(model.observations([det])[0])
 
 
-def _add_diagonal(mats: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Add ``var`` ((N, d) or (d,)) to the diagonals of ``mats`` (N, d, d)."""
-    i = np.arange(mats.shape[-1])
-    mats[:, i, i] += var
-    return mats
-
-
 Failures = dict[int, NumericFailureError]
 
 
 def _filter_results(
     means: np.ndarray, covs: np.ndarray, model: MotionModel, what: str, failures: Failures,
 ) -> tuple[np.ndarray, np.ndarray, Failures]:
-    """The arrays a filter step ends in, with its failures: covariances
-    symmetrised, headings wrapped. A row already in ``failures``, with a
-    non-finite entry or with a non-positive box extent fails, with the
-    first of these that applies."""
-    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    """The arrays a filter step ends in, with its failures: headings
+    wrapped. A row already in ``failures``, with a non-finite entry or with
+    a non-positive box extent fails, with the first of these that applies."""
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=1)
     hi = model.heading_index
     if hi is not None:
         theta = means[:, hi]
@@ -294,89 +267,64 @@ def _innovations(means: np.ndarray, obs: np.ndarray, model: MotionModel) -> np.n
     return y
 
 
-def _singular_rows(S: np.ndarray, B: np.ndarray | None = None) -> Failures:
-    """Each row whose S has no Cholesky factor (or cannot solve its B), with
-    its failure. Its S becomes the identity and its B zero, so the batch
-    can finish; the caller discards those rows."""
-    singular = {}
-    for i in range(len(S)):
-        try:
-            np.linalg.cholesky(S[i])
-            if B is not None:
-                np.linalg.solve(S[i], B[i])
-        except np.linalg.LinAlgError as exc:
-            singular[i] = NumericFailureError(f"singular innovation covariance: {exc}")
-            S[i] = np.eye(S.shape[-1])
-            if B is not None:
-                B[i] = 0.0
-    return singular
-
-
-def _diagonal_gain(
-    S: np.ndarray, HP: np.ndarray, var: np.ndarray,
+def _innovation_vars(
+    means: np.ndarray, covs: np.ndarray, model: MotionModel,
 ) -> tuple[np.ndarray, Failures]:
-    """``solve(S, HP)`` for diagonal innovation covariances S with diagonals
-    ``var`` (N, k), bit for bit, and the rows without a Cholesky factor,
-    set aside as :func:`_singular_rows` sets them. The factor exists exactly
-    when no diagonal entry is <= 0 (LAPACK lets a NaN pass, and so does
-    this check), and the solve with k > 1 right-hand sides multiplies by
-    pivot reciprocals. Where a reciprocal overflows, the solve spreads NaN
-    through the gain; here the whole row is NaN, so it fails as non-finite
-    without a floating-point warning."""
-    bad = np.flatnonzero((var <= 0).any(axis=1))
-    S[bad], HP[bad], var[bad] = np.eye(S.shape[-1]), 0.0, 1.0
-    with np.errstate(over="ignore"):
-        recip = 1.0 / var
-    recip[~np.isfinite(recip).all(axis=1)] = math.nan
-    return HP * recip[..., None], {i: NumericFailureError(
+    """The innovation variances S (N, k) of each row, and the failure of
+    each row with a variance <= 0, which has no Cholesky factor (a NaN
+    passes, as it does in LAPACK); the S of such a row is set to ones."""
+    S = covs[:, :model.dim_obs] + model.measurement_var(means)
+    singular = np.flatnonzero((S <= 0).any(axis=1))
+    S[singular] = 1.0
+    return S, {i: NumericFailureError(
         "singular innovation covariance: Matrix is not positive definite")
-        for i in bad.tolist()}
+        for i in singular.tolist()}
 
 
 def predict_batch(
     means: np.ndarray, covs: np.ndarray, model: MotionModel
 ) -> tuple[np.ndarray, np.ndarray, Failures]:
     """One constant-velocity step of every state, mean' = F mean and
-    cov' = F cov F^T + Q: the new means and covariances, and the failure
-    of each row that failed."""
+    P' = F P F^T + Q on filter rows: a position variance p with cross term
+    c and velocity variance v becomes (p + c) + (c + v) + q, c becomes
+    c + v, and every other variance gains its q. Returns the new means and
+    rows, and the failure of each row that failed."""
     if not len(means):
         return means, covs, {}
-    F = model.F
-    covs = _add_diagonal(F @ covs @ F.T, model.process_var(means))
-    return _filter_results(means @ F.T, covs, model, "predict", {})
+    d, k = model.dim_state, model.dim_obs
+    var, c = covs[:, :d], covs[:, d:]
+    cv = c + var[:, k:]
+    var = np.concatenate(((var[:, :d - k] + c) + cv, var[:, d - k:]), axis=1)
+    covs = np.concatenate((var + model.process_var(means), cv), axis=1)
+    return _filter_results(means @ model.F.T, covs, model, "predict", {})
 
 
 def update_batch(
     means: np.ndarray, covs: np.ndarray, obs: np.ndarray, model: MotionModel
 ) -> tuple[np.ndarray, np.ndarray, Failures]:
     """The standard Kalman measurement update of each state with its row
-    of ``obs``: the new means and covariances, and the failure of each
-    pair that failed."""
+    of ``obs``: the new means and filter rows, and the failure of each pair
+    that failed. A component's gain is its covariance with the observed
+    component it moves with, times that one's reciprocal innovation
+    variance. Where a reciprocal overflows, the row is all NaN, so it fails
+    as non-finite, as a dense solve does, without a floating-point warning."""
     if not len(means):
         return means, covs, {}
+    d, k = model.dim_state, model.dim_obs
     y = _innovations(means, obs, model)
-    H = model.H
-    HP = H @ covs
-    S = _add_diagonal(HP @ H.T, model.measurement_var(means))
-    i = np.arange(S.shape[-1])
-    var = S[:, i, i]
-    if np.count_nonzero(S) == np.count_nonzero(var):  # every S is diagonal
-        gain, singular = _diagonal_gain(S, HP, var)
-    else:
-        singular = {}
-        try:
-            np.linalg.cholesky(S)  # raises unless every S is positive definite
-            gain = np.linalg.solve(S, HP)
-        except np.linalg.LinAlgError:
-            singular = _singular_rows(S, HP)
-            gain = np.linalg.solve(S, HP)
-        # As on the diagonal route, a row whose solve overflowed is all NaN,
-        # so it fails as non-finite without a floating-point warning.
-        gain[~np.isfinite(gain).all(axis=(1, 2))] = math.nan
-    gain = np.swapaxes(gain, 1, 2)  # each cov is symmetric
-    means = means + (gain @ y[..., None])[..., 0]
-    covs = covs - gain @ S @ np.swapaxes(gain, 1, 2)
-    return _filter_results(means, covs, model, "update", singular)
+    S, singular = _innovation_vars(means, covs, model)
+    with np.errstate(over="ignore"):
+        recip = 1.0 / S
+    recip[~np.isfinite(recip).all(axis=1)] = math.nan
+    recip[list(singular)] = 0.0  # no gain: these rows are discarded
+    m = d - k
+    at = np.r_[:k, :m]  # the observed component of each state component
+    gain = np.concatenate((covs[:, :k], covs[:, d:]), axis=1) * recip[:, at]
+    gain_s = gain * S[:, at]
+    c = covs[:, d:]
+    c = 0.5 * ((c - gain_s[:, :m] * gain[:, k:]) + (c - gain_s[:, k:] * gain[:, :m]))
+    covs = np.concatenate((covs[:, :d] - gain_s * gain, c), axis=1)
+    return _filter_results(means + gain * y[:, at], covs, model, "update", singular)
 
 
 def mahalanobis_sq_pairs(
@@ -384,33 +332,27 @@ def mahalanobis_sq_pairs(
     rows: np.ndarray, cols: np.ndarray, model: MotionModel,
 ) -> tuple[np.ndarray, Failures]:
     """Squared Mahalanobis distance y^T S^-1 y of observation ``obs[c]``
-    from state ``r`` for each pair of ``rows`` and ``cols``, with the
-    innovation covariance S of each state factored once, and the failure of
-    each state whose S is not positive definite. Its pairs get inf."""
+    from state ``r`` for each pair of ``rows`` and ``cols``, as the sum of
+    squares of y / sqrt(S), and the failure of each state whose S is not
+    positive definite. Its pairs get inf."""
     if not len(rows):
         return np.empty(0), {}
     used, row_of_pair = np.unique(rows, return_inverse=True)
-    means, covs = means[used], covs[used]
-    H = model.H
-    S = _add_diagonal(H @ covs @ H.T, model.measurement_var(means))
-    singular = {}
-    try:
-        chol = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        singular = {int(used[i]): exc for i, exc in _singular_rows(S).items()}
-        chol = np.linalg.cholesky(S)
+    means = means[used]
+    S, singular = _innovation_vars(means, covs[used], model)
     y = _innovations(means[row_of_pair], obs[cols], model)
-    z = np.linalg.solve(chol[row_of_pair], y[..., None])
-    d2 = (np.swapaxes(z, 1, 2) @ z)[:, 0, 0]
+    with np.errstate(over="ignore"):
+        z = y / np.sqrt(S)[row_of_pair]
+        d2 = (z[:, None, :] @ z[..., None])[:, 0, 0]
     if singular:
-        d2[np.isin(rows, list(singular))] = math.inf
-    return d2, singular
+        d2[np.isin(row_of_pair, list(singular))] = math.inf
+    return d2, {int(used[i]): exc for i, exc in singular.items()}
 
 
 def _one(batch, state: State, *args) -> list:
     """The outputs of ``batch`` for ``state`` as its one row, followed by
     ``args``; raises the row's failure."""
-    *outputs, failures = batch(np.array([state.mean]), np.array([state.cov]), *args)
+    *outputs, failures = batch(np.array([state.mean]), pack_covs(state.cov[None]), *args)
     if failures:
         raise failures[0]
     return [out[0] for out in outputs]
@@ -418,12 +360,14 @@ def _one(batch, state: State, *args) -> list:
 
 def predict(state: State, model: MotionModel) -> State:
     """:func:`predict_batch` of one state; raises its failure."""
-    return State.trusted(*_one(predict_batch, state, model))
+    mean, row = _one(predict_batch, state, model)
+    return State.trusted(mean, unpack_covs(row[None])[0])
 
 
 def update(state: State, det: Detection, model: MotionModel) -> State:
     """:func:`update_batch` of one pair; raises its failure."""
-    return State.trusted(*_one(update_batch, state, model.observations([det]), model))
+    mean, row = _one(update_batch, state, model.observations([det]), model)
+    return State.trusted(mean, unpack_covs(row[None])[0])
 
 
 def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:

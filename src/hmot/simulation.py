@@ -208,7 +208,7 @@ def _frame_set(windows: Iterable[Window], n_frames: int) -> set[tuple[int, int]]
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+    return vec / np.sqrt(vec @ vec)
 
 
 def generate(

@@ -1,18 +1,19 @@
 """Online tracking engine.
 
 One store per instance (a :class:`hmot.types._Store`) holds all its tracks
-as columns: ids, ages since update, hits, scores, means (N, d), covariances
-(N, d, d) and galleries, row i belonging to the i-th track, rows grouped by
-class. Per frame: one batched predict of every row; per class, split its
-detections by score into a primary and a secondary set and run a
-three-stage gated cascade on its rows; one batched update of every matched
-pair; then the new columns of every row at once, seed new tracks from
-leftover primary detections after their class's rows, and compact the
-store once. Each stage takes whole columns of the store (never a
-``Track``), the track rows still open and the detection rows to match, and
-returns rows of the same arrays. A held ``Track`` reads and writes its row,
-so edits to it reach the next step; a track is born with a one-row store of
-its own, whose row joins the instance's, and dies with a copy of its row.
+as columns: ids, ages since update, hits, scores, means (N, d), the filter
+rows of the covariances (:func:`hmot.types.pack_covs`) and galleries, row
+i belonging to the i-th track, rows grouped by class. Per frame: one
+batched predict of every row; per class, split its detections by score
+into a primary and a secondary set and run a three-stage gated cascade on
+its rows; one batched update of every matched pair; then the new columns
+of every row at once, seed new tracks from leftover primary detections
+after their class's rows, and compact the store once. Each stage takes
+whole columns of the store (never a ``Track``), the track rows still open
+and the detection rows to match, and returns rows of the same arrays. A
+held ``Track`` reads and writes its row, so writes to it reach the next
+step; a track is born with a one-row store of its own, whose row joins the
+instance's, and dies with a copy of its row.
 Each stage solves one gated assignment per band of tracks over the
 detections earlier bands left. Stage 1 bands by age, youngest first, by
 appearance distance in 2D and kernelized center distance in 3D; in 2D a
@@ -65,6 +66,7 @@ from .types import (
     ObjectClass,
     Track,
     _Store,
+    pack_covs,
 )
 
 log = logging.getLogger(__name__)
@@ -437,7 +439,8 @@ class TrackerInstance:
         # the k-th.
         dim = self.model.dim_state
         self._store = _Store(*(np.empty(0, dtype=np.int64) for _ in range(3)), np.empty(0),
-                             np.empty((0, dim)), np.empty((0, dim, dim)), np.empty(0, dtype=object))
+                             np.empty((0, dim)), pack_covs(np.empty((0, dim, dim))),
+                             np.empty(0, dtype=object))
         self._tracks = np.empty(0, dtype=object)
         self._sizes = [0] * len(ObjectClass)
         self.frame_index = 0
@@ -509,9 +512,10 @@ class TrackerInstance:
                 rows = np.array(track.gallery, dtype=np.float64)
             except (TypeError, ValueError):  # ragged, or not numbers
                 rows = None
-            if (rows is None or rows.ndim != 2 or rows.shape[1] != self._embed_dim
-                    or not np.isfinite(rows).all()):
-                got = "ragged or non-numeric rows" if rows is None else f"shape {rows.shape}"
+            shaped = rows is not None and rows.ndim == 2 and rows.shape[1] == self._embed_dim
+            if not (shaped and np.isfinite(rows).all()):
+                got = ("non-finite rows" if shaped else "ragged or non-numeric rows"
+                       if rows is None else f"shape {rows.shape}")
                 raise ValidationError(
                     f"gallery of track {track.track_id} must hold finite rows of the "
                     f"embedding size {self._embed_dim}, got {got}")
@@ -585,6 +589,10 @@ class TrackerInstance:
         rows = np.array(pair_rows, dtype=np.intp)
         means[rows], covs[rows], failures = update(
             means[rows], covs[rows], np.concatenate(pair_obs), model)
+        # Each matched track's gallery, checked before the first append.
+        appends = [(row, det) for k, (row, det) in enumerate(zip(pair_rows, pair_dets))
+                   if reid and det.embedding is not None and k not in failures]
+        entries = [self._gallery(row) for row, _ in appends]
         # The columns after this frame, in the rows of the store so far: a
         # track ages by one, and a matched one restarts at age 0 with one
         # hit more and its detection's score. A track whose filter failed
@@ -613,16 +621,12 @@ class TrackerInstance:
             if failures:
                 _delete(ids[rows], failures, first, first + n, result)
             result.deleted_ids += [i for row, i in zip(aged, aged_ids) if start <= row < end]
-        if reid:
-            for k, (row, det) in enumerate(zip(pair_rows, pair_dets)):
-                if det.embedding is None or k in failures:
-                    continue
-                entry = self._gallery(row)
-                if entry is None:
-                    entry = store.galleries[row] = _Gallery(det.embedding[None], 1)
-                else:
-                    entry.append(det.embedding, self.configs[det.class_label].gallery_budget)
-                tracks[row].gallery = entry.view
+        for (row, det), entry in zip(appends, entries):
+            if entry is None:
+                entry = store.galleries[row] = _Gallery(det.embedding[None], 1)
+            else:
+                entry.append(det.embedding, self.configs[det.class_label].gallery_budget)
+            tracks[row].gallery = entry.view
         born = [Track(next(self._id_counter), init_track_state(det, model), det.class_label,
                       det.score) for det in seeds]
         for track, det in zip(born, seeds):

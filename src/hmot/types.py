@@ -2,7 +2,9 @@
 
 All types but ``Track`` are plain values. A ``Track`` reads and writes one
 row of a store of track columns: the tracker's while the tracker holds it,
-else a one-row store of its own. Units: 2D quantities are pixels, 3D
+else a one-row store of its own. The store keeps each filter state as a
+mean and a filter row of its covariance (:func:`pack_covs`); ``Track.state``
+is a ``State`` built from them. Units: 2D quantities are pixels, 3D
 quantities are meters/radians, velocities are per-frame.
 """
 
@@ -217,7 +219,7 @@ class Detection:
             big = float(np.max(np.abs(emb), initial=0.0))
             if big > 1.0 + EMBEDDING_NORM_TOL:
                 raise ValidationError(f"embedding must be unit-norm, got an entry of size {big}")
-            norm = float(np.linalg.norm(emb))
+            norm = math.sqrt(emb @ emb)
             if abs(norm - 1.0) > EMBEDDING_NORM_TOL:
                 raise ValidationError(f"embedding must be unit-norm, got |e| = {norm}")
             object.__setattr__(self, "embedding", emb)
@@ -238,11 +240,16 @@ IX_THETA_3D = 6
 # Every filter step keeps these positive.
 EXTENTS = {DIM_STATE_2D: [2, 3], DIM_STATE_3D: [3, 4, 5]}
 
+# The observed size k of each state layout, keyed by state size d: observed
+# component i < d - k is a position, whose velocity is component k + i.
+DIM_OBS = {DIM_STATE_2D: DIM_OBS_2D, DIM_STATE_3D: DIM_OBS_3D}
+
 
 @dataclass(eq=False)
 class State:
     """Kalman state of a track: mean (8,) with covariance (8, 8) in 2D, mean
-    (10,) with covariance (10, 10) in 3D. Every entry is finite."""
+    (10,) with covariance (10, 10) in 3D. Every entry is finite. Each
+    message of the constructor begins with "state"."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -272,18 +279,45 @@ class State:
         return state
 
     def validate(self) -> None:
-        """Check that the covariance is symmetric and positive semi-definite
-        and that the box extents are positive."""
-        cov = self.cov
-        asym = float(np.max(np.abs(cov - cov.T)))
-        if asym > 1e-9:
-            raise ValidationError(f"covariance asymmetry {asym} exceeds 1e-9")
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))))
-        if min_eig < -1e-9:
-            raise ValidationError(f"covariance has eigenvalue {min_eig} < -1e-9")
-        extents = self.mean[EXTENTS[len(self.mean)]]
+        """Check that the covariance has the filter's pattern
+        (:func:`pack_covs`) and is positive semi-definite, and that the box
+        extents are positive."""
+        d, row = len(self.mean), pack_covs(self.cov[None])[0]
+        p, v, c = row[:d - DIM_OBS[d]], row[DIM_OBS[d]:d], row[d:]
+        # The least eigenvalue of a (position, velocity) block is at most its
+        # variances, so this is the least eigenvalue of the covariance.
+        least = min(row[:d].min(), (0.5 * ((p + v) - np.hypot(p - v, 2.0 * c))).min())
+        if least < -1e-9:
+            raise ValidationError(f"covariance has eigenvalue {least} < -1e-9")
+        extents = self.mean[EXTENTS[d]]
         if np.any(extents <= 0):
             raise ValidationError(f"state extents must be positive, got {extents}")
+
+
+def unpack_covs(rows: np.ndarray) -> np.ndarray:
+    """The covariances (N, d, d) of filter rows (N, 2d - k)."""
+    d = {2 * d - k: d for d, k in DIM_OBS.items()}[rows.shape[1]]
+    k = DIM_OBS[d]
+    covs = np.zeros((len(rows), d, d))
+    flat = covs.reshape(len(rows), d * d)  # P[i, j] is entry i * d + j
+    flat[:, ::d + 1] = rows[:, :d]
+    flat[:, k::d + 1][:, :d - k] = flat[:, k * d::d + 1][:, :d - k] = rows[:, d:]
+    return covs
+
+
+def pack_covs(covs: np.ndarray) -> np.ndarray:
+    """The filter rows (N, 2d - k) of covariances (N, d, d): the d variances,
+    then the d - k position-velocity terms P[i, k + i], the only other
+    entries a filter covariance has. A covariance with another nonzero, or
+    with P[k + i, i] != P[i, k + i], is a ``ValidationError``."""
+    d = covs.shape[-1]
+    k = DIM_OBS[d]
+    flat = covs.reshape(len(covs), d * d)
+    rows = np.concatenate((flat[:, ::d + 1], flat[:, k::d + 1][:, :d - k]), axis=1)
+    if not np.array_equal(unpack_covs(rows), covs, equal_nan=True):
+        raise ValidationError("state covariance must be zero off its diagonal but for "
+                              "the position-velocity terms, each symmetric")
+    return rows
 
 
 def observation_2d(box: Box2D) -> np.ndarray:
@@ -335,8 +369,9 @@ def _checked(name: str, value, domain: range | type):
 class _Store:
     """Tracks as columns, named by the first slots, row i of each belonging
     to one track: ``ids``, ``ages`` since update, ``hits``, ``scores``,
-    ``means`` (N, d), covariances ``covs`` (N, d, d) and ``galleries``, an
-    object array of each track's gallery entry, None while it is empty.
+    ``means`` (N, d), the filter rows ``covs`` of the covariances
+    (:func:`pack_covs`) and ``galleries``, an object array of each track's
+    gallery entry, None while it is empty.
     ``gen`` counts the times they were replaced; a :class:`Track` looks up
     its row with ``row_of`` once each time. The store holds no track, so a
     track can refer to it without a reference cycle."""
@@ -356,8 +391,8 @@ class _Store:
     @classmethod
     def one(cls, track_id: int, age: int, hits: int, score: float, mean: np.ndarray,
             cov: np.ndarray, entry=None) -> "_Store":
-        """A store of one row: these values, copies of ``mean`` and ``cov``,
-        and the gallery entry ``entry``."""
+        """A store of one row: these values, copies of ``mean`` and of the
+        filter row ``cov``, and the gallery entry ``entry``."""
         return cls(np.array([track_id]), np.array([age]), np.array([hits]), np.array([score]),
                    mean[None].copy(), cov[None].copy(), np.array([entry], dtype=object))
 
@@ -387,6 +422,20 @@ def _column(name: str, column: str, domain: range | type) -> property:
     return property(get, set_)
 
 
+def _state_row(state, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and filter row of ``state``, a ``State`` (of ``dim``
+    entries, if given); anything else is a ValidationError naming it."""
+    if not isinstance(state, State):
+        raise ValidationError(f"Track.state must be a State, got {type(state).__name__}")
+    try:
+        state = State(state.mean, state.cov)  # its arrays may have been edited since
+        if dim not in (None, len(state.mean)):
+            raise ValidationError(f"state must have {dim} entries, got {len(state.mean)}")
+        return state.mean, pack_covs(state.cov[None])[0]
+    except ValidationError as exc:
+        raise ValidationError(f"Track.{exc}") from None
+
+
 class Track:
     """Identity-bearing track state.
 
@@ -397,23 +446,23 @@ class Track:
 
     ``age_since_update``, ``hits``, ``score`` and ``state`` read and write
     the track's row of a store: the tracker's while it holds the track,
-    else a one-row store of the track's own. ``state`` is a view of the
-    row, and a ``State`` assigned to it is shown until the store's next
-    step. A track built directly owns a copy of its ``State``; a track the
-    tracker deletes owns a copy of its row, with the values it had then.
+    else a one-row store of the track's own. ``state`` is a snapshot of the
+    row, a new ``State`` at each read; a ``State`` assigned to it is written
+    to the row, so the next step filters it. A track built directly owns a
+    copy of its ``State``; a track the tracker deletes owns a copy of its
+    row, with the values it had then.
     """
 
-    __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row", "_state")
+    __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row")
 
     def __init__(self, track_id: int, state: State, class_label: ObjectClass, score: float,
                  age_since_update: int = 0, hits: int = 1, gallery: np.ndarray | None = None):
-        if not isinstance(state, State):
-            raise ValidationError(f"Track.state must be a State, got {type(state).__name__}")
+        mean, cov = _state_row(state)
         self.track_id, self.class_label = track_id, class_label
         self.gallery = np.empty((0, 0)) if gallery is None else gallery
         self._attach(_Store.one(track_id, _checked("age_since_update", age_since_update, _AGES),
                                 _checked("hits", hits, _HITS), _checked("score", score, float),
-                                state.mean, state.cov), 0)
+                                mean, cov), 0)
 
     age_since_update = _column("age_since_update", "ages", _AGES)
     hits = _column("hits", "hits", _HITS)
@@ -421,27 +470,27 @@ class Track:
 
     @property
     def state(self) -> State:
-        row = self._at()
-        return self._state or State.trusted(self._store.means[row], self._store.covs[row])
+        row, store = self._at(), self._store
+        return State.trusted(store.means[row].copy(), unpack_covs(store.covs[row:row + 1])[0])
 
     @state.setter
     def state(self, state: State) -> None:
-        self._at()
-        self._state = state
+        store = self._store
+        mean, cov = _state_row(state, store.means.shape[1])
+        row = self._at()
+        store.means[row], store.covs[row] = mean, cov
 
     def _at(self) -> int:
-        """The track's row of its store, looked up once a step; a new step
-        drops an assigned state."""
+        """The track's row of its store, looked up once a step."""
         store = self._store
         if self._gen != store.gen:
-            self._gen, self._state = store.gen, None
-            self._row = store.row_of(self.track_id)
+            self._gen, self._row = store.gen, store.row_of(self.track_id)
         return self._row
 
     def _attach(self, store: _Store, row: int | None = None) -> None:
         """Let ``store`` hold the track from now on, at ``row`` if given,
         else at the row of its id."""
-        self._store, self._state, self._row = store, None, row
+        self._store, self._row = store, row
         self._gen = None if row is None else store.gen
 
 

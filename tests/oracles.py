@@ -4,8 +4,9 @@ Each routine here recomputes a quantity by a method unrelated to the
 library's own algorithm (rasterization, Monte-Carlo sampling, exhaustive
 permutation search) so agreement is meaningful. The cosine gallery fill is
 the one stage 1 used before it owned its pruning; stage 1's appearance
-costs must equal it bit for bit. The Kalman step is the filter written one
-state at a time with scalar heading wraps; the library's stacked filter must
+costs must equal it bit for bit. The Kalman step is the dense filter (full
+covariance matrices, a Cholesky factor and solve) written one state at a
+time with scalar heading wraps; the library's filter on per-axis rows must
 equal it bit for bit. The detection-file line at the end
 is built as a dict of quantized Python floats and encoded by ``json.dumps``;
 the library's writer, which composes the line as text, must equal it byte

@@ -758,6 +758,19 @@ def test_eval_non_finite_dist_thresh_exits_2(tmp_path, capsys, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("score", ["nan", "7.5"])
+def test_eval_hypothesis_score_outside_the_unit_interval_exits_2(tmp_path, capsys, score):
+    gt, hyp = tmp_path / "gt.csv", tmp_path / "hyp.csv"
+    header = "sequence_id,frame,track_id,class,cx,cy,w,h,score\n"
+    gt.write_text(header + "s,0,1,pedestrian,10,10,5,5,1.0\n")
+    hyp.write_text(header + f"s,0,1,pedestrian,10,10,5,5,{score}\n")
+    code = main(["eval", "--mode", "2d", "--gt", str(gt), "--hyp", str(hyp)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"line 2: bad track row: score must be in [0, 1], got {float(score)}" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_gt_as_hyp_is_perfect(tmp_path, capsys):
     gt, _ = _simulate(tmp_path)
     assert main(["eval", "--mode", "2d", "--gt", str(gt), "--hyp", str(gt)]) == 0

@@ -501,6 +501,17 @@ def test_track_bad_value(tmp_path):
         read_tracks(path)
 
 
+@pytest.mark.parametrize("score", ["nan", "7.5", "-0.1", "inf"])
+def test_track_score_outside_the_unit_interval_names_its_line(tmp_path, score):
+    path = tmp_path / "t.csv"
+    path.write_text("sequence_id,frame,track_id,class,cx,cy,w,h,score\n"
+                    "seq,0,1,pedestrian,100,200,40,80,0.9\n"
+                    f"seq,1,1,pedestrian,100,200,40,80,{score}\n")
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"line 3: bad track row: score must be in [0, 1], got {float(score)}")):
+        read_tracks(path)
+
+
 def test_track_unknown_class(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("sequence_id,frame,track_id,class,cx,cy,w,h,score\n"

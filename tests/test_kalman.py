@@ -36,6 +36,8 @@ from hmot.types import (
     ObjectClass,
     State,
     normalize_heading,
+    pack_covs,
+    unpack_covs,
 )
 
 
@@ -470,27 +472,30 @@ def test_state_without_cholesky_factor_fails_alone_and_quietly(model, det):
 
 
 def _stack(states):
-    """Stacked means (N, d) and covariances (N, d, d) of ``states``."""
-    return np.array([s.mean for s in states]), np.array([s.cov for s in states])
+    """Stacked means (N, d) and filter rows (N, 2d - k) of ``states``."""
+    return np.array([s.mean for s in states]), pack_covs(np.array([s.cov for s in states]))
 
 
 def _results(means, covs, failures):
     """Each row of a batched filter step: its state, or its failure."""
-    return [failures.get(i) or State(mean, cov) for i, (mean, cov) in enumerate(zip(means, covs))]
+    return [failures.get(i) or State(mean, cov)
+            for i, (mean, cov) in enumerate(zip(means, unpack_covs(covs)))]
 
 
-def _random_state(rng, model):
-    """A finite state with a random positive definite covariance; 3D
+def _pattern_state(rng, model):
+    """A finite state with a random positive definite covariance of the
+    filter's pattern, its variances of any scale from 1e-6 to 1e6; 3D
     headings run past [-pi, pi) so the wrap paths are taken."""
-    d = model.dim_state
-    if model.dim_state == 8:
+    d, k = model.dim_state, model.dim_obs
+    if d == 8:
         mean = np.concatenate([rng.uniform(0, 1900, 2), [rng.uniform(0.2, 3.0)],
                                [rng.uniform(10, 300)], rng.normal(0, 3, 4)])
     else:
         mean = np.concatenate([rng.uniform(-80, 80, 3), rng.uniform(0.5, 5, 3),
                                [rng.uniform(-4, 4)], rng.normal(0, 1, 3)])
-    a = rng.normal(0, 1, (d, d))
-    return State(mean, a @ a.T / d + 1e-3 * np.eye(d))
+    var = 10.0 ** rng.uniform(-6, 6, d)
+    cross = rng.uniform(-1, 1, d - k) * np.sqrt(var[:d - k] * var[k:])
+    return State(mean, unpack_covs(np.concatenate([var, cross])[None])[0])
 
 
 def _break(rng, state, model):
@@ -556,20 +561,25 @@ def _assert_same(out, oracle, *args):
 @given(dim=st.sampled_from([2, 3]), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
        zero_noise=st.booleans(), tracked=st.booleans())
 def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise, tracked):
-    """The batched functions and the one-row scalar API against the scalar
-    step in ``oracles``, on states with full covariances and on states as
-    the tracker makes them, whose innovation covariances are diagonal."""
+    """The batched functions and the one-row scalar API against the dense
+    scalar step in ``oracles``, bit for bit, on states of the filter's
+    pattern: random ones and ones as the tracker makes them, with headings
+    past [-pi, pi), innovation variances that are zero, negative or
+    subnormal, and rows that fail. A covariance outside the pattern is a
+    ValidationError of the scalar API."""
     rng = np.random.default_rng(seed)
     noise_cls = Noise2D if dim == 2 else Noise3D
     noise = noise_cls(**{f: 0.0 for f in noise_cls.__dataclass_fields__}) if zero_noise else None
     model = MotionModel2D(noise) if dim == 2 else MotionModel3D(noise)
     random_det = _random_det2 if dim == 2 else _random_det3
-    states = [_tracked_state(rng, model, random_det) if tracked else _random_state(rng, model)
+    states = [_tracked_state(rng, model, random_det) if tracked else _pattern_state(rng, model)
               for _ in range(n)]
     for i in rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False):
         states[i] = _break(rng, states[i], model)
-    if zero_noise and n > 1:
-        states[0] = State(states[0].mean, np.zeros_like(states[0].cov))  # S = 0
+    if zero_noise and n > 2:
+        d = model.dim_state
+        states[0] = State(states[0].mean, np.zeros((d, d)))  # S = 0
+        states[1] = State(states[1].mean, np.diag(np.full(d, 1e-320)))  # no finite 1 / S
 
     predicted = _results(*predict_batch(*_stack(states), model))
     assert len(predicted) == n
@@ -596,41 +606,16 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise, tracked
         else:
             assert _bits(d2) == _bits(expected) == _bits(one)
 
-
-def _diagonal_batch(rng, model, random_det, n):
-    """``n`` tracker-made states, the first two failing: one innovation
-    variance negative, one zero; their stacked arrays and detections."""
-    states = [init_track_state(random_det(rng), model) for _ in range(n)]
-    states = [predict(s, model) for s in states]
-    states[0].cov[1, 1] = -1e6
-    states[1].cov[0, 0] = -model.measurement_var(states[1].mean)[0]
-    dets = [random_det(rng) for _ in states]
-    return states, dets
-
-
-@pytest.mark.parametrize("full_row", [None, 5])
-@pytest.mark.parametrize("dim", [2, 3])
-def test_diagonal_innovation_covariances_need_no_lapack(monkeypatch, dim, full_row):
-    """A batch whose every S is diagonal, failing rows included, is updated
-    without a Cholesky factor or a solve; one full covariance among them
-    sends the batch down the factored route. Either way every row equals
-    the oracle's, bit for bit."""
-    rng = np.random.default_rng(dim)
-    model = MotionModel2D() if dim == 2 else MotionModel3D()
-    states, dets = _diagonal_batch(rng, model, _random_det2 if dim == 2 else _random_det3, 12)
-    if full_row is None:
-        def forbidden(*args, **kwargs):
-            raise AssertionError("np.linalg called on a diagonal batch")
-
-        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
+    cov = states[-1].cov.copy()
+    i, j = rng.choice(model.dim_state, size=2, replace=False)
+    if abs(i - j) == model.dim_obs and min(i, j) < model.dim_state - model.dim_obs:
+        cov[i, j] += 1.0  # a position-velocity term, made asymmetric
     else:
-        states[full_row] = _random_state(rng, model)
-    out = _results(*update_batch(*_stack(states), model.observations(dets), model))
-    monkeypatch.undo()
-    assert [i for i, o in enumerate(out) if isinstance(o, NumericFailureError)] == [0, 1]
-    for state, det, o in zip(states, dets, out):
-        _assert_same(o, oracles.update, state, det, model)
+        cov[i, j] = cov[j, i] = 1.0
+    outside = State(states[-1].mean, cov)
+    for fn, args in ((predict, ()), (update, (dets[0],)), (mahalanobis_sq, (dets[0],))):
+        with pytest.raises(ValidationError, match="^state covariance must be zero off its "):
+            fn(outside, *args, model)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -651,26 +636,9 @@ def test_innovation_variance_without_finite_reciprocal_fails_quietly():
         _assert_same(o, oracles.update, state, det, model)
 
 
-def test_factored_update_that_overflows_fails_quietly():
-    """A full S whose solve overflows: its row fails as non-finite without
-    a floating-point warning, and every other row equals the oracle's."""
-    model = MotionModel3D(Noise3D(**{f: 0.0 for f in Noise3D.__dataclass_fields__}))
-    det = _det3()
-    good = init_track_state(det, MotionModel3D())
-    cov = np.diag(np.full(10, 1e-320))
-    cov[0, 1] = cov[1, 0] = 1e-321
-    states = [good, State(good.mean, cov), good]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = _results(*update_batch(*_stack(states), model.observations([det] * 3), model))
-    assert str(out[1]) == "update produced non-finite values"
-    for k in (0, 2):
-        _assert_same(out[k], oracles.update, good, det, model)
-
-
 def test_batched_filter_of_no_states():
     model = MotionModel3D()
-    means, covs, obs = np.empty((0, 10)), np.empty((0, 10, 10)), model.observations([])
+    means, covs, obs = np.empty((0, 10)), pack_covs(np.empty((0, 10, 10))), model.observations([])
     assert _results(*predict_batch(means, covs, model)) == []
     assert _results(*update_batch(means, covs, obs, model)) == []
     assert mahalanobis_sq_pairs(means, covs, obs, np.empty(0, int), np.empty(0, int),
@@ -691,12 +659,12 @@ def test_one_batch_over_blocks_equals_one_batch_per_block(dim, sizes, seed, brok
     model = MotionModel2D() if dim == 2 else MotionModel3D()
     random_det = _random_det2 if dim == 2 else _random_det3
     n = sum(sizes)
-    states = [_random_state(rng, model) for _ in range(n)]
+    states = [_pattern_state(rng, model) for _ in range(n)]
     for i in rng.choice(n, size=min(n, broken), replace=False):
         states[i] = _break(rng, states[i], model)
     d = model.dim_state
     means = np.array([s.mean for s in states]).reshape(n, d)
-    covs = np.array([s.cov for s in states]).reshape(n, d, d)
+    covs = pack_covs(np.array([s.cov for s in states]).reshape(n, d, d))
     obs = model.observations([random_det(rng) for _ in range(n)])
     starts = np.cumsum([0] + sizes)
     for batch, extra in ((predict_batch, ()), (update_batch, (obs,))):

@@ -48,6 +48,8 @@ from hmot.types import (
     State,
     Track,
     box2d_from_state,
+    pack_covs,
+    unpack_covs,
 )
 
 
@@ -229,7 +231,8 @@ def test_stage1_mahalanobis_gate_blocks_jump():
     det = _det2(900, 900, embedding=E1)  # appearance-identical, 1100 px away
     gated = stage1_cascade(_means([track]), [det], _obs([det]), cfg,
                            ages=_ages([track]), rows=range(1), cols=range(1), model=model,
-                           covs=np.array([track.state.cov]), galleries=_galleries([track]))
+                           covs=pack_covs(np.array([track.state.cov])),
+                           galleries=_galleries([track]))
     assert gated.matches == []
     ungated = stage1_cascade(_means([track]), [det], _obs([det]), PED_2D,
                              ages=_ages([track]), rows=range(1), cols=range(1), model=model,
@@ -295,8 +298,8 @@ def test_stage1_with_gallery_balls_equals_stage1_without(case, gating):
     cfg = dataclasses.replace(PED_2D, t_a=gate, mahalanobis_gating=gating)
     bounds = [gallery_bound(t.gallery) if len(t.gallery) else None for t in tracks]
     means = _means(tracks).reshape(-1, model.dim_state)
-    covs = np.array([t.state.cov for t in tracks]).reshape(-1, model.dim_state,
-                                                               model.dim_state)
+    covs = pack_covs(np.array([t.state.cov for t in tracks]).reshape(-1, model.dim_state,
+                                                                         model.dim_state))
     obs = model.observations(dets) if dets else np.empty((0, model.dim_obs))
 
     def run(bounds):
@@ -533,7 +536,7 @@ def _random_frame(rng, kind, n_tracks, n_dets):
     dim = model.dim_state
     means = np.array([t.state.mean for t in tracks]).reshape(-1, dim)
     means[:, :2] += rng.normal(0, 0.5 if kind == "3d" else 5.0, (n_tracks, 2))
-    covs = np.array([t.state.cov for t in tracks]).reshape(-1, dim, dim)
+    covs = pack_covs(np.array([t.state.cov for t in tracks]).reshape(-1, dim, dim))
     dets = [det() for _ in range(n_dets)]
     return model, tracks, means, covs, dets, model.observations(dets)
 
@@ -937,6 +940,18 @@ def test_frame_index_advances():
 # numeric failures inside the batched filter
 
 
+def _collapse(track):
+    """Give a 2D track a height velocity that drives h <= 0 on predict."""
+    mean = track.state.mean
+    mean[7] = -2.0 * mean[3]
+    track.state = State(mean, track.state.cov)
+
+
+def _make_singular(track):
+    """Give a track a covariance whose S has no Cholesky factor."""
+    track.state = State(track.state.mean, -1e6 * np.eye(len(track.state.mean)))
+
+
 def test_filter_failures_keep_deletion_order(caplog):
     """Per class, predict failures come first in track order, then update
     failures in pair order, then age-outs; the batched filter must keep the
@@ -946,8 +961,8 @@ def test_filter_failures_keep_deletion_order(caplog):
     inst.step([_det2(x, 100) for x in xs])
     aged, collapsing, singular, healthy = inst.tracks
     aged.age_since_update = inst.configs[ObjectClass.PEDESTRIAN].a_max
-    collapsing.state.mean[7] = -2.0 * collapsing.state.mean[3]  # h <= 0 after predict
-    singular.state.cov[...] = -1e6 * np.eye(8)  # no Cholesky factor of S
+    _collapse(collapsing)
+    _make_singular(singular)
     with caplog.at_level(logging.WARNING, logger="hmot.tracker"):
         res = inst.step([_det2(x, 100) for x in xs[1:]])
     assert res.deleted_ids == [2, 3, 1]
@@ -976,9 +991,9 @@ def test_deletion_order_holds_per_class_in_one_frame(caplog):
         for i in aged:
             tracks[i].age_since_update = inst.configs[tracks[i].class_label].a_max
         for i in collapsing:
-            tracks[i].state.mean[7] = -2.0 * tracks[i].state.mean[3]
+            _collapse(tracks[i])
         for i in singular:
-            tracks[i].state.cov[...] = -1e6 * np.eye(8)
+            _make_singular(tracks[i])
     with caplog.at_level(logging.INFO, logger="hmot.tracker"):
         res = inst.step([_det2(100 + 200 * k, 100) for k in (1, 3)]
                         + [_det2(100 + 200 * k, 600, **veh) for k in (2, 3, 4)])
@@ -1021,7 +1036,7 @@ def test_step_that_raises_in_a_stage_leaves_every_class_as_it_was():
 @pytest.mark.parametrize("gallery, got", [
     (np.ones((2, 3)), "shape (2, 3)"),
     (E1, "shape (4,)"),
-    ([E1, [0.0, math.nan, 1.0, 0.0]], "shape (2, 4)"),
+    ([E1, [0.0, math.nan, 1.0, 0.0]], "non-finite rows"),
     ([E1, E2[:3]], "ragged or non-numeric rows"),
 ])
 def test_assigned_gallery_of_another_shape_is_a_validation_error(gallery, got):
@@ -1039,6 +1054,27 @@ def test_assigned_gallery_of_another_shape_is_a_validation_error(gallery, got):
     assert inst.frame_index == 1 and track.hits == 1
     track.gallery = [E1]
     assert inst.step([_det2(101, 100, embedding=E1)]).stage_matches == (1, 0, 0)
+
+
+def test_assigned_gallery_is_checked_before_any_gallery_grows():
+    """A step whose stage 1 reads no gallery (no primary detection) checks
+    every gallery it appends to before the first append: a caller-assigned
+    gallery of non-finite rows fails the step, and no other track's gallery
+    has grown, so a retry appends nothing twice."""
+    configs = {cls: dataclasses.replace(cfg, t_s=0.5)
+               for cls, cfg in default_class_configs(Mode.D2).items()}
+    inst = TrackerInstance(Mode.D2, configs, camera_id=Camera.FRONT)
+    for f in range(2):
+        inst.step([_det2(100 + f, 100, embedding=E1), _det2(300 + f, 100, embedding=E2)])
+    tracks = inst.tracks
+    assert [len(t.gallery) for t in tracks] == [2, 2]
+    tracks[1].gallery = np.full((2, 4), np.nan)
+    weak = [_det2(102, 100, score=0.45, embedding=E1), _det2(302, 100, score=0.45, embedding=E2)]
+    with pytest.raises(ValidationError, match=re.escape(
+            f"gallery of track {tracks[1].track_id} must hold finite rows of the embedding "
+            "size 4, got non-finite rows")):
+        inst.step(weak)
+    assert inst.frame_index == 2 and len(tracks[0].gallery) == 2
 
 
 def test_one_predict_and_one_update_per_frame(monkeypatch):
@@ -1135,13 +1171,13 @@ def test_skip_equals_stepping_empty_frames(caplog, a_max, gap):
 def test_held_tracks_follow_the_tracker_and_freeze_when_deleted():
     """A ``Track`` held across steps is the tracker's own: after every step
     it is the entry of ``inst.tracks`` with its id. A track deleted by a
-    numeric failure or by age-out keeps the mean it ended in, shares no
-    memory with a live track's state, and never changes afterwards."""
+    numeric failure or by age-out keeps the mean it ended in, its store
+    shares no memory with the tracker's, and it never changes afterwards."""
     inst = TrackerInstance(Mode.D2, camera_id=Camera.FRONT, use_reid=False)
     inst.step([_det2(x, 100) for x in (100, 300, 500)])
     held = {t.track_id: t for t in inst.tracks}
-    held[2].state.mean[7] = -2.0 * held[2].state.mean[3]  # h <= 0 after predict
-    before = held[2].state.mean.copy()
+    _collapse(held[2])
+    before = held[2].state.mean
     a_max = inst.configs[ObjectClass.PEDESTRIAN].a_max
     dead = {}  # track id -> (track, copy of the mean it was deleted with)
     for f in range(a_max + 4):
@@ -1153,9 +1189,8 @@ def test_held_tracks_follow_the_tracker_and_freeze_when_deleted():
             dead[tid] = (held[tid], held[tid].state.mean.copy())
         for track, mean in dead.values():
             assert np.array_equal(track.state.mean, mean)
-            assert not any(np.shares_memory(track.state.mean, t.state.mean)
-                           or np.shares_memory(track.state.cov, t.state.cov)
-                           for t in inst.tracks)
+            assert not (np.shares_memory(track._store.means, inst._store.means)
+                        or np.shares_memory(track._store.covs, inst._store.covs))
     assert set(dead) == {2, 3}  # 2 failed in predict, 3 aged out
     # A failed predict leaves the state it started from.
     assert np.array_equal(held[2].state.mean, before)
@@ -1186,7 +1221,7 @@ def test_deleted_tracks_freeze_in_full():
     store = _store_copy(inst)
     live = [(t.age_since_update, t.hits, t.score, t.state.mean.copy()) for t in inst.tracks]
     dead.age_since_update, dead.hits, dead.score = 0, 99, 0.1
-    dead.state.mean[:] = 7.0
+    dead.state = State(np.full(8, 7.0), dead.state.cov)
     assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
     after = [(t.age_since_update, t.hits, t.score, t.state.mean) for t in inst.tracks]
     assert [a[:3] for a in after] == [b[:3] for b in live]
@@ -1212,8 +1247,8 @@ def test_deleted_track_holds_only_its_own_row():
     means, covs = inst._store.means, inst._store.covs
     assert inst.step([_det3(0.1, 0)]).deleted_ids == [dead.track_id]
     for column in (means, covs, inst._store.means, inst._store.covs):
-        assert not np.shares_memory(dead.state.mean, column)
-        assert not np.shares_memory(dead.state.cov, column)
+        assert not np.shares_memory(dead._store.means, column)
+        assert not np.shares_memory(dead._store.covs, column)
     assert np.array_equal(dead.state.mean, mean) and np.array_equal(dead.state.cov, cov)
     assert (dead.age_since_update, dead.hits, dead.score) == (a_max + 1, 2, 0.7)
 
@@ -1283,6 +1318,40 @@ def test_track_counts_at_their_limits_step_without_wrapping():
     assert far.age_since_update == A_MAX_LIMIT + 2
 
 
+@pytest.mark.parametrize("value, message", [
+    (("not", "a state"), r"Track\.state must be a State, got tuple"),
+    (State(np.ones(8), np.eye(8)), r"Track\.state must have 10 entries, got 8"),
+    ("outside", r"Track\.state covariance must be zero off its diagonal"),
+])
+def test_track_state_write_outside_its_domain_is_rejected(value, message):
+    """A ``Track.state`` write of anything but a ``State`` of the track's
+    size whose covariance has the filter's pattern is a ValidationError
+    naming ``Track.state``, on a held, a deleted and a directly built track
+    alike; nothing changes. The constructor rejects the same values but a
+    State of the other size."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0), _det3(20, 0)])
+    live, dead = inst.tracks
+    for _ in range(inst.configs[ObjectClass.PEDESTRIAN].a_max + 1):
+        inst.step([_det3(0, 0)])
+    assert inst.tracks == [live]
+    store = _store_copy(inst)
+    if value == "outside":  # cx and cy correlated
+        cov = live.state.cov
+        cov[0, 1] = cov[1, 0] = 0.5
+        value = State(live.state.mean, cov)
+    for track in (live, dead, _track3(9, _det3(5, 0))):
+        before = track.state
+        with pytest.raises(ValidationError, match=rf"^{message}"):
+            track.state = value
+        after = track.state
+        assert np.array_equal(after.mean, before.mean) and np.array_equal(after.cov, before.cov)
+    assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
+    if "entries" not in message:  # a built track takes a State of either size
+        with pytest.raises(ValidationError, match=rf"^{message}"):
+            Track(10, value, ObjectClass.PEDESTRIAN, 0.9)
+
+
 def test_skip_of_a_negative_gap_is_rejected():
     inst = TrackerInstance(Mode.D3)
     with pytest.raises(ValueError, match="^cannot skip -1 frames$"):
@@ -1290,23 +1359,26 @@ def test_skip_of_a_negative_gap_is_rejected():
     assert inst.frame_index == 0
 
 
-def test_assigned_state_is_shown_until_the_next_step():
-    """A ``State`` assigned to a live track is what the track shows, but
-    the filter does not see it: the next step predicts from the track's
-    rows, and the track shows those again."""
-    runs = []
-    for assign in (False, True):
-        inst = TrackerInstance(Mode.D3)
-        inst.step([_det3(0, 0)])
-        [track] = inst.tracks
-        if assign:
-            other = State(track.state.mean + 5.0, track.state.cov)
-            track.state = other
-            assert track.state is other
-        inst.step([_det3(0.1, 0)])
-        runs.append(track.state.mean.tobytes())
-        assert np.shares_memory(track.state.mean, inst._store.means)
-    assert runs[0] == runs[1]
+def test_assigned_state_is_written_to_the_row():
+    """``track.state`` is a snapshot of the track's row: an edit of it
+    changes nothing. A ``State`` assigned to a live track is written to
+    the row, so the next step filters it, as the scalar filter would."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0)])
+    [track] = inst.tracks
+    snapshot = track.state
+    snapshot.mean[0] += 0.05
+    assert track.state.mean[0] == 0.0
+    assert not np.shares_memory(track.state.mean, inst._store.means)
+    track.state = snapshot
+    assert track.state is not snapshot
+    assert np.array_equal(track.state.mean, snapshot.mean)
+    assert np.array_equal(track.state.cov, snapshot.cov)
+    det = _det3(0.1, 0)
+    inst.step([det])
+    expected = hmot.update(hmot.predict(snapshot, inst.model), det, inst.model)
+    assert track.state.mean.tobytes() == expected.mean.tobytes()
+    assert track.state.cov.tobytes() == expected.cov.tobytes()
 
 
 def test_step_builds_no_state_object_per_track(monkeypatch):

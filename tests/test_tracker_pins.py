@@ -8,8 +8,8 @@ of the emitted rows and ``deleted_ids`` of every frame, followed by the
 "deleting track" warning lines, as recorded on the tracker before its
 filter states were kept in per-class arrays. A second pin, recorded while
 every update still factored and solved its innovation covariance, is the
-sha256 of the bytes of the filter store (every live mean and covariance)
-after every frame: the emitted boxes are raw observations, so only this pin
+sha256 of the bytes of the filter store (every live mean and covariance,
+the covariances unpacked from their filter rows) after every frame: the emitted boxes are raw observations, so only this pin
 holds the filter to its bits.
 """
 
@@ -26,7 +26,7 @@ import pytest
 from hmot import TrackerInstance, generate
 from hmot.config import default_class_configs
 from hmot.simulation import ObjectSpec, ScenarioSpec, Window
-from hmot.types import Camera, Mode, ObjectClass
+from hmot.types import Camera, Mode, ObjectClass, unpack_covs
 
 
 def _windows(rng, n_objects, n_frames, count, lengths):
@@ -93,7 +93,8 @@ def _run(spec, caplog, **kwargs):
             rows = [(em.track_id, em.class_label.value, dataclasses.astuple(em.box), em.score)
                     for em in res.emitted]
             h.update(repr((f, rows, res.deleted_ids)).encode())
-            filter_bits.update(inst._store.means.tobytes() + inst._store.covs.tobytes())
+            filter_bits.update(inst._store.means.tobytes()
+                               + unpack_covs(inst._store.covs).tobytes())
             deleted += len(res.deleted_ids)
     warnings = [r.getMessage() for r in caplog.records if "deleting track" in r.getMessage()]
     h.update("\n".join(warnings).encode())
@@ -126,6 +127,9 @@ def test_dense_3d_pin(caplog, gating, digest):
     assert filter_got == DENSE_3D_FILTER_DIGESTS[gating]
 
 
+REID_2D_FILTER_DIGEST = "0a8ee777ff19dc78b1f505f0e11d2ad61b64bd221e016ec6afe84c78f9656bc9"
+
+
 def test_reid_2d_numeric_failure_pin(caplog):
     """Coasting 2D tracks die here as "predict produced non-positive box
     extents". The coasting fix of ROADMAP item 3 (zeroing the size velocity
@@ -135,4 +139,21 @@ def test_reid_2d_numeric_failure_pin(caplog):
     assert (n_deleted, len(warnings)) == (66, 3)
     assert all(w.endswith("predict produced non-positive box extents") for w in warnings)
     assert got == "1bf988125fadb50df13e366466090a61d590885b37139c7bccaaba63ed1152f6"
-    assert filter_got == "0a8ee777ff19dc78b1f505f0e11d2ad61b64bd221e016ec6afe84c78f9656bc9"
+    assert filter_got == REID_2D_FILTER_DIGEST
+
+
+def test_scenes_step_without_lapack(caplog, monkeypatch):
+    """The filter and the chi-square gate factor, solve and invert nothing:
+    the gated dense 3D scene and the 2D re-id scene, numeric failures
+    included, step to their filter pins with ``np.linalg.cholesky``,
+    ``solve`` and ``inv`` raising."""
+    scenes = [(_dense_3d(), {"configs": _gated(Mode.D3)}, DENSE_3D_FILTER_DIGESTS[True]),
+              (_reid_2d(), {}, REID_2D_FILTER_DIGEST)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called while stepping")
+
+    for name in ("cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for spec, kwargs, digest in scenes:
+        assert _run(spec, caplog, **kwargs)[3] == digest
