@@ -618,6 +618,42 @@ def test_batched_filter_matches_scalar_oracles(dim, n, seed, zero_noise, tracked
             fn(outside, *args, model)
 
 
+def _diagonal_batch(rng, model, random_det, n):
+    """``n`` tracker-made states, the first two failing: one innovation
+    variance negative, one zero; their stacked arrays and detections."""
+    states = [init_track_state(random_det(rng), model) for _ in range(n)]
+    states = [predict(s, model) for s in states]
+    states[0].cov[1, 1] = -1e6
+    states[1].cov[0, 0] = -model.measurement_var(states[1].mean)[0]
+    dets = [random_det(rng) for _ in states]
+    return states, dets
+
+
+@pytest.mark.parametrize("full_row", [None, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diagonal_innovation_covariances_need_no_lapack(monkeypatch, dim, full_row):
+    """A batch of tracker-made states, failing rows included, is updated
+    without a Cholesky factor, a solve or an inverse; so is one with a
+    random covariance of the filter's pattern among them. Either way every
+    row equals the oracle's, bit for bit."""
+    rng = np.random.default_rng(dim)
+    model = MotionModel2D() if dim == 2 else MotionModel3D()
+    states, dets = _diagonal_batch(rng, model, _random_det2 if dim == 2 else _random_det3, 12)
+    if full_row is not None:
+        states[full_row] = _pattern_state(rng, model)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called by the batched update")
+
+    for name in ("cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    out = _results(*update_batch(*_stack(states), model.observations(dets), model))
+    monkeypatch.undo()
+    assert [i for i, o in enumerate(out) if isinstance(o, NumericFailureError)] == [0, 1]
+    for state, det, o in zip(states, dets, out):
+        _assert_same(o, oracles.update, state, det, model)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_innovation_variance_without_finite_reciprocal_fails_quietly():
     """A diagonal S with a subnormal variance has a Cholesky factor but no
