@@ -22,38 +22,11 @@ import numpy as np
 
 from .assignment import solve_gated_assignment
 from .errors import DataFormatError, ValidationError
-from .metrics import iou_dist_matrix
-from .types import Box, Box2D, Box3D, Mode, ObjectClass
+from .metrics import center_dist_sq_matrix, iou_dist_matrix
+from .types import Box2D, Box3D, FrameObject, GroundTruthFrame, Mode, ObjectClass
 
 DEFAULT_IOU_THRESHOLD = 0.5
 DEFAULT_CENTER_THRESHOLD = 2.0
-
-
-@dataclass(frozen=True)
-class FrameObject:
-    """One annotated box: identity, geometry, class."""
-
-    obj_id: int
-    box: Box
-    class_label: ObjectClass
-
-    def __post_init__(self):
-        if not isinstance(self.class_label, ObjectClass):
-            object.__setattr__(self, "class_label", ObjectClass(self.class_label))
-
-
-@dataclass(frozen=True)
-class GroundTruthFrame:
-    """All objects of one frame. Used for ground truth and hypotheses alike."""
-
-    frame: int
-    objects: tuple[FrameObject, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
-        ids = [o.obj_id for o in self.objects]
-        if len(ids) != len(set(ids)):
-            raise ValidationError(f"frame {self.frame}: duplicate object ids")
 
 
 @dataclass(frozen=True)
@@ -143,7 +116,7 @@ def _dist_matrix(
         return iou_dist_matrix([o.box for o in gt], [o.box for o in hyp])
     gc = np.array([[o.box.cx, o.box.cy, o.box.cz] for o in gt]).reshape(len(gt), 3)
     hc = np.array([[o.box.cx, o.box.cy, o.box.cz] for o in hyp]).reshape(len(hyp), 3)
-    return np.sqrt(np.square(gc[:, None, :] - hc[None, :, :]).sum(axis=-1))
+    return np.sqrt(center_dist_sq_matrix(gc, hc))
 
 
 def evaluate(

@@ -19,7 +19,8 @@ factor would, and no matrix is factored. The results equal the dense
 filter's (``F P F^T + Q``, a Cholesky solve, the covariance symmetrised)
 bit for bit. ``predict``, ``update`` and ``mahalanobis_sq`` are the scalar
 API: one ``State`` as one row, raising its failure; a covariance outside
-the pattern is a ``ValidationError``.
+the pattern, a state of the other model's size or a detection of the other
+box kind is a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .types import (
     DIM_STATE_3D,
     EXTENTS,
     IX_THETA_3D,
+    Box2D,
+    Box3D,
     Detection,
     State,
     pack_covs,
@@ -130,6 +133,7 @@ class MotionModel2D:
 
     dim_state = DIM_STATE_2D
     dim_obs = DIM_OBS_2D
+    box_kind = Box2D
     heading_index: int | None = None
 
     def __init__(self, noise: Noise2D | None = None):
@@ -182,6 +186,7 @@ class MotionModel3D:
 
     dim_state = DIM_STATE_3D
     dim_obs = DIM_OBS_3D
+    box_kind = Box3D
     heading_index = IX_THETA_3D
 
     def __init__(self, noise: Noise3D | None = None):
@@ -219,8 +224,22 @@ class MotionModel3D:
 MotionModel = MotionModel2D | MotionModel3D
 
 
+def _check_fit(model: MotionModel, state: State | None = None,
+               det: Detection | None = None) -> None:
+    """Raise a ValidationError naming ``model`` and the misfit if ``state``
+    is not of the model's size or ``det``'s box not of its kind."""
+    name = type(model).__name__
+    if state is not None and len(state.mean) != model.dim_state:
+        raise ValidationError(f"{name} takes a state of {model.dim_state} entries, "
+                              f"got a state of {len(state.mean)}")
+    if det is not None and not isinstance(det.box, model.box_kind):
+        raise ValidationError(f"{name} takes a detection with a {model.box_kind.__name__}, "
+                              f"got a detection with a {type(det.box).__name__}")
+
+
 def init_track_state(det: Detection, model: MotionModel) -> State:
     """State for a freshly created track: observation copied, zero velocity."""
+    _check_fit(model, det=det)
     return model.initial_state(model.observations([det])[0])
 
 
@@ -360,12 +379,14 @@ def _one(batch, state: State, *args) -> list:
 
 def predict(state: State, model: MotionModel) -> State:
     """:func:`predict_batch` of one state; raises its failure."""
+    _check_fit(model, state)
     mean, row = _one(predict_batch, state, model)
     return State.trusted(mean, unpack_covs(row[None])[0])
 
 
 def update(state: State, det: Detection, model: MotionModel) -> State:
     """:func:`update_batch` of one pair; raises its failure."""
+    _check_fit(model, state, det)
     mean, row = _one(update_batch, state, model.observations([det]), model)
     return State.trusted(mean, unpack_covs(row[None])[0])
 
@@ -373,6 +394,7 @@ def update(state: State, det: Detection, model: MotionModel) -> State:
 def mahalanobis_sq(state: State, det: Detection, model: MotionModel) -> float:
     """:func:`mahalanobis_sq_pairs` of one pair; raises the failure of an S
     that is not positive definite, where the pairs function gives inf."""
+    _check_fit(model, state, det)
     zero = np.zeros(1, dtype=np.intp)
     (d2,) = _one(mahalanobis_sq_pairs, state, model.observations([det]), zero, zero, model)
     return float(d2)

@@ -179,14 +179,21 @@ def iou_dist_matrix(rows: Sequence[Box2D] | np.ndarray, cols: Sequence[Box2D] | 
     return 1.0 - np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
+def center_dist_sq_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(len(rows), len(cols)) squared distances of (n, 3) centers; inf for
+    a pair beyond the largest float apart."""
+    with np.errstate(over="ignore"):
+        d = rows[:, None, :] - cols[None, :, :]
+        sq = d * d  # summed in the order np.sum takes, without its reduction
+        return (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+
+
 def gauss_center_dist_matrix(rows: np.ndarray, cols: np.ndarray, sigma: float) -> np.ndarray:
     """Kernelized center-distance matrix; rows and cols are (n, 3) centers."""
     if len(rows) == 0 or len(cols) == 0:
         return np.zeros((len(rows), len(cols)))
+    d2 = center_dist_sq_matrix(rows, cols)
     with np.errstate(over="ignore"):  # beyond the largest float: cost 1.0, the limit
-        d = rows[:, None, :] - cols[None, :, :]
-        sq = d * d  # summed in the order np.sum takes, without its reduction
-        d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
         return -np.expm1(-d2 / (2.0 * sigma * sigma))
 
 

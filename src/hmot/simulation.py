@@ -23,8 +23,8 @@ import numpy as np
 
 from .config import coerce_scalar, scalar_fields
 from .errors import ConfigError, ValidationError
-from .evaluation import FrameObject, GroundTruthFrame
-from .types import Box2D, Box3D, Camera, Detection, Mode, ObjectClass, normalize_heading
+from .types import (Box2D, Box3D, Camera, Detection, FrameObject, GroundTruthFrame, Mode,
+                    ObjectClass, normalize_heading)
 
 IMAGE_W = 1920.0
 IMAGE_H = 1280.0
@@ -75,6 +75,11 @@ class ObjectSpec:
             object.__setattr__(self, "class_label", ObjectClass(self.class_label))
         object.__setattr__(self, "init", tuple(float(v) for v in self.init))
         object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
+        for name, values in (("init", self.init), ("velocity", self.velocity),
+                             ("turn_rate", (self.turn_rate,))):
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"object {self.obj_id}: {name} must be finite, "
+                                      f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,9 @@ class ScenarioSpec:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
         for name in ("center_noise_std", "size_noise_std", "heading_noise_std",
                      "embed_noise_std"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValidationError(f"{name} must be >= 0 and finite, got {v}")
         for name in ("tp_score_range", "weak_score_range", "fp_score_range"):
             lo, hi = getattr(self, name)
             if not (0.0 <= lo <= hi <= 1.0):

@@ -1,4 +1,4 @@
-"""Shared domain types: boxes, detections, filter states, tracks, per-class config.
+"""Shared domain types: boxes, detections, frame records, filter states, tracks, config.
 
 All types but ``Track`` are plain values. A ``Track`` reads and writes one
 row of a store of track columns: the tracker's while the tracker holds it,
@@ -161,6 +161,20 @@ class Box3D:
 Box = Union[Box2D, Box3D]
 
 
+def check_box2d_domain(box: Box2D) -> None:
+    """Reject a 2D box that detection and track files may not hold: one
+    whose aspect w / h is not finite (the filter observes it), or whose
+    extents or centre exceed ``BOX2D_EXTENT_LIMIT``."""
+    if not math.isfinite(box.w / box.h):
+        raise ValidationError(f"2D box aspect w/h must be finite, got w={box.w}, h={box.h}")
+    if max(box.w, box.h) > BOX2D_EXTENT_LIMIT:
+        raise ValidationError(f"2D box extents must be <= {BOX2D_EXTENT_LIMIT:g}, "
+                              f"got w={box.w}, h={box.h}")
+    if max(abs(box.cx), abs(box.cy)) > BOX2D_EXTENT_LIMIT:
+        raise ValidationError(f"2D box centre must be within +-{BOX2D_EXTENT_LIMIT:g}, "
+                              f"got cx={box.cx}, cy={box.cy}")
+
+
 @dataclass(frozen=True, eq=False)
 class Detection:
     """One per-frame observation from a detector.
@@ -197,15 +211,7 @@ class Detection:
         if isinstance(self.box, Box2D):
             if self.camera_id is None:
                 raise ValidationError("2D detections require a camera_id")
-            if not math.isfinite(self.box.w / self.box.h):  # the filter observes w / h
-                raise ValidationError(
-                    f"2D box aspect w/h must be finite, got w={self.box.w}, h={self.box.h}")
-            if max(self.box.w, self.box.h) > BOX2D_EXTENT_LIMIT:
-                raise ValidationError(f"2D box extents must be <= {BOX2D_EXTENT_LIMIT:g}, "
-                                      f"got w={self.box.w}, h={self.box.h}")
-            if max(abs(self.box.cx), abs(self.box.cy)) > BOX2D_EXTENT_LIMIT:
-                raise ValidationError(f"2D box centre must be within +-{BOX2D_EXTENT_LIMIT:g}, "
-                                      f"got cx={self.box.cx}, cy={self.box.cy}")
+            check_box2d_domain(self.box)
         elif self.camera_id is not None:
             raise ValidationError("3D detections must not carry a camera_id")
         if self.embedding is not None:
@@ -227,6 +233,33 @@ class Detection:
     @property
     def is_2d(self) -> bool:
         return isinstance(self.box, Box2D)
+
+
+@dataclass(frozen=True)
+class FrameObject:
+    """One annotated box: identity, geometry, class."""
+
+    obj_id: int
+    box: Box
+    class_label: ObjectClass
+
+    def __post_init__(self):
+        if not isinstance(self.class_label, ObjectClass):
+            object.__setattr__(self, "class_label", ObjectClass(self.class_label))
+
+
+@dataclass(frozen=True)
+class GroundTruthFrame:
+    """All objects of one frame. Used for ground truth and hypotheses alike."""
+
+    frame: int
+    objects: tuple[FrameObject, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "objects", tuple(self.objects))
+        ids = [o.obj_id for o in self.objects]
+        if len(ids) != len(set(ids)):
+            raise ValidationError(f"frame {self.frame}: duplicate object ids")
 
 
 # State vector layouts. 2D: (cx, cy, gamma, h, vcx, vcy, vgamma, vh) with
@@ -402,9 +435,10 @@ class _Store:
         return self._rows[track_id]
 
 
-# The domains of a track's counts. Bounded so that a step's age + 1 and
-# hits + 1 stay within int64: any age above A_MAX_LIMIT is past every a_max.
-_AGES, _HITS = range(A_MAX_LIMIT + 2), range(2**62 + 1)
+# The domains of a track's id, a store key of int64, and of its counts.
+# The counts are bounded so that a step's age + 1 and hits + 1 stay within
+# int64: any age above A_MAX_LIMIT is past every a_max.
+_IDS, _AGES, _HITS = range(-2**63, 2**63), range(A_MAX_LIMIT + 2), range(2**62 + 1)
 
 
 def _column(name: str, column: str, domain: range | type) -> property:
@@ -450,20 +484,29 @@ class Track:
     row, a new ``State`` at each read; a ``State`` assigned to it is written
     to the row, so the next step filters it. A track built directly owns a
     copy of its ``State``; a track the tracker deletes owns a copy of its
-    row, with the values it had then.
+    row, with the values it had then. ``track_id`` and ``class_label``
+    are read-only: the store finds the row by the id, and the tracker keeps
+    it among its class's rows.
     """
 
-    __slots__ = ("track_id", "class_label", "gallery", "_store", "_gen", "_row")
+    __slots__ = ("_id", "_label", "gallery", "_store", "_gen", "_row")
 
-    def __init__(self, track_id: int, state: State, class_label: ObjectClass, score: float,
+    def __init__(self, track_id: int, state: State, class_label: ObjectClass | str, score: float,
                  age_since_update: int = 0, hits: int = 1, gallery: np.ndarray | None = None):
         mean, cov = _state_row(state)
-        self.track_id, self.class_label = track_id, class_label
+        self._id = _checked("track_id", track_id, _IDS)
+        try:
+            self._label = ObjectClass(class_label)
+        except ValueError:
+            raise ValidationError("Track.class_label must be an ObjectClass or its name, "
+                                  f"got {class_label!r}") from None
         self.gallery = np.empty((0, 0)) if gallery is None else gallery
-        self._attach(_Store.one(track_id, _checked("age_since_update", age_since_update, _AGES),
+        self._attach(_Store.one(self._id, _checked("age_since_update", age_since_update, _AGES),
                                 _checked("hits", hits, _HITS), _checked("score", score, float),
                                 mean, cov), 0)
 
+    track_id = property(operator.attrgetter("_id"))
+    class_label = property(operator.attrgetter("_label"))
     age_since_update = _column("age_since_update", "ages", _AGES)
     hits = _column("hits", "hits", _HITS)
     score = _column("score", "scores", float)
@@ -484,7 +527,7 @@ class Track:
         """The track's row of its store, looked up once a step."""
         store = self._store
         if self._gen != store.gen:
-            self._gen, self._row = store.gen, store.row_of(self.track_id)
+            self._gen, self._row = store.gen, store.row_of(self._id)
         return self._row
 
     def _attach(self, store: _Store, row: int | None = None) -> None:

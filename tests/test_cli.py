@@ -771,6 +771,20 @@ def test_eval_hypothesis_score_outside_the_unit_interval_exits_2(tmp_path, capsy
     assert captured.out == ""
 
 
+def test_eval_2d_box_outside_the_detection_domain_exits_2(tmp_path, capsys):
+    """Boxes whose areas overflow are outside the 2D box domain of track
+    files: exit 2 naming the line, where their IoU once overflowed."""
+    gt, hyp = tmp_path / "gt.csv", tmp_path / "hyp.csv"
+    header = "sequence_id,frame,track_id,class,cx,cy,w,h,score\n"
+    gt.write_text(header + "s,0,1,pedestrian,1e308,1e308,1e300,1e300,1.0\n")
+    hyp.write_text(header + "s,0,1,pedestrian,-1e308,-1e308,1e300,1e300,1.0\n")
+    code = main(["eval", "--mode", "2d", "--gt", str(gt), "--hyp", str(hyp)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 2: bad track row: 2D box extents must be <= 1e+06" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_gt_as_hyp_is_perfect(tmp_path, capsys):
     gt, _ = _simulate(tmp_path)
     assert main(["eval", "--mode", "2d", "--gt", str(gt), "--hyp", str(gt)]) == 0

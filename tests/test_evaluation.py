@@ -355,3 +355,12 @@ def test_class_counts_addition():
     c = a + b
     assert c == ClassCounts(gt=5, fp=1, miss=2, mismatch=1, matches=3,
                             dist_sum=0.3)
+
+
+def test_3d_centres_beyond_the_float_range_apart_score_fp_and_miss_quietly():
+    """Centres at +-1e200 are further apart than the largest float: the
+    distance is inf, without an overflow warning, so the pair cannot match."""
+    gt = _frames([[_obj3(1, 1e200, 1e200)]])
+    hyp = _frames([[_obj3(1, -1e200, -1e200)]])
+    overall = evaluate(gt, hyp, mode=Mode.D3).overall
+    assert (overall.gt, overall.fp, overall.miss, overall.matches) == (1, 1, 1, 0)

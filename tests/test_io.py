@@ -512,6 +512,21 @@ def test_track_score_outside_the_unit_interval_names_its_line(tmp_path, score):
         read_tracks(path)
 
 
+@pytest.mark.parametrize("box, message", [
+    ("1e308,1e308,1e300,1e300", "2D box extents must be <= 1e+06, got w=1e+300, h=1e+300"),
+    ("2e6,100,40,80", "2D box centre must be within +-1e+06, got cx=2000000.0, cy=100.0"),
+    ("100,100,1e6,1e-320", "2D box aspect w/h must be finite, got w=1000000.0, h=1e-320"),
+])
+def test_track_2d_box_outside_the_detection_domain_names_its_line(tmp_path, box, message):
+    """A 2D track row takes the boxes a detection file takes, no others."""
+    path = tmp_path / "t.csv"
+    path.write_text("sequence_id,frame,track_id,class,cx,cy,w,h,score\n"
+                    "seq,0,1,pedestrian,100,200,40,80,0.9\n"
+                    f"seq,1,1,pedestrian,{box},0.9\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"line 3: bad track row: {message}")):
+        read_tracks(path)
+
+
 def test_track_unknown_class(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("sequence_id,frame,track_id,class,cx,cy,w,h,score\n"
@@ -586,9 +601,8 @@ def test_gt_to_rows_and_back():
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 extent = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-box2d = st.builds(Box2D, finite, finite, extent, extent)
-# A 2D detection's box also needs extents up to BOX2D_EXTENT_LIMIT, a
-# centre within it and a finite aspect w / h.
+# A 2D box of a detection or track file needs extents up to
+# BOX2D_EXTENT_LIMIT, a centre within it and a finite aspect w / h.
 detected_centre = st.floats(-BOX2D_EXTENT_LIMIT, BOX2D_EXTENT_LIMIT)
 detected_extent = st.floats(min_value=0.0, exclude_min=True, max_value=BOX2D_EXTENT_LIMIT)
 detected_box2d = st.builds(Box2D, detected_centre, detected_centre, detected_extent,
@@ -631,7 +645,7 @@ def detection_frames(draw):
 @st.composite
 def track_tables(draw):
     mode = draw(st.sampled_from(Mode))
-    box = box2d if mode is Mode.D2 else box3d
+    box = detected_box2d if mode is Mode.D2 else box3d
     rows = draw(st.lists(
         st.builds(TrackRow, csv_text, st.integers(0, 10**9), st.integers(1, 10**9), label,
                   box, score),

@@ -738,3 +738,33 @@ def test_noise_and_extent_ceilings_keep_the_variances_finite():
     with pytest.raises(ValidationError, match="2D box extents must be <= 1e"):
         Detection(Box2D(0.0, 0.0, 1.0, math.nextafter(big, math.inf)), 0.9,
                   ObjectClass.PEDESTRIAN, Camera.FRONT)
+
+
+_DET_2D = Detection(Box2D(100.0, 200.0, 40.0, 80.0), 0.9, ObjectClass.PEDESTRIAN, Camera.FRONT)
+_DET_3D = Detection(Box3D(1.0, 2.0, 0.0, 1.8, 0.7, 0.9, 0.0), 0.9, ObjectClass.PEDESTRIAN)
+_STATE_2D, _STATE_3D = State(np.ones(8), np.eye(8)), State(np.ones(10), np.eye(10))
+_NEEDS_10 = r"^MotionModel3D takes a state of 10 entries, got a state of 8$"
+_NEEDS_8 = r"^MotionModel2D takes a state of 8 entries, got a state of 10$"
+_NEEDS_3D = r"^MotionModel3D takes a detection with a Box3D, got a detection with a Box2D$"
+_NEEDS_2D = r"^MotionModel2D takes a detection with a Box2D, got a detection with a Box3D$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: predict(_STATE_2D, MotionModel3D()), _NEEDS_10),
+    (lambda: predict(_STATE_3D, MotionModel2D()), _NEEDS_8),
+    (lambda: update(_STATE_3D, _DET_2D, MotionModel3D()), _NEEDS_3D),
+    (lambda: mahalanobis_sq(_STATE_3D, _DET_2D, MotionModel3D()), _NEEDS_3D),
+    (lambda: init_track_state(_DET_2D, MotionModel3D()), _NEEDS_3D),
+    (lambda: update(_STATE_2D, _DET_3D, MotionModel2D()), _NEEDS_2D),
+    (lambda: init_track_state(_DET_3D, MotionModel2D()), _NEEDS_2D),
+    (lambda: mahalanobis_sq(_STATE_2D, _DET_3D, MotionModel2D()), _NEEDS_2D),
+    (lambda: update(_STATE_2D, _DET_2D, MotionModel3D()), _NEEDS_10),
+], ids=["predict-8-on-3d", "predict-10-on-2d", "update-2d-det-on-3d", "mahalanobis-2d-det-on-3d",
+        "init-2d-det-on-3d", "update-3d-det-on-2d", "init-3d-det-on-2d",
+        "mahalanobis-3d-det-on-2d", "update-8-on-3d"])
+def test_scalar_api_rejects_a_state_or_detection_of_the_other_model(call, message):
+    """A state of the other model's size or a detection with the other box
+    kind is a ValidationError naming the model and the misfit, not a numpy
+    error or a filter step on the wrong components."""
+    with pytest.raises(ValidationError, match=message):
+        call()

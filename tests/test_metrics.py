@@ -20,6 +20,7 @@ from hmot.errors import EmptyGalleryError
 from hmot.metrics import (
     ball_admits,
     bev_iou,
+    center_dist_sq_matrix,
     cosine_gallery_dist,
     cosine_gallery_dist_matrix,
     gallery_bound,
@@ -389,6 +390,20 @@ def test_gauss_matrix_equals_summed_oracle_bit_for_bit(seed, n, m, scale, sigma)
     rows, cols = rng.normal(0, scale, (n, 3)), rng.normal(0, scale, (m, 3))
     mat = gauss_center_dist_matrix(rows, cols, sigma)
     assert mat.tobytes() == summed_gauss_matrix(rows, cols, sigma).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12), m=st.integers(0, 12),
+       scale=st.sampled_from([1e-8, 1.0, 1e8, 1e150, 1e200]))
+def test_center_dist_sq_matrix_equals_summed_squares_bit_for_bit(seed, n, m, scale):
+    """The squared distances are ``np.sum`` of the squared differences, bit
+    for bit; a pair beyond the largest float apart is inf, without a
+    warning."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.normal(0, scale, (n, 3)), rng.normal(0, scale, (m, 3))
+    with np.errstate(over="ignore"):
+        expected = np.sum((rows[:, None, :] - cols[None, :, :]) ** 2, axis=-1)
+    assert center_dist_sq_matrix(rows, cols).tobytes() == expected.tobytes()
 
 
 def test_cosine_matrix_matches_scalar_and_flags_missing():

@@ -119,6 +119,32 @@ def test_spec_rejects_bad_probabilities_and_ranges():
         _spec2([_walker()], center_noise_std=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("center_noise_std", math.nan), ("size_noise_std", math.inf),
+    ("embed_noise_std", math.nan), ("heading_noise_std", math.nan),
+    ("center_noise_std", -1.0),
+])
+def test_spec_noise_std_must_be_finite_and_non_negative(field, value):
+    """A noise std that is negative or not finite is named at construction,
+    in 2D and in 3D, instead of failing later in a box or embedding with no
+    field named (or, for a NaN heading std in 2D, not at all)."""
+    for make, obj in ((_spec2, _walker()), (_spec3, _box3_obj())):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{field} must be >= 0 and finite, got {value}")):
+            make([obj], **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("turn_rate", math.nan), ("init", (1.0, 2.0, 0.5, 1.8, 0.7, math.inf, 0.0)),
+    ("velocity", (math.nan, 0.0, 0.0)),
+])
+def test_object_spec_numbers_must_be_finite(field, value):
+    args = {"obj_id": 7, "class_label": ObjectClass.VEHICLE,
+            "init": (1.0, 2.0, 0.5, 1.8, 0.7, 0.9, 0.0), "velocity": (1.0, 0.0, 0.0)}
+    with pytest.raises(ValidationError, match=rf"^object 7: {field} must be finite, got "):
+        ObjectSpec(**{**args, field: value})
+
+
 # ---------------------------------------------------------------------------
 # Ground-truth trajectories
 

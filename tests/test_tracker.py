@@ -1265,6 +1265,44 @@ def test_built_track_owns_a_copy_of_its_state():
         Track(2, (state.mean, state.cov), ObjectClass.PEDESTRIAN, 0.9)
 
 
+def test_track_id_and_class_label_are_read_only():
+    """The store finds a track's row by its id and the tracker keeps it
+    among its class's rows, so neither can be assigned, on a held, a
+    deleted or a built track."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0), _det3(20, 0)])
+    live, dead = inst.tracks
+    for _ in range(inst.configs[ObjectClass.PEDESTRIAN].a_max + 1):
+        inst.step([_det3(0, 0)])
+    for track in (live, dead, _track3(9, _det3(5, 0))):
+        before = (track.track_id, track.class_label, track.hits)
+        for field, value in (("track_id", 99), ("class_label", ObjectClass.CYCLIST)):
+            with pytest.raises(AttributeError):
+                setattr(track, field, value)
+        assert (track.track_id, track.class_label, track.hits) == before
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("track_id", True, r"Track\.track_id must be an integer in -9223372036854775808\.\."),
+    ("track_id", 2**63, r"Track\.track_id must be an integer in "),
+    ("track_id", 3.0, r"Track\.track_id must be an integer in "),
+    ("class_label", "bicycle", r"Track\.class_label must be an ObjectClass or its name, got "
+                               r"'bicycle'$"),
+    ("class_label", None, r"Track\.class_label must be an ObjectClass or its name"),
+], ids=["bool-id", "id-beyond-int64", "float-id", "unknown-label", "no-label"])
+def test_track_constructor_checks_id_and_class_label(field, value, message):
+    """``Track(...)`` takes an int64 id that is not a bool and an
+    ``ObjectClass`` or its name; anything else is a ValidationError naming
+    the field."""
+    state = State(np.ones(10), np.eye(10))
+    args = {"track_id": 1, "class_label": ObjectClass.PEDESTRIAN, field: value}
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        Track(state=state, score=0.9, **args)
+    track = Track(np.int64(-4), state, "cyclist", 0.9)
+    assert (track.track_id, track.class_label) == (-4, ObjectClass.CYCLIST)
+    assert type(track.track_id) is int
+
+
 @pytest.mark.parametrize("field, value", [
     ("hits", 2.5), ("hits", True), ("score", math.nan), ("age_since_update", 2**70)])
 def test_track_write_outside_its_domain_is_rejected(field, value):
