@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError, ValidationError
 from .types import (Box, Box2D, Box3D, Camera, Detection, FrameObject, GroundTruthFrame, Mode,
-                    ObjectClass, check_box2d_domain)
+                    ObjectClass, check_box_domain)
 
 
 def qfloat(x: float) -> float:
@@ -324,8 +324,7 @@ def read_tracks(path: str | Path) -> list[TrackRow]:
                 if not 0.0 <= score <= 1.0:  # a NaN fails too
                     raise ValueError(f"score must be in [0, 1], got {score}")
                 box: Box = kind(*values)
-                if kind is Box2D:
-                    check_box2d_domain(box)
+                check_box_domain(box)
             except (TypeError, ValueError) as exc:
                 raise DataFormatError(f"bad track row: {exc}", lineno) from None
             key = (seq, frame, track_id)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import coerce_scalar, scalar_fields
 from .errors import ConfigError, ValidationError
+from .kalman import NOISE_LIMIT
 from .types import (Box2D, Box3D, Camera, Detection, FrameObject, GroundTruthFrame, Mode,
                     ObjectClass, normalize_heading)
 
@@ -53,6 +54,24 @@ _LAYOUTS = {
 }
 
 
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` is an integer: what ``operator.index`` takes, so a
+    numpy integer too, but never a bool."""
+    try:
+        index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
+def _integer(name: str, value: Any) -> int:
+    """``value`` as an int, if it is an integer; else a ValidationError
+    naming ``name``."""
+    if not _is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return index(value)
+
+
 @dataclass(frozen=True)
 class ObjectSpec:
     """One scripted object.
@@ -71,6 +90,7 @@ class ObjectSpec:
     turn_rate: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "obj_id", _integer("obj_id", self.obj_id))
         if not isinstance(self.class_label, ObjectClass):
             object.__setattr__(self, "class_label", ObjectClass(self.class_label))
         object.__setattr__(self, "init", tuple(float(v) for v in self.init))
@@ -128,6 +148,8 @@ class ScenarioSpec:
         object.__setattr__(self, "camera", camera if self.mode is Mode.D2 else None)
         if self.mode is Mode.D2 and self.camera is None:
             raise ValidationError("2D scenarios need a camera")
+        for name in ("n_frames", "embed_dim", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_frames < 1:
             raise ValidationError(f"n_frames must be >= 1, got {self.n_frames}")
         ids = {o.obj_id for o in self.objects}
@@ -151,9 +173,9 @@ class ScenarioSpec:
         events += [(f"reversals[{i}]", obj_id, frame, 0)
                    for i, (obj_id, frame) in enumerate(self.reversals)]
         for where, obj_id, start, length in events:
-            if obj_id not in ids:
-                raise ValidationError(f"{where}: obj_id {obj_id} is not a scenario object")
-            if not isinstance(start, int) or not isinstance(length, int) or length < 0:
+            if not _is_int(obj_id) or obj_id not in ids:
+                raise ValidationError(f"{where}: obj_id {obj_id!r} is not a scenario object")
+            if not (_is_int(start) and _is_int(length)) or length < 0:
                 raise ValidationError(f"{where}: needs an integer start and an integer "
                                       f"length >= 0, got start {start!r}, length {length!r}")
         for name in ("dropout_prob", "fp_rate"):
@@ -165,6 +187,8 @@ class ScenarioSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValidationError(f"{name} must be >= 0 and finite, got {v}")
+            if v > NOISE_LIMIT:
+                raise ValidationError(f"{name} must be at most {NOISE_LIMIT:g}, got {v}")
         for name in ("tp_score_range", "weak_score_range", "fp_score_range"):
             lo, hi = getattr(self, name)
             if not (0.0 <= lo <= hi <= 1.0):
@@ -471,7 +495,7 @@ def preset(name: str, seed: int = 0) -> ScenarioSpec:
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r} (known: {known})") from None
-    if seed < 0:
+    if _integer("seed", seed) < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     return factory(seed)
 

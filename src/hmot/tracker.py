@@ -13,7 +13,8 @@ whole columns of the store (never a ``Track``), the track rows still open
 and the detection rows to match, and returns rows of the same arrays. A
 held ``Track`` reads and writes its row, so writes to it reach the next
 step; a track is born with a one-row store of its own, whose row joins the
-instance's, and dies with a copy of its row.
+instance's, is bound to its new row at each compaction, and dies with a
+copy of its row.
 Each stage solves one gated assignment per band of tracks over the
 detections earlier bands left. Stage 1 bands by age, youngest first, by
 appearance distance in 2D and kernelized center distance in 3D; in 2D a
@@ -657,22 +658,22 @@ class TrackerInstance:
                 born_at: list[int]) -> None:
         """Make the store these columns, in the rows of the store so far,
         less the rows ``dead``, with the one-row stores of the tracks
-        ``born`` appended to the class at each position of ``born_at``."""
+        ``born`` appended to the class at each position of ``born_at``, and
+        bind every track it holds to its row."""
         # A deleted track keeps these values and the state of the last step
         # it lived through, copied into a one-row store of its own.
         store, tracks = self._store, self._tracks
         if dead:
             for track, i, age, hit, score in zip(tracks[dead], dead, ages[dead].tolist(),
                                                  hits[dead].tolist(), scores[dead].tolist()):
-                track._attach(_Store.one(track.track_id, age, hit, score, store.means[i],
-                                         store.covs[i], store.galleries[i]), 0)
+                track._store, track._row = _Store.one(
+                    track.track_id, age, hit, score, store.means[i], store.covs[i],
+                    store.galleries[i]), 0
         columns = [tracks, store.ids, ages, hits, scores, means, covs, store.galleries]
         if born:
             columns = [np.concatenate((tracks, np.array(born, dtype=object))), *(
                 np.concatenate([column, *(getattr(track._store, name) for track in born)])
                 for column, name in zip(columns[1:], _Store.__slots__))]
-            for track in born:
-                track._attach(store)
         if dead or born:
             # Rows in class order; within a class, the tracks kept, then
             # the births.
@@ -684,6 +685,8 @@ class TrackerInstance:
             index = index[classes[index].argsort(kind="stable")]
             columns = [column[index] for column in columns]
             self._sizes = np.bincount(classes[index], minlength=len(ObjectClass)).tolist()
+            for row, track in enumerate(columns[0].tolist()):
+                track._store, track._row = store, row
         self._tracks = columns[0]
         store.replace(*columns[1:])
 

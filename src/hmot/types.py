@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -34,6 +34,11 @@ A_MAX_LIMIT = 1000
 # keeps the filter finite. Within it a box's corners stay apart from its
 # centre, so its area and IoU are those of its extents.
 BOX2D_EXTENT_LIMIT = 1e6
+
+# The largest accepted 3D box extent h, w or l, and centre |cx|, |cy| or
+# |cz|, in meters. It admits UTM coordinates, whose northing stays below
+# 1e7 m, and keeps a box's footprint corners and area finite.
+BOX3D_EXTENT_LIMIT = 1e7
 
 # The largest accepted box enlargement of stages 2 and 3; an enlarged box's
 # area stays far inside the float range for any extent the filter reaches.
@@ -161,18 +166,26 @@ class Box3D:
 Box = Union[Box2D, Box3D]
 
 
-def check_box2d_domain(box: Box2D) -> None:
-    """Reject a 2D box that detection and track files may not hold: one
-    whose aspect w / h is not finite (the filter observes it), or whose
-    extents or centre exceed ``BOX2D_EXTENT_LIMIT``."""
-    if not math.isfinite(box.w / box.h):
-        raise ValidationError(f"2D box aspect w/h must be finite, got w={box.w}, h={box.h}")
-    if max(box.w, box.h) > BOX2D_EXTENT_LIMIT:
-        raise ValidationError(f"2D box extents must be <= {BOX2D_EXTENT_LIMIT:g}, "
-                              f"got w={box.w}, h={box.h}")
-    if max(abs(box.cx), abs(box.cy)) > BOX2D_EXTENT_LIMIT:
-        raise ValidationError(f"2D box centre must be within +-{BOX2D_EXTENT_LIMIT:g}, "
-                              f"got cx={box.cx}, cy={box.cy}")
+def check_box_domain(box: Box) -> None:
+    """Reject a box that detection and track files may not hold: one whose
+    extents or centre exceed its kind's limit, ``BOX2D_EXTENT_LIMIT`` or
+    ``BOX3D_EXTENT_LIMIT``, or a 2D box whose aspect w / h is not finite
+    (the filter observes it)."""
+    if isinstance(box, Box2D):
+        if not math.isfinite(box.w / box.h):
+            raise ValidationError(f"2D box aspect w/h must be finite, got w={box.w}, h={box.h}")
+        kind, limit = "2D", BOX2D_EXTENT_LIMIT
+        big, far = max(box.w, box.h), max(abs(box.cx), abs(box.cy))
+    else:
+        kind, limit = "3D", BOX3D_EXTENT_LIMIT
+        big, far = max(box.h, box.w, box.l), max(abs(box.cx), abs(box.cy), abs(box.cz))
+    if big > limit or far > limit:
+        # Name the extents if they fail, else the centre fields cx, cy(, cz).
+        centre = big <= limit
+        got = ", ".join(f"{f.name}={getattr(box, f.name)}" for f in fields(box)
+                        if f.name != "theta" and f.name.startswith("c") == centre)
+        rule = "centre must be within +-" if centre else "extents must be <= "
+        raise ValidationError(f"{kind} box {rule}{limit:g}, got {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,9 +224,9 @@ class Detection:
         if isinstance(self.box, Box2D):
             if self.camera_id is None:
                 raise ValidationError("2D detections require a camera_id")
-            check_box2d_domain(self.box)
         elif self.camera_id is not None:
             raise ValidationError("3D detections must not carry a camera_id")
+        check_box_domain(self.box)
         if self.embedding is not None:
             emb = np.ascontiguousarray(self.embedding, dtype=np.float64)
             if emb.ndim != 1:
@@ -400,26 +413,21 @@ def _checked(name: str, value, domain: range | type):
 
 
 class _Store:
-    """Tracks as columns, named by the first slots, row i of each belonging
-    to one track: ``ids``, ``ages`` since update, ``hits``, ``scores``,
+    """Tracks as columns, named by the slots, row i of each belonging to
+    one track: ``ids``, ``ages`` since update, ``hits``, ``scores``,
     ``means`` (N, d), the filter rows ``covs`` of the covariances
     (:func:`pack_covs`) and ``galleries``, an object array of each track's
-    gallery entry, None while it is empty.
-    ``gen`` counts the times they were replaced; a :class:`Track` looks up
-    its row with ``row_of`` once each time. The store holds no track, so a
+    gallery entry, None while it is empty. The store holds no track, so a
     track can refer to it without a reference cycle."""
 
-    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "galleries", "gen", "_rows")
+    __slots__ = ("ids", "ages", "hits", "scores", "means", "covs", "galleries")
 
-    def __init__(self, *columns: np.ndarray):
-        self.gen = -1
-        self.replace(*columns)
-
-    def replace(self, ids: np.ndarray, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
-                means: np.ndarray, covs: np.ndarray, galleries: np.ndarray) -> None:
+    def __init__(self, ids: np.ndarray, ages: np.ndarray, hits: np.ndarray, scores: np.ndarray,
+                 means: np.ndarray, covs: np.ndarray, galleries: np.ndarray) -> None:
         self.ids, self.ages, self.hits, self.scores, self.means, self.covs, self.galleries = (
             ids, ages, hits, scores, means, covs, galleries)
-        self.gen, self._rows = self.gen + 1, None
+
+    replace = __init__
 
     @classmethod
     def one(cls, track_id: int, age: int, hits: int, score: float, mean: np.ndarray,
@@ -428,11 +436,6 @@ class _Store:
         filter row ``cov``, and the gallery entry ``entry``."""
         return cls(np.array([track_id]), np.array([age]), np.array([hits]), np.array([score]),
                    mean[None].copy(), cov[None].copy(), np.array([entry], dtype=object))
-
-    def row_of(self, track_id: int) -> int:
-        if self._rows is None:
-            self._rows = dict(zip(self.ids.tolist(), range(len(self.ids))))
-        return self._rows[track_id]
 
 
 # The domains of a track's id, a store key of int64, and of its counts.
@@ -447,11 +450,11 @@ def _column(name: str, column: str, domain: range | type) -> property:
     kind = float if domain is float else int
 
     def get(track: "Track"):
-        return kind(getattr(track._store, column)[track._at()])
+        return kind(getattr(track._store, column)[track._row])
 
     def set_(track: "Track", value) -> None:
         value = _checked(name, value, domain)
-        getattr(track._store, column)[track._at()] = value
+        getattr(track._store, column)[track._row] = value
 
     return property(get, set_)
 
@@ -480,16 +483,18 @@ class Track:
 
     ``age_since_update``, ``hits``, ``score`` and ``state`` read and write
     the track's row of a store: the tracker's while it holds the track,
-    else a one-row store of the track's own. ``state`` is a snapshot of the
-    row, a new ``State`` at each read; a ``State`` assigned to it is written
-    to the row, so the next step filters it. A track built directly owns a
-    copy of its ``State``; a track the tracker deletes owns a copy of its
-    row, with the values it had then. ``track_id`` and ``class_label``
-    are read-only: the store finds the row by the id, and the tracker keeps
-    it among its class's rows.
+    which binds the track to its new row each time it compacts the store,
+    else row 0 of a one-row store of the track's own. ``state`` is a
+    snapshot of the row, a new ``State`` at each read; a ``State`` assigned
+    to it is written to the row, so the next step filters it. A track built
+    directly owns a copy of its ``State``; a track the tracker deletes owns
+    a copy of its row, with the values it had then; ``copy.copy`` of a
+    track is a track built from its values at that moment. ``track_id``
+    and ``class_label`` are read-only: the store keeps the id in its row,
+    and the tracker keeps the row among its class's rows.
     """
 
-    __slots__ = ("_id", "_label", "gallery", "_store", "_gen", "_row")
+    __slots__ = ("_id", "_label", "gallery", "_store", "_row")
 
     def __init__(self, track_id: int, state: State, class_label: ObjectClass | str, score: float,
                  age_since_update: int = 0, hits: int = 1, gallery: np.ndarray | None = None):
@@ -501,9 +506,13 @@ class Track:
             raise ValidationError("Track.class_label must be an ObjectClass or its name, "
                                   f"got {class_label!r}") from None
         self.gallery = np.empty((0, 0)) if gallery is None else gallery
-        self._attach(_Store.one(self._id, _checked("age_since_update", age_since_update, _AGES),
-                                _checked("hits", hits, _HITS), _checked("score", score, float),
-                                mean, cov), 0)
+        self._store, self._row = _Store.one(
+            self._id, _checked("age_since_update", age_since_update, _AGES),
+            _checked("hits", hits, _HITS), _checked("score", score, float), mean, cov), 0
+
+    def __copy__(self) -> "Track":
+        return Track(self._id, self.state, self._label, self.score, self.age_since_update,
+                     self.hits, self.gallery)
 
     track_id = property(operator.attrgetter("_id"))
     class_label = property(operator.attrgetter("_label"))
@@ -513,28 +522,14 @@ class Track:
 
     @property
     def state(self) -> State:
-        row, store = self._at(), self._store
+        row, store = self._row, self._store
         return State.trusted(store.means[row].copy(), unpack_covs(store.covs[row:row + 1])[0])
 
     @state.setter
     def state(self, state: State) -> None:
         store = self._store
         mean, cov = _state_row(state, store.means.shape[1])
-        row = self._at()
-        store.means[row], store.covs[row] = mean, cov
-
-    def _at(self) -> int:
-        """The track's row of its store, looked up once a step."""
-        store = self._store
-        if self._gen != store.gen:
-            self._gen, self._row = store.gen, store.row_of(self._id)
-        return self._row
-
-    def _attach(self, store: _Store, row: int | None = None) -> None:
-        """Let ``store`` hold the track from now on, at ``row`` if given,
-        else at the row of its id."""
-        self._store, self._row = store, row
-        self._gen = None if row is None else store.gen
+        store.means[self._row], store.covs[self._row] = mean, cov
 
 
 @dataclass(frozen=True)

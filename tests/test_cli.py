@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -636,6 +637,126 @@ def test_track_over_ordinary_and_extreme_inputs(case):
             assert all(math.isfinite(float(v)) for row in rows for v in row[4:])
 
 
+# A 3D centre at the ceiling, and one ulp beyond it, on either side.
+_CENTRES_3D = [s * c for s in (-1, 1) for c in (1e7, math.nextafter(1e7, math.inf))]
+_HEADERS = {"2d": "sequence_id,frame,track_id,class,cx,cy,w,h,score",
+            "3d": "sequence_id,frame,track_id,class,cx,cy,cz,h,w,l,theta,score"}
+
+
+@st.composite
+def _box_inputs(draw):
+    """A mode, the detection files of ``hmot nms-merge`` with its ``--iou``,
+    and the ground-truth and hypothesis files of ``hmot eval`` with its
+    threshold. Each value is ordinary, or one time in ``odds`` an extreme
+    one from the table above; a detection line's box kind is the mode's,
+    or now and then the other. An example draws some 50 values, so
+    ``odds`` is drawn too, and some examples hold no extreme. Ordinary
+    boxes crowd into a few metres or pixels, so that they overlap."""
+    odds = draw(st.sampled_from([16, 128, 1024]))
+
+    def value(ordinary, extremes):
+        return draw(st.sampled_from(extremes) if draw(st.integers(1, odds)) == 1 else ordinary)
+
+    def box(kind):
+        def position():
+            return value(st.floats(0.0, 20.0),
+                         [-1e308, -1e300, *_BIG, *_TINY, *_CENTRES, *_CENTRES_3D])
+
+        def extent():
+            return value(st.floats(1.0, 20.0), [-5.0, *_BIG, *_TINY, 1e7, 1e7 * (1 + 2**-52)])
+
+        if kind == "2d":
+            return [position(), position(), extent(), extent()]
+        return [position(), position(), position(), extent(), extent(), extent(),
+                value(st.floats(-4.0, 4.0), [-1e308, *_BIG, *_TINY])]
+
+    def score():
+        return value(st.floats(0.0, 1.0), [5e-324, 1.0 + 2**-52, 1.5])
+
+    def label():
+        return draw(st.sampled_from(["pedestrian", "vehicle", "cyclist"]))
+
+    mode = draw(st.sampled_from(["2d", "3d"]))
+    det_files = []
+    for _ in range(draw(st.integers(1, 2))):
+        lines = []
+        for frame in range(draw(st.integers(1, 3))):
+            kind = value(st.just(mode), ["3d" if mode == "2d" else "2d"])
+            lines.append(json.dumps({
+                "sequence_id": "s", "frame": frame, "camera": "front" if kind == "2d" else None,
+                "detections": [{"class": label(), f"box{kind}": box(kind), "score": score()}
+                               for _ in range(draw(st.integers(0, 4)))]}))
+        det_files.append(lines)
+    iou = value(st.floats(0.05, 1.0), [5e-324, 1.0])
+    track_files, frames = [], st.integers(0, 3)
+    for min_size in (1, 0):  # ground truth, then hypotheses of its frames
+        keys = draw(st.lists(st.tuples(frames, st.integers(1, 4)), min_size=min_size,
+                             max_size=8, unique=True))
+        frames = st.sampled_from(sorted({frame for frame, _ in keys}))
+        track_files.append([_HEADERS[mode]] + [
+            ",".join(map(repr, ["s", frame, track_id, label(), *box(mode), score()]))
+            .replace("'", "") for frame, track_id in keys])
+    threshold = (value(st.floats(0.05, 1.0), [5e-324, 1.0]) if mode == "2d" else
+                 value(st.floats(0.5, 5.0), [5e-324, 1e300, sys.float_info.max]))
+    return mode, det_files, iou, track_files, threshold
+
+
+def _run_quietly(argv):
+    """The exit code and stderr of ``main(argv)``; any warning raises."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert re.search(r"\bline \d+: ", err.getvalue()), err.getvalue()
+    return code, out.getvalue()
+
+
+_NMS_PROBE = json.dumps({"sequence_id": "s", "frame": 0, "camera": None, "detections": [
+    {"class": "vehicle", "box3d": [1e200, 1e200, 1, 1e100, 1e100, 1, theta], "score": 0.9}
+    for theta in (0.3, 0.5)]})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_box_inputs())
+# Two 3D boxes whose footprint areas overflow.
+@example(case=("3d", [[_NMS_PROBE]], 0.5, [[_HEADERS["3d"], "s,0,1,vehicle,5,0,1,2,2,4,0,1"],
+                                           [_HEADERS["3d"]]], 2.0))
+def test_nms_merge_and_eval_over_ordinary_and_extreme_inputs(case):
+    """``hmot nms-merge`` and ``hmot eval`` on any mix of ordinary and
+    extreme values exit 0 or 2 without a warning; their output numbers are
+    finite, and an exit-2 message names the line at fault."""
+    mode, det_files, iou, (gt_lines, hyp_lines), threshold = case
+    with tempfile.TemporaryDirectory() as tmp:
+        dets = [Path(tmp) / f"d{i}.ndjson" for i in range(len(det_files))]
+        for path, lines in zip(dets, det_files):
+            path.write_text("".join(line + "\n" for line in lines))
+        out = Path(tmp) / "m.ndjson"
+        code, _ = _run_quietly(["nms-merge", "--dets", *map(str, dets), "--iou", repr(iou),
+                                "--out", str(out)])
+        if code == 0:
+            merged = [d for fr in read_detections(out) for d in fr.detections]
+            assert len(merged) <= sum(len(json.loads(line)["detections"])
+                                      for lines in det_files for line in lines)
+            assert all(math.isfinite(v) for d in merged
+                       for v in (*dataclasses.astuple(d.box), d.score))
+        gt, hyp = Path(tmp) / "gt.csv", Path(tmp) / "hyp.csv"
+        gt.write_text("".join(line + "\n" for line in gt_lines))
+        hyp.write_text("".join(line + "\n" for line in hyp_lines))
+        flag = "--iou-thresh" if mode == "2d" else "--dist-thresh"
+        code, report = _run_quietly(["eval", "--mode", mode, "--gt", str(gt), "--hyp", str(hyp),
+                                     flag, repr(threshold)])
+    if code == 0:
+        for name, *counts, mota, motp in list(csv.reader(report.splitlines()[6:]))[1:]:
+            gt_n, fp, miss, mismatch = map(int, counts)
+            assert min(gt_n, fp, miss, mismatch) >= 0, name
+            # Every ground-truth object is matched or missed.
+            assert math.isfinite(float(mota)) == (gt_n > 0), name
+            assert math.isfinite(float(motp)) == (gt_n > miss), name
+
+
 def test_track_embedding_beyond_unit_entries_names_its_line(tmp_path, capsys):
     """An embedding with an entry above 1 is no unit vector; it is rejected
     before its norm, which would overflow, is taken."""
@@ -785,6 +906,21 @@ def test_eval_2d_box_outside_the_detection_domain_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_eval_3d_box_outside_the_detection_domain_exits_2(tmp_path, capsys):
+    """A 3D track row beyond the 3D box domain is a format error naming its
+    line, whose polygon areas would otherwise overflow."""
+    gt, hyp = tmp_path / "gt.csv", tmp_path / "hyp.csv"
+    header = "sequence_id,frame,track_id,class,cx,cy,cz,h,w,l,theta,score\n"
+    gt.write_text(header + "s,0,1,vehicle,5,0,1,1.7,0.6,0.8,0,1.0\n")
+    hyp.write_text(header + "s,0,1,vehicle,5,0,1,1.7,0.6,0.8,0,1.0\n"
+                   "s,0,2,vehicle,1e200,1e200,1,1e100,1e100,1,0.3,1.0\n")
+    code = main(["eval", "--mode", "3d", "--gt", str(gt), "--hyp", str(hyp)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "line 3: bad track row: 3D box extents must be <= 1e+07" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_gt_as_hyp_is_perfect(tmp_path, capsys):
     gt, _ = _simulate(tmp_path)
     assert main(["eval", "--mode", "2d", "--gt", str(gt), "--hyp", str(gt)]) == 0
@@ -917,6 +1053,22 @@ def test_nms_merge_of_mixed_box_kinds(tmp_path, capsys, camera, boxes, message):
     assert sorted(fr.camera is None for fr in frames) == [False, True]
     assert all(len(fr.detections) == 1 and fr.detections[0].is_2d == (fr.camera is not None)
                for fr in frames)
+
+
+def test_nms_merge_3d_box_outside_the_detection_domain_exits_2(tmp_path, capsys):
+    """Two 3D boxes whose footprint areas overflow are outside the 3D box
+    domain: exit 2 naming the line, where the IoU once read NaN after an
+    overflow warning."""
+    dets, out = tmp_path / "d.ndjson", tmp_path / "m.ndjson"
+    dets.write_text(json.dumps({"sequence_id": "s", "frame": 0, "camera": None, "detections": [
+        {"class": "vehicle", "score": score, "box3d": [1e200, 1e200, 1, 1e100, 1e100, 1, theta]}
+        for score, theta in ((0.9, 0.3), (0.8, 0.5))]}) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["nms-merge", "--dets", str(dets), "--out", str(out)])
+    assert code == 2
+    assert "line 1: bad detection: 3D box extents must be <= 1e+07" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nms_merge_output_equals_the_json_dumps_oracle(tmp_path):

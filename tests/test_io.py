@@ -29,7 +29,8 @@ from hmot.io import (
     write_tracks,
 )
 from hmot.simulation import generate, preset
-from hmot.types import BOX2D_EXTENT_LIMIT, Box2D, Box3D, Camera, Detection, Mode, ObjectClass
+from hmot.types import (BOX2D_EXTENT_LIMIT, BOX3D_EXTENT_LIMIT, Box2D, Box3D, Camera, Detection,
+                        Mode, ObjectClass)
 
 
 def _det2(cx=100.0, cy=200.0, score=0.8, embedding=None):
@@ -595,19 +596,41 @@ def test_gt_to_rows_and_back():
         assert len(orig.objects) == len(round_tripped.objects)
 
 
+@pytest.mark.parametrize("box, message", [
+    ("1e200,1e200,1,1e100,1e100,1,0.3",
+     "3D box extents must be <= 1e+07, got h=1e+100, w=1e+100, l=1.0"),
+    ("2e7,0,1,1.7,0.6,0.8,0", "3D box centre must be within +-1e+07, got cx=20000000.0, "
+                              "cy=0.0, cz=1.0"),
+    ("0,0,-1e308,1.7,0.6,0.8,0", "3D box centre must be within +-1e+07, got cx=0.0, cy=0.0, "
+                                 "cz=-1e+308"),
+])
+def test_track_3d_box_outside_the_detection_domain_names_its_line(tmp_path, box, message):
+    """A 3D track row takes the boxes a detection file takes, no others."""
+    path = tmp_path / "t.csv"
+    path.write_text("sequence_id,frame,track_id,class,cx,cy,cz,h,w,l,theta,score\n"
+                    "seq,0,1,vehicle,5,0,1,1.7,0.6,0.8,0,0.9\n"
+                    f"seq,1,1,vehicle,{box},0.9\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"line 3: bad track row: {message}")):
+        read_tracks(path)
+
+
 # ---------------------------------------------------------------------------
 # Round trips over random content
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-extent = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # A 2D box of a detection or track file needs extents up to
 # BOX2D_EXTENT_LIMIT, a centre within it and a finite aspect w / h.
 detected_centre = st.floats(-BOX2D_EXTENT_LIMIT, BOX2D_EXTENT_LIMIT)
 detected_extent = st.floats(min_value=0.0, exclude_min=True, max_value=BOX2D_EXTENT_LIMIT)
 detected_box2d = st.builds(Box2D, detected_centre, detected_centre, detected_extent,
                            detected_extent).filter(lambda b: np.isfinite(b.w / b.h))
-box3d = st.builds(Box3D, finite, finite, finite, extent, extent, extent, finite)
+# A 3D box of a detection or track file needs extents up to
+# BOX3D_EXTENT_LIMIT and a centre within it.
+detected_centre3d = st.floats(-BOX3D_EXTENT_LIMIT, BOX3D_EXTENT_LIMIT)
+detected_extent3d = st.floats(min_value=0.0, exclude_min=True, max_value=BOX3D_EXTENT_LIMIT)
+box3d = st.builds(Box3D, detected_centre3d, detected_centre3d, detected_centre3d,
+                  detected_extent3d, detected_extent3d, detected_extent3d, finite)
 score = st.floats(min_value=0.0, max_value=1.0)
 label = st.sampled_from(ObjectClass)
 text = st.text(max_size=6)

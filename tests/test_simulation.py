@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmot.errors import ConfigError, ValidationError
+from hmot.kalman import NOISE_LIMIT
 from hmot.simulation import (
     PRESETS,
     ObjectSpec,
@@ -143,6 +144,63 @@ def test_object_spec_numbers_must_be_finite(field, value):
             "init": (1.0, 2.0, 0.5, 1.8, 0.7, 0.9, 0.0), "velocity": (1.0, 0.0, 0.0)}
     with pytest.raises(ValidationError, match=rf"^object 7: {field} must be finite, got "):
         ObjectSpec(**{**args, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_frames", 2.5), ("n_frames", True), ("seed", 1.5), ("seed", False),
+    ("embed_dim", 2.5), ("embed_dim", "8"),
+])
+def test_spec_integer_fields_must_be_integers(field, value):
+    """n_frames, seed and embed_dim are integers, never bools or floats;
+    a wrong one is named at construction, in 2D and in 3D, not by a bare
+    TypeError of ``generate``."""
+    for make, obj in ((_spec2, _walker()), (_spec3, _box3_obj())):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+            make([obj], **{field: value})
+
+
+def test_object_id_must_be_an_integer():
+    """An object id is an integer, never a bool, so every ground-truth file
+    the simulator writes reads back."""
+    for value in (1.5, True, "1"):
+        with pytest.raises(ValidationError, match=f"^obj_id must be an integer, got {value!r}$"):
+            _walker(obj_id=value)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("occlusions", (Window(1, True, 1),), r"occlusions\[0\]: needs an integer start .* got start True"),
+    ("weak_windows", (Window(1, 2, False),), r"weak_windows\[0\]: needs .* length False"),
+    ("occlusions", (Window(True, 0, 2),), r"occlusions\[0\]: obj_id True is not a scenario object"),
+    ("reversals", ((1.0, 3),), r"reversals\[0\]: obj_id 1.0 is not a scenario object"),
+    ("reversals", ((1, True),), r"reversals\[0\]: needs an integer start .* got start True"),
+])
+def test_spec_event_integers_are_never_bools_or_floats(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        _spec2([_walker()], **{field: value})
+
+
+def test_spec_integers_may_be_numpy_integers():
+    spec = _spec2([_walker(obj_id=np.int64(3))], n_frames=np.int32(4), seed=np.uint8(2),
+                  embed_dim=np.int64(8), occlusions=(Window(np.int64(3), np.int16(1), 1),),
+                  reversals=((np.int64(3), np.int64(2)),))
+    assert [type(v) for v in (spec.objects[0].obj_id, spec.n_frames, spec.seed,
+                              spec.embed_dim)] == [int] * 4
+    gt, dets = generate(spec)
+    assert len(gt) == 4 and [len(frame) for frame in dets] == [1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("field", ["center_noise_std", "size_noise_std", "heading_noise_std",
+                                   "embed_noise_std"])
+def test_spec_noise_std_is_at_most_the_noise_limit(field):
+    """A noise std may reach hmot.kalman.NOISE_LIMIT (1e6) but not go
+    beyond it: a larger one is named at construction, before generating
+    overflows."""
+    for make, obj in ((_spec2, _walker()), (_spec3, _box3_obj())):
+        make([obj], **{field: NOISE_LIMIT})
+        for value in (math.nextafter(NOISE_LIMIT, math.inf), 1e200):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"{field} must be at most 1e+06, got {value}")):
+                make([obj], **{field: value})
 
 
 # ---------------------------------------------------------------------------

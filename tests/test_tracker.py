@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib.util
 import itertools
@@ -1251,6 +1252,36 @@ def test_deleted_track_holds_only_its_own_row():
         assert not np.shares_memory(dead._store.covs, column)
     assert np.array_equal(dead.state.mean, mean) and np.array_equal(dead.state.cov, cov)
     assert (dead.age_since_update, dead.hits, dead.score) == (a_max + 1, 2, 0.7)
+
+
+def _values(track):
+    return (track.track_id, track.class_label, track.age_since_update, track.hits, track.score,
+            track.state.mean.tolist(), track.state.cov.tolist())
+
+
+def test_copied_track_is_a_snapshot():
+    """``copy.copy`` of a held track is a track of its own with the values
+    the track had then. The track's later steps, its deletion and the track
+    that moves into its row never reach the copy, and a write to the copy
+    reaches neither the track nor the store."""
+    inst = TrackerInstance(Mode.D3)
+    inst.step([_det3(0, 0), _det3(20, 0), _det3(40, 0)])
+    inst.step([_det3(0.1, 0), _det3(20.1, 0, score=0.7), _det3(40.1, 0)])
+    held = inst.tracks[1]
+    snap = copy.copy(held)
+    assert snap is not held and _values(snap) == _values(held) == _values(copy.copy(snap))
+    values = _values(snap)
+    a_max = inst.configs[ObjectClass.PEDESTRIAN].a_max
+    deleted = []
+    for f in range(a_max + 3):
+        deleted += inst.step([_det3(0.2 + f, 0), _det3(40.2 + f, 0, score=0.8)]).deleted_ids
+    assert deleted == [held.track_id] and held not in inst.tracks
+    assert inst.tracks[1].hits == a_max + 5  # track 3 holds the copied row now
+    assert _values(snap) == values
+    store, dead = _store_copy(inst), _values(held)
+    snap.hits, snap.score = 99, 0.1
+    assert all(np.array_equal(a, b) for a, b in zip(_store_copy(inst), store))
+    assert _values(held) == dead and (snap.hits, snap.score) == (99, 0.1)
 
 
 def test_built_track_owns_a_copy_of_its_state():

@@ -8,6 +8,7 @@ import pytest
 
 from hmot.errors import DegenerateBoxError, ValidationError
 from hmot.types import (
+    BOX3D_EXTENT_LIMIT,
     Box2D,
     Box3D,
     Camera,
@@ -148,6 +149,20 @@ def test_detection_forbids_camera_for_3d():
         Detection(box, 0.9, ObjectClass.VEHICLE, camera_id=Camera.FRONT)
     det = Detection(box, 0.9, ObjectClass.VEHICLE)
     assert not det.is_2d
+
+
+@pytest.mark.parametrize("field", ["cx", "cy", "cz", "h", "w", "l"])
+def test_detection_takes_3d_boxes_within_the_extent_limit(field):
+    """A 3D detection's centre and extents may reach BOX3D_EXTENT_LIMIT
+    (1e7 m, beyond any UTM coordinate), but not one ulp further."""
+    values = {"cx": 5.0, "cy": -3.0, "cz": 0.5, "h": 1.7, "w": 0.6, "l": 0.8, "theta": 0.3}
+    sign = -1.0 if field == "cy" else 1.0
+    Detection(Box3D(**{**values, field: sign * BOX3D_EXTENT_LIMIT}), 0.9, ObjectClass.VEHICLE)
+    beyond = sign * math.nextafter(BOX3D_EXTENT_LIMIT, math.inf)
+    rule = "centre must be within +-" if field.startswith("c") else "extents must be <= "
+    with pytest.raises(ValidationError, match=re.escape(f"3D box {rule}1e+07, got ")
+                       + f".*{field}={beyond!r}"):
+        Detection(Box3D(**{**values, field: beyond}), 0.9, ObjectClass.VEHICLE)
 
 
 def test_detection_score_range():
